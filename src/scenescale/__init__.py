@@ -24,8 +24,6 @@ from .geometry import (
     crop_to_weak_perspective,
     project,
     project_clamped,
-    project_jacobian,
-    project_jacobian_clamped,
     weak_to_perspective,
 )
 from .metrics import (
@@ -39,11 +37,7 @@ from .metrics import (
 from .objective import (
     LossBreakdown,
     ObjectiveConfig,
-    gradients,
     loss_and_gradients,
-    plane_loss,
-    reprojection_loss,
-    total_loss,
 )
 from .optimizer import OptimConfig, OptimReport, initialize, optimize, optimize_baseline
 from .planefit import (
@@ -52,6 +46,7 @@ from .planefit import (
     anchor_plane,
     fit_rms,
     ransac_plane,
+    select_reference_person,
     unproject_ground,
 )
 from .sceneio import (
@@ -74,9 +69,7 @@ from .scene import (
     Scene,
     person_height,
     posed_ankles,
-    posed_joint,
     posed_joints,
-    select_reference_person,
 )
 from .synth import SynthConfig, evaluate_recovery, generate_scene, joint_template
 
@@ -118,7 +111,6 @@ __all__ = [
     "evaluate_scenes",
     "fit_rms",
     "generate_scene",
-    "gradients",
     "height_order_accuracy",
     "initialize",
     "joint_template",
@@ -130,22 +122,16 @@ __all__ = [
     "optimize_baseline",
     "pair_sum_discrepancy",
     "person_height",
-    "plane_loss",
     "posed_ankles",
-    "posed_joint",
     "posed_joints",
     "project",
     "project_clamped",
-    "project_jacobian",
-    "project_jacobian_clamped",
     "ransac_plane",
-    "reprojection_loss",
     "save_depth_observation",
     "save_scene",
     "scene_from_dict",
     "scene_to_dict",
     "select_reference_person",
-    "total_loss",
     "unproject_ground",
     "weak_to_perspective",
 ]

@@ -9,7 +9,8 @@ Subcommands:
 Exit codes:
   0  success
   1  unexpected internal error
-  2  invalid arguments or input file (schema)
+  2  invalid arguments or input file (schema), or a file that cannot be
+     read or written (missing input, output directory that does not exist)
   3  too few ground pixels to unproject
   4  plane consensus below the inlier threshold
   5  objective needs a plane but the scene file has none
@@ -28,6 +29,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import (
@@ -39,10 +41,9 @@ from .errors import (
     SceneScaleError,
     SchemaError,
 )
-from .geometry import weak_to_perspective
 from .metrics import evaluate_scenes
 from .objective import MODES, ObjectiveConfig
-from .optimizer import OptimConfig, initialize, optimize, optimize_baseline
+from .optimizer import OptimConfig, lift_translations, optimize, optimize_baseline
 from .planefit import RansacConfig, anchor_plane, fit_rms, ransac_plane, unproject_ground
 from .sceneio import (
     dumps_canonical,
@@ -51,7 +52,6 @@ from .sceneio import (
     save_depth_observation,
     save_scene,
 )
-from .scene import Scene
 from .synth import SynthConfig, generate_scene
 
 _EXIT_CODES = (
@@ -64,22 +64,6 @@ _EXIT_CODES = (
 )
 
 
-def _resolve_translations(scene: Scene) -> Scene:
-    """Lift weak-perspective cameras wherever a translation is missing.
-
-    Stored translations and scales are kept as-is, so re-running optimize
-    on an already-optimized file continues from the stored state; --reset
-    gives the full re-initialization instead.
-    """
-    out = scene.copy()
-    for i, person in enumerate(out.persons):
-        if person.translation is None:
-            if person.weak_cam is None:
-                raise SchemaError(f"person {i}: no translation and no weak_cam")
-            person.translation = weak_to_perspective(person.weak_cam, out.camera)
-    return out
-
-
 def _float_list(text: str, where: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -88,10 +72,10 @@ def _float_list(text: str, where: str) -> list[float]:
 
 
 def cmd_fit_plane(args: argparse.Namespace) -> int:
-    scene = _resolve_translations(load_scene(args.scene))
+    scene = lift_translations(load_scene(args.scene), reset=False)
     obs = load_depth_observation(args.depth, args.mask)
     if args.metric_scale is not None:
-        obs.metric_scale = float(args.metric_scale)
+        obs = replace(obs, metric_scale=args.metric_scale)
     points = unproject_ground(obs, scene.camera)
     cfg = RansacConfig(
         iterations=args.iterations,
@@ -117,9 +101,7 @@ def cmd_fit_plane(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    scene = _resolve_translations(load_scene(args.scene))
-    if args.reset:
-        scene = initialize(scene)
+    scene = lift_translations(load_scene(args.scene), reset=args.reset)
     if args.freeze_z != (args.depths is not None):
         raise SchemaError("--freeze-z and --depths must be used together")
     cfg = OptimConfig(
@@ -171,8 +153,8 @@ def _json_safe(value):
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if len(args.est) != len(args.gt):
         raise SchemaError(f"{len(args.est)} --est files vs {len(args.gt)} --gt files")
-    est_all = [_resolve_translations(load_scene(p)) for p in args.est]
-    gt_all = [_resolve_translations(load_scene(p)) for p in args.gt]
+    est_all = [lift_translations(load_scene(p), reset=False) for p in args.est]
+    gt_all = [lift_translations(load_scene(p), reset=False) for p in args.gt]
 
     est, gt, skipped = [], [], 0
     for i, (e, g) in enumerate(zip(est_all, gt_all)):
@@ -349,6 +331,9 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(exc, klass):
                 print(f"error: {exc}", file=sys.stderr)
                 return code
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -144,45 +144,3 @@ def _pinhole(points: np.ndarray, z: np.ndarray, cam: CameraModel) -> np.ndarray:
     u = cam.focal * points[..., 0] / z + cx
     v = cam.focal * points[..., 1] / z + cy
     return np.stack([u, v], axis=-1)
-
-
-def project_jacobian(points: np.ndarray, cam: CameraModel) -> np.ndarray:
-    """Exact Jacobian of :func:`project` w.r.t. the 3D point.
-
-    For each point returns the 2x3 matrix
-    ``[[f/z, 0, -f*x/z^2], [0, f/z, -f*y/z^2]]``; shape (..., 2, 3).
-    """
-    points = np.asarray(points, dtype=float)
-    z = points[..., 2]
-    if np.any(z <= 0):
-        bad = np.nonzero(np.atleast_1d(z) <= 0)[0]
-        raise BehindCameraError(f"points behind camera (z <= 0) at indices {bad.tolist()}")
-    return _pinhole_jacobian(points, z, cam)
-
-
-def project_jacobian_clamped(
-    points: np.ndarray, cam: CameraModel, z_epsilon: float = 1e-3
-) -> np.ndarray:
-    """Jacobian of :func:`project_clamped` w.r.t. the 3D point.
-
-    Below the clamp the projected pixel no longer depends on z, so the z
-    column is zeroed for clamped points (the other columns use the clamped
-    depth).
-    """
-    points = np.asarray(points, dtype=float)
-    z = points[..., 2]
-    clamped = z < z_epsilon
-    zc = np.maximum(z, z_epsilon)
-    out = _pinhole_jacobian(points, zc, cam)
-    out[clamped, :, 2] = 0.0
-    return out
-
-
-def _pinhole_jacobian(points: np.ndarray, z: np.ndarray, cam: CameraModel) -> np.ndarray:
-    f = cam.focal
-    out = np.zeros(points.shape[:-1] + (2, 3))
-    out[..., 0, 0] = f / z
-    out[..., 0, 2] = -f * points[..., 0] / z**2
-    out[..., 1, 1] = f / z
-    out[..., 1, 2] = -f * points[..., 1] / z**2
-    return out

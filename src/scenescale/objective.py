@@ -1,4 +1,4 @@
-"""Loss terms and their analytic gradients w.r.t. per-person (t, s).
+"""The joint objective over every person's (t, s) and its analytic gradient.
 
 Two terms over the posed joints x_i = s * R @ J_i + t:
 
@@ -18,16 +18,21 @@ sign flips of float-roundoff residuals.
 Joints behind the camera are projected at z clamped to z_epsilon (where the
 pixel no longer depends on z) and add a linear penalty
 behind_penalty * c_i * (z_epsilon - z) that pushes them back in front.
+
+A scene is packed once into arrays (persons padded to a common joint count
+with zero-confidence joints); the objective is then a pure function of the
+flat parameter vector theta = [t^1, ..., t^N, s^1, ..., s^N].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MissingPlaneError, SchemaError
-from .geometry import project_clamped, project_jacobian_clamped
+from .geometry import CameraModel, project_clamped
 from .scene import Scene
 
 # Residuals smaller than this are treated as exactly zero in gradients
@@ -50,20 +55,17 @@ class ObjectiveConfig:
     def __post_init__(self):
         self.lam = float(self.lam)
         self.z_epsilon = float(self.z_epsilon)
-        if self.lam < 0:
-            raise SchemaError(f"lam must be >= 0, got {self.lam}")
-        if self.z_epsilon <= 0:
-            raise SchemaError(f"z_epsilon must be > 0, got {self.z_epsilon}")
+        self.behind_penalty = float(self.behind_penalty)
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise SchemaError(f"lam must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.z_epsilon) and self.z_epsilon > 0):
+            raise SchemaError(f"z_epsilon must be finite and > 0, got {self.z_epsilon}")
+        if not (math.isfinite(self.behind_penalty) and self.behind_penalty >= 0):
+            raise SchemaError(
+                f"behind_penalty must be finite and >= 0, got {self.behind_penalty}"
+            )
         if self.mode not in MODES:
             raise SchemaError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-    @property
-    def uses_reprojection(self) -> bool:
-        return self.mode != "plane_only"
-
-    @property
-    def uses_plane(self) -> bool:
-        return self.mode != "reprojection_only"
 
 
 @dataclass
@@ -73,132 +75,120 @@ class LossBreakdown:
     total: float
     per_person: list[tuple[float, float]] = field(default_factory=list)
 
-
-def reprojection_loss(
-    scene: Scene, z_epsilon: float = 1e-3, behind_penalty: float = 100.0
-) -> float:
-    """Confidence-weighted sum of per-joint pixel errors over all persons."""
-    total = 0.0
-    for person in scene.persons:
-        total += _person_reprojection(scene, person, z_epsilon, behind_penalty)[0]
-    return total
+    @classmethod
+    def from_terms(cls, rep: np.ndarray, plane: np.ndarray, lam: float) -> "LossBreakdown":
+        """Sum per-person terms (N,) into a breakdown, person by person."""
+        rep_list, plane_list = rep.tolist(), plane.tolist()
+        rep_sum, plane_sum = sum(rep_list), sum(plane_list)
+        per_person = list(zip(rep_list, plane_list))
+        return cls(rep_sum, plane_sum, rep_sum + lam * plane_sum, per_person)
 
 
-def plane_loss(scene: Scene) -> float:
-    """Sum of absolute ankle-to-plane distances over all persons."""
-    if scene.plane is None:
-        raise MissingPlaneError("scene has no ground plane")
-    total = 0.0
-    for person in scene.persons:
-        total += _person_plane(scene, person)[0]
-    return total
+@dataclass(frozen=True)
+class PackedScene:
+    """The fixed arrays of a scene; theta carries everything that moves."""
+
+    rotated: np.ndarray       # (N, K, 3) R @ J_i, zero rows where padded
+    keypoints: np.ndarray     # (N, K, 2) pixels, zero where padded
+    confidences: np.ndarray   # (N, K), zero where padded or reprojection unused
+    ankles: np.ndarray        # (N, 2, 3) rotated left and right ankle
+    camera: CameraModel
+    normal: np.ndarray | None  # (3,) plane normal, None if plane unused
+    offset: float              # plane: n . x = offset
 
 
-def total_loss(scene: Scene, cfg: ObjectiveConfig) -> LossBreakdown:
-    """Mode-weighted sum; the omitted term reads as 0 in the breakdown."""
-    return _evaluate(scene, cfg, want_grad=False)[0]
+def _pack_scene(scene: Scene, cfg: ObjectiveConfig) -> tuple[PackedScene, np.ndarray]:
+    """Arrays of the scene for the terms cfg.mode uses, plus its theta (4N,)."""
+    uses_rep = cfg.mode != "plane_only"
+    uses_plane = cfg.mode != "reprojection_only"
+    if uses_plane and scene.plane is None:
+        raise MissingPlaneError(f"mode={cfg.mode!r} needs a ground plane in the scene")
+    persons = scene.persons
+    n, k = len(persons), max(p.n_joints for p in persons)
+    rotated = np.zeros((n, k, 3))
+    keypoints = np.zeros((n, k, 2))
+    confidences = np.zeros((n, k))
+    ankles = np.empty((n, 2, 3))
+    for i, person in enumerate(persons):
+        if person.translation is None:
+            raise SchemaError(f"person {i} has no translation (run initialize first)")
+        kj = person.n_joints
+        rotated[i, :kj] = person.joints @ person.rotation.T
+        ankles[i] = rotated[i, [person.ankle_left_idx, person.ankle_right_idx]]
+        if uses_rep:
+            if person.ref_keypoints is None:
+                raise SchemaError(f"person {i} has no reference keypoints")
+            keypoints[i, :kj] = person.ref_keypoints
+            confidences[i, :kj] = person.confidences
+    normal, offset = None, 0.0
+    if uses_plane:
+        normal = scene.plane.normal
+        offset = float(normal @ scene.plane.point)
+    packed = PackedScene(rotated, keypoints, confidences, ankles, scene.camera, normal, offset)
+    theta = np.concatenate(
+        [np.concatenate([p.translation for p in persons]), [p.scale for p in persons]]
+    )
+    return packed, theta
 
 
-def gradients(scene: Scene, cfg: ObjectiveConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic d(total)/dt (N,3) and d(total)/ds (N,) for all persons."""
-    _, grad_t, grad_s = _evaluate(scene, cfg, want_grad=True)
-    return grad_t, grad_s
+def _evaluate_theta(
+    packed: PackedScene, theta: np.ndarray, cfg: ObjectiveConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-person reprojection (N,), per-person plane term (N,), d(total)/d(theta) (4N,).
+
+    A term that cfg.mode leaves out reads 0 and adds nothing to the gradient.
+    """
+    n = packed.rotated.shape[0]
+    t = theta[: 3 * n].reshape(n, 3)
+    s = theta[3 * n :]
+    rep = np.zeros(n)
+    plane = np.zeros(n)
+    grad_t = np.zeros((n, 3))
+    grad_s = np.zeros(n)
+
+    if cfg.mode != "plane_only":
+        eps = cfg.z_epsilon
+        c = packed.confidences
+        posed = s[:, None, None] * packed.rotated + t[:, None, :]    # (N, K, 3)
+        z = posed[..., 2]
+        zc = np.maximum(z, eps)
+        pixels, clamped = project_clamped(posed, packed.camera, eps)
+        residuals = packed.keypoints - pixels                        # (N, K, 2)
+        norms = np.linalg.norm(residuals, axis=-1)
+        behind = np.maximum(eps - z, 0.0)
+        rep = np.sum(c * norms, axis=1) + cfg.behind_penalty * np.sum(c * behind, axis=1)
+
+        # d(c*||kp - pi(x)||)/dx = -c * J_pi^T u with u the unit residual and
+        # J_pi = [[f/z, 0, -f*x/z^2], [0, f/z, -f*y/z^2]] at the clamped z;
+        # the z column is zero below the clamp, where the pixel ignores z.
+        w = np.divide(c, norms, out=np.zeros_like(norms), where=norms >= KINK_EPS)
+        cu = w[..., None] * residuals                                # c * u
+        f_z = packed.camera.focal / zc
+        dx = np.empty_like(posed)
+        dx[..., :2] = -f_z[..., None] * cu
+        dx[..., 2] = np.where(clamped, 0.0, f_z / zc * np.sum(cu * posed[..., :2], axis=-1))
+        # linear push-back for joints clamped at the z floor
+        dx[..., 2] -= cfg.behind_penalty * np.where(clamped, c, 0.0)
+        grad_t += dx.sum(axis=1)
+        grad_s += np.sum(dx * packed.rotated, axis=(1, 2))
+
+    if cfg.mode != "reprojection_only":
+        ankles = s[:, None, None] * packed.ankles + t[:, None, :]     # (N, 2, 3)
+        dist = ankles @ packed.normal - packed.offset
+        plane = np.sum(np.abs(dist), axis=1)
+        sign = np.where(np.abs(dist) < KINK_EPS, 0.0, np.sign(dist))
+        grad_t += cfg.lam * np.sum(sign, axis=1)[:, None] * packed.normal
+        grad_s += cfg.lam * np.sum(sign * (packed.ankles @ packed.normal), axis=1)
+
+    return rep, plane, np.concatenate([grad_t.ravel(), grad_s])
 
 
 def loss_and_gradients(
     scene: Scene, cfg: ObjectiveConfig
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
-    """Loss breakdown and both gradients in one evaluation (optimizer hot path)."""
-    return _evaluate(scene, cfg, want_grad=True)
-
-
-def _evaluate(
-    scene: Scene, cfg: ObjectiveConfig, want_grad: bool
-) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
-    if cfg.uses_plane and scene.plane is None:
-        raise MissingPlaneError(f"mode={cfg.mode!r} needs a ground plane in the scene")
-    n = len(scene.persons)
-    grad_t = np.zeros((n, 3))
-    grad_s = np.zeros(n)
-    rep_sum = 0.0
-    plane_sum = 0.0
-    per_person = []
-    for idx, person in enumerate(scene.persons):
-        rep_n = 0.0
-        plane_n = 0.0
-        if cfg.uses_reprojection:
-            rep_n, gt_r, gs_r = _person_reprojection(
-                scene, person, cfg.z_epsilon, cfg.behind_penalty, want_grad
-            )
-            grad_t[idx] += gt_r
-            grad_s[idx] += gs_r
-        if cfg.uses_plane:
-            plane_n, gt_p, gs_p = _person_plane(scene, person, want_grad)
-            grad_t[idx] += cfg.lam * gt_p
-            grad_s[idx] += cfg.lam * gs_p
-        rep_sum += rep_n
-        plane_sum += plane_n
-        per_person.append((rep_n, plane_n))
-    total = rep_sum + cfg.lam * plane_sum
-    breakdown = LossBreakdown(rep_sum, plane_sum, total, per_person)
-    return breakdown, grad_t, grad_s
-
-
-def _person_reprojection(
-    scene: Scene,
-    person,
-    z_epsilon: float,
-    behind_penalty: float,
-    want_grad: bool = False,
-) -> tuple[float, np.ndarray, float]:
-    if person.ref_keypoints is None:
-        raise SchemaError("person has no reference keypoints")
-    rotated = person.joints @ person.rotation.T          # (K, 3) = R @ J_i
-    posed = person.scale * rotated + person.translation
-    pixels, clamped = project_clamped(posed, scene.camera, z_epsilon)
-    residuals = person.ref_keypoints - pixels            # (K, 2)
-    norms = np.linalg.norm(residuals, axis=-1)
-    c = person.confidences
-    loss = float(np.dot(c, norms))
-    # linear push-back for joints clamped at the z floor
-    behind = np.maximum(z_epsilon - posed[..., 2], 0.0)
-    loss += behind_penalty * float(np.dot(c, behind))
-
-    if not want_grad:
-        return loss, np.zeros(3), 0.0
-
-    grad_t = np.zeros(3)
-    grad_s = 0.0
-    active = norms >= KINK_EPS
-    if np.any(active):
-        jac = project_jacobian_clamped(posed, scene.camera, z_epsilon)  # (K, 2, 3)
-        unit = residuals[active] / norms[active, None]
-        # d(c*||kp - pi(x)||)/dx = -c * J_pi^T @ unit
-        dx = -c[active, None] * np.einsum("kij,ki->kj", jac[active], unit)
-        grad_t += dx.sum(axis=0)
-        grad_s += float(np.sum(dx * rotated[active]))
-    if np.any(clamped):
-        cc = c[clamped]
-        grad_t[2] += -behind_penalty * float(np.sum(cc))
-        grad_s += -behind_penalty * float(np.dot(cc, rotated[clamped, 2]))
-    return loss, grad_t, grad_s
-
-
-def _person_plane(scene: Scene, person, want_grad: bool = False) -> tuple[float, np.ndarray, float]:
-    plane = scene.plane
-    ankle_idx = [person.ankle_left_idx, person.ankle_right_idx]
-    rotated = person.joints[ankle_idx] @ person.rotation.T   # (2, 3)
-    posed = person.scale * rotated + person.translation
-    dist = (posed - plane.point) @ plane.normal
-    loss = float(np.sum(np.abs(dist)))
-    if not want_grad:
-        return loss, np.zeros(3), 0.0
-    grad_t = np.zeros(3)
-    grad_s = 0.0
-    for d, rj in zip(dist, rotated):
-        if abs(d) < KINK_EPS:
-            continue
-        sign = 1.0 if d > 0 else -1.0
-        grad_t += sign * plane.normal
-        grad_s += sign * float(plane.normal @ rj)
-    return loss, grad_t, grad_s
+    """Loss breakdown, d(total)/dt (N,3) and d(total)/ds (N,) of a scene."""
+    packed, theta = _pack_scene(scene, cfg)
+    rep, plane, grad = _evaluate_theta(packed, theta, cfg)
+    n = rep.shape[0]
+    breakdown = LossBreakdown.from_terms(rep, plane, cfg.lam)
+    return breakdown, grad[: 3 * n].reshape(n, 3), grad[3 * n :]

@@ -9,13 +9,14 @@ traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NonFiniteLossError, SchemaError
 from .geometry import weak_to_perspective
-from .objective import LossBreakdown, ObjectiveConfig, loss_and_gradients, total_loss
+from .objective import LossBreakdown, ObjectiveConfig, _evaluate_theta, _pack_scene
 from .scene import Scene
 
 
@@ -34,16 +35,16 @@ class OptimConfig:
     early_stop_rel: float | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise SchemaError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise SchemaError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.iterations < 1:
             raise SchemaError(f"iterations must be >= 1, got {self.iterations}")
         for name in ("adam_beta1", "adam_beta2"):
             b = getattr(self, name)
             if not 0 <= b < 1:
                 raise SchemaError(f"{name} must be in [0, 1), got {b}")
-        if self.scale_min <= 0:
-            raise SchemaError(f"scale_min must be > 0, got {self.scale_min}")
+        if not (math.isfinite(self.scale_min) and self.scale_min > 0):
+            raise SchemaError(f"scale_min must be finite and > 0, got {self.scale_min}")
 
 
 @dataclass
@@ -61,13 +62,24 @@ def initialize(scene: Scene) -> Scene:
     Persons carrying a weak-perspective camera get their translation lifted
     from it; persons with an explicit translation keep it.
     """
+    return lift_translations(scene, reset=True)
+
+
+def lift_translations(scene: Scene, reset: bool) -> Scene:
+    """Copy of the scene with translations lifted from weak-perspective cameras.
+
+    reset=False lifts only missing translations and keeps every stored t and
+    s, so a scene file that was already optimized continues from its stored
+    state.  reset=True is :func:`initialize`.
+    """
     out = scene.copy()
     for i, person in enumerate(out.persons):
-        if person.weak_cam is not None:
+        if person.weak_cam is not None and (reset or person.translation is None):
             person.translation = weak_to_perspective(person.weak_cam, out.camera)
         elif person.translation is None:
             raise SchemaError(f"person {i} has neither a translation nor a weak-perspective camera")
-        person.scale = 1.0
+        if reset:
+            person.scale = 1.0
     return out
 
 
@@ -75,11 +87,7 @@ def optimize(scene: Scene, cfg: OptimConfig | None = None) -> OptimReport:
     """Jointly refine all (t, s) by ADAM on the configured objective."""
     if cfg is None:
         cfg = OptimConfig()
-    work = scene.copy()
-    for i, person in enumerate(work.persons):
-        if person.translation is None:
-            raise SchemaError(f"person {i} has no translation (run initialize first)")
-    return _run_adam(work, cfg)
+    return _run_adam(scene.copy(), cfg)
 
 
 def optimize_baseline(
@@ -112,11 +120,10 @@ def optimize_baseline(
 
 
 def _run_adam(work: Scene, cfg: OptimConfig) -> OptimReport:
-    persons = work.persons
-    n = len(persons)
-    theta = np.concatenate(
-        [np.concatenate([p.translation for p in persons]), [p.scale for p in persons]]
-    )
+    """ADAM on theta alone; the persons of work get the result once, at the end."""
+    obj = cfg.objective
+    packed, theta = _pack_scene(work, obj)
+    n = len(work.persons)
     update = np.ones(4 * n, dtype=bool)
     if cfg.freeze_z:
         update[2 : 3 * n : 3] = False
@@ -129,7 +136,8 @@ def _run_adam(work: Scene, cfg: OptimConfig) -> OptimReport:
     steps = 0
 
     for it in range(1, cfg.iterations + 1):
-        breakdown, grad_t, grad_s = loss_and_gradients(work, cfg.objective)
+        rep, plane, g = _evaluate_theta(packed, theta, obj)
+        breakdown = LossBreakdown.from_terms(rep, plane, obj.lam)
         if not np.isfinite(breakdown.total):
             raise NonFiniteLossError(
                 f"non-finite loss at iteration {it - 1}: "
@@ -144,7 +152,6 @@ def _run_adam(work: Scene, cfg: OptimConfig) -> OptimReport:
             break
         trace.append(breakdown)
 
-        g = np.concatenate([grad_t.ravel(), grad_s])
         g[~update] = 0.0
         m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
         v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
@@ -152,17 +159,16 @@ def _run_adam(work: Scene, cfg: OptimConfig) -> OptimReport:
         v_hat = v / (1 - cfg.adam_beta2**it)
         theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
         theta[3 * n :] = np.maximum(theta[3 * n :], cfg.scale_min)
-
-        for i, person in enumerate(persons):
-            person.translation = theta[3 * i : 3 * i + 3].copy()
-            person.scale = float(theta[3 * n + i])
         steps = it
         scale_trace[it] = theta[3 * n :]
 
-    final = total_loss(work, cfg.objective)
+    for i, person in enumerate(work.persons):
+        person.translation = theta[3 * i : 3 * i + 3].copy()
+        person.scale = float(theta[3 * n + i])
+    rep, plane, _ = _evaluate_theta(packed, theta, obj)
     return OptimReport(
         loss_trace=trace,
-        final_loss=final,
+        final_loss=LossBreakdown.from_terms(rep, plane, obj.lam),
         final_scene=work,
         converged_iteration=steps,
         scale_trace=scale_trace[: steps + 1],

@@ -8,13 +8,15 @@ so the feet constraint measures distances from a point with trusted depth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientGroundError, LowConsensusError, SchemaError
 from .geometry import CameraModel
-from .scene import GroundPlane, Scene, posed_ankles, select_reference_person
+from .objective import ObjectiveConfig, loss_and_gradients
+from .scene import GroundPlane, Scene, posed_ankles
 
 
 @dataclass
@@ -35,8 +37,8 @@ class DepthObservation:
                 f"mask shape {self.ground_mask.shape} != depth shape {self.depth.shape}"
             )
         self.metric_scale = float(self.metric_scale)
-        if self.metric_scale <= 0:
-            raise SchemaError(f"metric_scale must be > 0, got {self.metric_scale}")
+        if not (math.isfinite(self.metric_scale) and self.metric_scale > 0):
+            raise SchemaError(f"metric_scale must be finite and > 0, got {self.metric_scale}")
         masked = self.depth[self.ground_mask]
         if masked.size and (not np.all(np.isfinite(masked)) or np.any(masked <= 0)):
             raise SchemaError("masked depth values must be finite and > 0")
@@ -52,8 +54,10 @@ class RansacConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise SchemaError(f"iterations must be >= 1, got {self.iterations}")
-        if self.inlier_threshold <= 0:
-            raise SchemaError(f"inlier_threshold must be > 0, got {self.inlier_threshold}")
+        if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
+            raise SchemaError(
+                f"inlier_threshold must be finite and > 0, got {self.inlier_threshold}"
+            )
         if not 0 <= self.min_inlier_fraction <= 1:
             raise SchemaError(
                 f"min_inlier_fraction must be in [0, 1], got {self.min_inlier_fraction}"
@@ -147,6 +151,16 @@ def fit_rms(plane: GroundPlane, points: np.ndarray, inliers: np.ndarray) -> floa
     """RMS point-to-plane distance of the inlier set."""
     d = plane.signed_distance(points[inliers])
     return float(np.sqrt(np.mean(d * d)))
+
+
+def select_reference_person(scene: Scene, z_epsilon: float = 1e-3) -> int:
+    """Index of the person with lowest initial reprojection error.
+
+    Ties break toward the lowest index (np.argmin picks the first minimum).
+    """
+    cfg = ObjectiveConfig(z_epsilon=z_epsilon, mode="reprojection_only")
+    breakdown, _, _ = loss_and_gradients(scene, cfg)
+    return int(np.argmin([rep for rep, _ in breakdown.per_person]))
 
 
 def anchor_plane(plane: GroundPlane, scene: Scene) -> GroundPlane:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import SchemaError
-from .geometry import CameraModel, WeakPerspectiveCam, project_clamped
+from .geometry import CameraModel, WeakPerspectiveCam
 
 # Default joint indices (SMPL 24-joint order).
 ANKLE_LEFT = 7
@@ -141,15 +141,6 @@ class Scene:
         )
 
 
-def posed_joint(person: Person, k: int) -> np.ndarray:
-    """Camera-frame position of joint k: s * R @ J[k] + t."""
-    if not 0 <= k < person.n_joints:
-        raise IndexError(f"joint index {k} out of range for K={person.n_joints}")
-    if person.translation is None:
-        raise SchemaError("person translation not set (initialize the scene first)")
-    return person.scale * (person.rotation @ person.joints[k]) + person.translation
-
-
 def posed_joints(person: Person) -> np.ndarray:
     """All posed joints at once, (K, 3)."""
     if person.translation is None:
@@ -162,26 +153,6 @@ def posed_joints(person: Person) -> np.ndarray:
 def posed_ankles(person: Person) -> np.ndarray:
     """Posed left and right ankle, (2, 3)."""
     return posed_joints(person)[[person.ankle_left_idx, person.ankle_right_idx]]
-
-
-def person_reprojection_error(
-    person: Person, camera: CameraModel, z_epsilon: float = 1e-3
-) -> float:
-    """Confidence-weighted sum of per-joint pixel errors for one person."""
-    if person.ref_keypoints is None:
-        raise SchemaError("person has no reference keypoints")
-    pixels, _ = project_clamped(posed_joints(person), camera, z_epsilon)
-    residuals = np.linalg.norm(person.ref_keypoints - pixels, axis=-1)
-    return float(np.dot(person.confidences, residuals))
-
-
-def select_reference_person(scene: Scene, z_epsilon: float = 1e-3) -> int:
-    """Index of the person with lowest initial reprojection error.
-
-    Ties break toward the lowest index (np.argmin picks the first minimum).
-    """
-    errors = [person_reprojection_error(p, scene.camera, z_epsilon) for p in scene.persons]
-    return int(np.argmin(errors))
 
 
 def person_height(person: Person) -> float:

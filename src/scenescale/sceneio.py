@@ -12,6 +12,7 @@ so identical inputs always produce byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +197,21 @@ def dumps_canonical(doc: dict) -> str:
 
 
 def save_scene(scene: Scene, path: str | Path, plane_info: dict | None = None) -> None:
-    Path(path).write_text(dumps_canonical(scene_to_dict(scene, plane_info)))
+    """Write the scene atomically: a temp file beside path, then a rename.
+
+    An interrupted write leaves the previous file intact, which matters
+    because fit-plane and optimize rewrite their input scene by default.
+    """
+    path = Path(path)
+    text = dumps_canonical(scene_to_dict(scene, plane_info))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_scene(path: str | Path) -> Scene:

@@ -16,6 +16,7 @@ the same scenes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +99,10 @@ class SynthConfig:
                 raise SchemaError(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
         if not 0 <= self.plane_tilt_deg <= 45:
             raise SchemaError(f"plane_tilt_deg must be in [0, 45], got {self.plane_tilt_deg}")
-        if self.keypoint_noise_px < 0:
-            raise SchemaError("keypoint_noise_px must be >= 0")
+        if not (math.isfinite(self.keypoint_noise_px) and self.keypoint_noise_px >= 0):
+            raise SchemaError(
+                f"keypoint_noise_px must be finite and >= 0, got {self.keypoint_noise_px}"
+            )
         if self.ambiguity_factors is not None:
             self.ambiguity_factors = tuple(float(f) for f in self.ambiguity_factors)
             if len(self.ambiguity_factors) != self.n_persons:
@@ -107,12 +110,12 @@ class SynthConfig:
                     f"{len(self.ambiguity_factors)} ambiguity factors for "
                     f"{self.n_persons} persons"
                 )
-            if any(f <= 0 for f in self.ambiguity_factors):
-                raise SchemaError("ambiguity factors must be > 0")
+            if not all(math.isfinite(f) and f > 0 for f in self.ambiguity_factors):
+                raise SchemaError("ambiguity factors must be finite and > 0")
         if not 0 <= self.outlier_fraction < 1:
             raise SchemaError("outlier_fraction must be in [0, 1)")
-        if self.camera_height <= 0:
-            raise SchemaError("camera_height must be > 0")
+        if not (math.isfinite(self.camera_height) and self.camera_height > 0):
+            raise SchemaError("camera_height must be finite and > 0")
         if self.mask_stride < 1:
             raise SchemaError("mask_stride must be >= 1")
 

@@ -24,6 +24,7 @@ from scenescale import (
     Scene,
     SynthConfig,
     generate_scene,
+    loss_and_gradients,
     optimize,
     posed_joints,
     project,
@@ -32,6 +33,16 @@ from scenescale import (
 SUITE_SEED = 1000
 SUITE_SIZE = 50
 SUITE_LAM = 500.0
+
+
+def reprojection(scene: Scene) -> float:
+    """Reprojection term of the objective (behind-camera penalty included)."""
+    return loss_and_gradients(scene, ObjectiveConfig(mode="reprojection_only"))[0].reprojection
+
+
+def plane_term(scene: Scene) -> float:
+    """Feet-on-ground term of the objective (unweighted)."""
+    return loss_and_gradients(scene, ObjectiveConfig(mode="plane_only"))[0].plane
 
 
 def random_scene(rng: np.random.Generator, n_persons: int = 2, n_joints: int = 24,

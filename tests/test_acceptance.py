@@ -25,11 +25,11 @@ from scenescale import (
     OptimConfig,
     RansacConfig,
     evaluate_scenes,
+    loss_and_gradients,
     optimize,
     optimize_baseline,
     ransac_plane,
 )
-from scenescale.objective import gradients
 
 
 def verdict(tag: str, ok: bool, detail: str) -> None:
@@ -46,7 +46,7 @@ def test_criterion_1_gradient_correctness():
         scene = random_scene(rng, n_persons=2, n_joints=16)
         if residual_floor(scene) < 1e-8:
             continue
-        grad_t, grad_s = gradients(scene, cfg)
+        _, grad_t, grad_s = loss_and_gradients(scene, cfg)
         fd_t, fd_s = fd_gradient(scene, cfg)
         norm = max(np.abs(fd_t).max(), np.abs(fd_s).max(), 1.0)
         rel = max(np.abs(grad_t - fd_t).max(), np.abs(grad_s - fd_s).max()) / norm

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from scenescale import load_scene, plane_loss, save_scene
+from conftest import plane_term
+from scenescale import load_scene, save_scene
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -190,7 +191,7 @@ def test_optimize_plane_only_lands_on_ground(fitted_scene, tmp_path):
     )
     assert res.returncode == 0, res.stderr
     scene = load_scene(out)
-    assert plane_loss(scene) < 1e-3
+    assert plane_term(scene) < 1e-3
 
 
 def test_optimize_freeze_z_keeps_depths(fitted_scene, tmp_path):
@@ -323,3 +324,58 @@ def test_full_pipeline_round_trip(tmp_path):
 def test_usage_error_exits_two():
     res = run_cli("optimize")  # missing required scene argument
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("optimize", "--lambda", "nan"),
+        ("optimize", "--lr", "inf"),
+        ("fit-plane", "--threshold", "nan"),
+        ("fit-plane", "--metric-scale", "nan"),
+        ("synth", "--noise-px", "nan"),
+    ],
+)
+def test_non_finite_flag_exits_two(synth_dir, fitted_scene, tmp_path, command, flag, value):
+    out = tmp_path / "out"
+    args = {
+        "optimize": ["optimize", fitted_scene, "--out", out],
+        "fit-plane": ["fit-plane", synth_dir / "depth_000.f32", synth_dir / "mask_000.u8",
+                      synth_dir / "scene_000.json", "--out", out],
+        "synth": ["synth", "--out", out],
+    }[command]
+    res = run_cli(*args, flag, value)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_missing_input_file_exits_two(synth_dir, tmp_path):
+    res = run_cli(
+        "fit-plane", synth_dir / "depth_000.f32", tmp_path / "no_such_mask.u8",
+        synth_dir / "scene_000.json", "--out", tmp_path / "o.json",
+    )
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+    assert "no_such_mask.u8" in res.stderr
+
+
+def test_unwritable_output_exits_two(synth_dir, tmp_path):
+    res = run_cli(
+        "fit-plane", synth_dir / "depth_000.f32", synth_dir / "mask_000.u8",
+        synth_dir / "scene_000.json", "--out", tmp_path / "no_such_dir" / "o.json",
+    )
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+    assert str(tmp_path / "no_such_dir" / "o.json") in res.stderr
+
+
+def test_in_place_rewrite_leaves_no_temp_file(synth_dir, tmp_path):
+    scene = tmp_path / "scene.json"
+    scene.write_bytes((synth_dir / "scene_000.json").read_bytes())
+    res = run_cli("fit-plane", synth_dir / "depth_000.f32", synth_dir / "mask_000.u8", scene)
+    assert res.returncode == 0, res.stderr
+    res = run_cli("optimize", scene, "--iterations", "5")
+    assert res.returncode == 0, res.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
+    assert load_scene(scene).plane is not None

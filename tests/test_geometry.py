@@ -7,16 +7,44 @@ from scenescale import (
     BehindCameraError,
     CameraModel,
     InvalidCameraError,
+    ObjectiveConfig,
+    Person,
+    Scene,
     WeakPerspectiveCam,
     crop_to_weak_perspective,
+    loss_and_gradients,
     project,
     project_clamped,
-    project_jacobian,
-    project_jacobian_clamped,
     weak_to_perspective,
 )
 
 CAM = CameraModel(focal=1000.0, image_size=(1000, 1000))  # principal point (500, 500)
+
+
+def project_jacobian(point, z_epsilon=1e-3):
+    """The 2x3 projection Jacobian as the objective's gradient applies it.
+
+    One live joint at ``point`` with a 1 px residual along u (then v) has
+    d(loss)/dt = -J^T u, so each residual direction reads out one row.
+    """
+    point = np.asarray(point, dtype=float)
+    rows = []
+    for unit in np.eye(2):
+        person = Person(
+            joints=np.array([point, point]),
+            rotation=np.eye(3),
+            translation=np.zeros(3),
+            confidences=np.array([1.0, 0.0]),
+            ankle_left_idx=0,
+            ankle_right_idx=1,
+            head_idx=1,
+            foot_chain=(0,),
+        )
+        person.ref_keypoints = project_clamped(person.joints, CAM, z_epsilon)[0] + unit
+        cfg = ObjectiveConfig(mode="reprojection_only", z_epsilon=z_epsilon, behind_penalty=0.0)
+        _, grad_t, _ = loss_and_gradients(Scene([person], CAM), cfg)
+        rows.append(-grad_t[0])
+    return np.array(rows)
 
 
 def test_weak_to_perspective_unit_sigma():
@@ -74,28 +102,27 @@ def test_project_clamped_handles_behind_points():
 
 
 def test_jacobian_on_axis():
-    jac = project_jacobian(np.array([0.0, 0.0, 5.0]), CAM)
+    jac = project_jacobian([0.0, 0.0, 5.0])
     assert np.allclose(jac, [[200.0, 0.0, 0.0], [0.0, 200.0, 0.0]])
 
 
 def test_jacobian_formula():
-    jac = project_jacobian(np.array([1.0, 2.0, 10.0]), CAM)
+    jac = project_jacobian([1.0, 2.0, 10.0])
     assert np.allclose(jac, [[100.0, 0.0, -10.0], [0.0, 100.0, -20.0]])
 
 
 def test_jacobian_clamped_zeroes_depth_column():
-    pts = np.array([[0.2, -0.1, -5.0]])
-    jac = project_jacobian_clamped(pts, CAM, z_epsilon=1e-3)
-    assert np.all(jac[0, :, 2] == 0.0)
+    jac = project_jacobian([0.2, -0.1, -5.0], z_epsilon=1e-3)
+    assert np.all(jac[:, 2] == 0.0)
     # x/y columns evaluated at the clamped depth
-    ref = project_jacobian(np.array([[0.2, -0.1, 1e-3]]), CAM)
-    assert np.allclose(jac[0, :, :2], ref[0, :, :2])
+    ref = project_jacobian([0.2, -0.1, 1e-3])
+    assert np.allclose(jac[:, :2], ref[:, :2])
 
 
 def test_jacobian_matches_central_differences_single_point():
     rng = np.random.default_rng(3)
     p = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(1, 20)])
-    jac = project_jacobian(p, CAM)
+    jac = project_jacobian(p)
     h = 1e-6 * max(1.0, abs(p[2]))
     fd = np.zeros((2, 3))
     for d in range(3):
@@ -111,7 +138,7 @@ def test_jacobian_matches_central_differences_bulk():
     for _ in range(1000):
         z = rng.uniform(0.5, 100.0)
         p = np.array([rng.uniform(-z, z), rng.uniform(-z, z), z])
-        jac = project_jacobian(p, CAM)
+        jac = project_jacobian(p)
         h = 1e-5 * max(1.0, abs(z))
         for d in range(3):
             dp = np.zeros(3)

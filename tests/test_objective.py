@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_optimum_scene, random_scene
+from conftest import exact_optimum_scene, plane_term, random_scene, reprojection
 from scenescale import (
     CameraModel,
     GroundPlane,
@@ -12,13 +12,9 @@ from scenescale import (
     Person,
     Scene,
     SchemaError,
-    gradients,
     loss_and_gradients,
-    plane_loss,
     posed_joints,
     project,
-    reprojection_loss,
-    total_loss,
 )
 
 CAM = CameraModel(1000.0, (1920, 1080))
@@ -56,7 +52,7 @@ def plane_y0_scene(offset_pairs):
 
 def test_reprojection_exact_is_zero():
     scene = exact_scene()
-    assert reprojection_loss(scene) == 0.0
+    assert reprojection(scene) == 0.0
 
 
 def test_reprojection_single_joint_offset():
@@ -75,7 +71,7 @@ def test_reprojection_single_joint_offset():
     kp[0, 0] += 3.0
     p.ref_keypoints = kp
     scene = Scene([p], CAM)
-    assert reprojection_loss(scene) == pytest.approx(3.0, abs=1e-12)
+    assert reprojection(scene) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_reprojection_matches_brute_force():
@@ -88,7 +84,7 @@ def test_reprojection_matches_brute_force():
             expected += person.confidences[k] * np.linalg.norm(
                 person.ref_keypoints[k] - pix[k]
             )
-    assert reprojection_loss(scene) == pytest.approx(expected, rel=1e-12)
+    assert reprojection(scene) == pytest.approx(expected, rel=1e-12)
 
 
 def test_reprojection_ignores_zero_confidence():
@@ -97,9 +93,9 @@ def test_reprojection_ignores_zero_confidence():
     person = scene.persons[0]
     person.confidences = np.zeros(person.n_joints)
     person.confidences[:4] = 1.0
-    base = reprojection_loss(scene)
+    base = reprojection(scene)
     person.ref_keypoints[4:] += 500.0  # arbitrary corruption of dead joints
-    assert reprojection_loss(scene) == base
+    assert reprojection(scene) == base
 
 
 # --- plane ---
@@ -107,24 +103,24 @@ def test_reprojection_ignores_zero_confidence():
 
 def test_plane_on_plane_is_zero():
     scene = plane_y0_scene([(0.0, 0.0), (0.0, 0.0)])
-    assert plane_loss(scene) == 0.0
+    assert plane_term(scene) == 0.0
 
 
 def test_plane_half_meter_both_ankles():
     scene = plane_y0_scene([(0.5, 0.5)])
-    assert plane_loss(scene) == pytest.approx(1.0, abs=1e-15)
+    assert plane_term(scene) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_plane_three_person_offsets():
     scene = plane_y0_scene([(0.1, -0.2), (0.0, 0.0), (0.3, 0.3)])
-    assert plane_loss(scene) == pytest.approx(0.9, abs=1e-15)
+    assert plane_term(scene) == pytest.approx(0.9, abs=1e-15)
 
 
 def test_plane_requires_plane():
     scene = plane_y0_scene([(0.1, 0.1)])
     scene.plane = None
     with pytest.raises(MissingPlaneError):
-        plane_loss(scene)
+        plane_term(scene)
 
 
 @settings(max_examples=50, deadline=None)
@@ -136,11 +132,11 @@ def test_plane_requires_plane():
 def test_plane_translation_equivariance(dx, dy, dz):
     shift = np.array([dx, dy, dz])
     scene = plane_y0_scene([(0.13, -0.41), (0.07, 0.0)])
-    base = plane_loss(scene)
+    base = plane_term(scene)
     for person in scene.persons:
         person.translation = person.translation + shift
     scene.plane = GroundPlane(normal=scene.plane.normal, point=scene.plane.point + shift)
-    assert plane_loss(scene) == pytest.approx(base, abs=1e-9)
+    assert plane_term(scene) == pytest.approx(base, abs=1e-9)
 
 
 # --- total ---
@@ -150,8 +146,8 @@ def test_total_lambda_zero_is_reprojection():
     rng = np.random.default_rng(3)
     scene = random_scene(rng)
     cfg = ObjectiveConfig(lam=0.0)
-    breakdown = total_loss(scene, cfg)
-    assert breakdown.total == pytest.approx(reprojection_loss(scene), rel=1e-12)
+    breakdown = loss_and_gradients(scene, cfg)[0]
+    assert breakdown.total == pytest.approx(reprojection(scene), rel=1e-12)
 
 
 def test_total_plane_only():
@@ -159,9 +155,9 @@ def test_total_plane_only():
     for person in scene.persons:
         person.ref_keypoints = project(posed_joints(person), CAM) + 40.0
     cfg = ObjectiveConfig(lam=2.5, mode="plane_only")
-    breakdown = total_loss(scene, cfg)
+    breakdown = loss_and_gradients(scene, cfg)[0]
     assert breakdown.reprojection == 0.0
-    assert breakdown.total == pytest.approx(2.5 * plane_loss(scene), rel=1e-12)
+    assert breakdown.total == pytest.approx(2.5 * plane_term(scene), rel=1e-12)
 
 
 def test_total_combines_components():
@@ -181,7 +177,7 @@ def test_total_combines_components():
     persons[0].ref_keypoints = kp0
     persons[1].ref_keypoints = project(posed_joints(persons[1]), CAM)
     scene = Scene(persons, CAM, plane=plane)
-    breakdown = total_loss(scene, ObjectiveConfig(lam=1.0))
+    breakdown = loss_and_gradients(scene, ObjectiveConfig(lam=1.0))[0]
     assert breakdown.reprojection == pytest.approx(3.0, abs=1e-9)
     assert breakdown.plane == pytest.approx(1.2, abs=1e-12)
     assert breakdown.total == pytest.approx(4.2, abs=1e-9)
@@ -191,7 +187,7 @@ def test_total_breakdown_consistency():
     rng = np.random.default_rng(5)
     scene = random_scene(rng, n_persons=3)
     cfg = ObjectiveConfig(lam=7.0)
-    breakdown = total_loss(scene, cfg)
+    breakdown = loss_and_gradients(scene, cfg)[0]
     assert breakdown.total == pytest.approx(
         breakdown.reprojection + 7.0 * breakdown.plane, rel=1e-12
     )
@@ -213,16 +209,16 @@ def test_config_validation():
 
 def test_gradients_zero_at_exact_optimum():
     scene = exact_optimum_scene(seed=2)
-    assert plane_loss(scene) < 1e-12
-    assert reprojection_loss(scene) == 0.0
-    grad_t, grad_s = gradients(scene, ObjectiveConfig(lam=1.0))
+    assert plane_term(scene) < 1e-12
+    assert reprojection(scene) == 0.0
+    grad_t, grad_s = loss_and_gradients(scene, ObjectiveConfig(lam=1.0))[1:]
     assert np.all(grad_t == 0.0)
     assert np.all(grad_s == 0.0)
 
 
 def test_gradient_plane_only_unit_normal():
     scene = plane_y0_scene([(0.5, 0.3)])
-    grad_t, grad_s = gradients(scene, ObjectiveConfig(lam=1.0, mode="plane_only"))
+    grad_t, grad_s = loss_and_gradients(scene, ObjectiveConfig(lam=1.0, mode="plane_only"))[1:]
     assert grad_t[0] == pytest.approx([0.0, 2.0, 0.0], abs=1e-12)
 
 
@@ -235,7 +231,7 @@ def fd_gradient(scene, cfg, h_rel=1e-6):
     def value(mutate):
         probe = scene.copy()
         mutate(probe)
-        return total_loss(probe, cfg).total
+        return loss_and_gradients(probe, cfg)[0].total
 
     for i in range(n):
         for j in range(3):
@@ -281,7 +277,7 @@ def test_gradients_match_finite_differences():
         scene = random_scene(rng, n_persons=2, n_joints=16)
         if residual_floor(scene) < 1e-8:
             continue
-        grad_t, grad_s = gradients(scene, cfg)
+        grad_t, grad_s = loss_and_gradients(scene, cfg)[1:]
         fd_t, fd_s = fd_gradient(scene, cfg)
         scale = max(np.abs(fd_t).max(), np.abs(fd_s).max(), 1.0)
         assert np.abs(grad_t - fd_t).max() / scale < 1e-4
@@ -297,9 +293,8 @@ def test_gradients_finite_behind_camera():
     plane = GroundPlane(normal=(0.0, 1.0, 0.0), point=(0.0, 0.0, 0.0))
     scene = Scene([p], CAM, plane=plane)
     cfg = ObjectiveConfig(lam=1.0)
-    breakdown = total_loss(scene, cfg)
+    breakdown, grad_t, grad_s = loss_and_gradients(scene, cfg)
     assert np.isfinite(breakdown.total)
-    grad_t, grad_s = gradients(scene, cfg)
     assert np.all(np.isfinite(grad_t)) and np.all(np.isfinite(grad_s))
     # the penalty must push z forward: d(loss)/d(tz) < 0
     assert grad_t[0, 2] < 0.0
@@ -313,17 +308,83 @@ def test_behind_penalty_grows_with_depth_violation():
         p.translation = np.array([0.0, 0.0, z])
         p.ref_keypoints = np.array([[960.0, 540.0], [960.0, 540.0]])
         scene = Scene([p], CAM)
-        totals.append(total_loss(scene, cfg).total)
+        totals.append(loss_and_gradients(scene, cfg)[0].total)
     assert totals[0] < totals[1] < totals[2]
 
 
 def test_loss_and_gradients_single_pass_agrees():
+    # the full mode is exactly the sum of its two single-term modes
     rng = np.random.default_rng(19)
     scene = random_scene(rng, n_persons=3)
-    cfg = ObjectiveConfig(lam=4.0)
-    breakdown, grad_t, grad_s = loss_and_gradients(scene, cfg)
-    ref = total_loss(scene, cfg)
-    ref_t, ref_s = gradients(scene, cfg)
-    assert breakdown.total == ref.total
-    assert np.array_equal(grad_t, ref_t)
-    assert np.array_equal(grad_s, ref_s)
+    breakdown, grad_t, grad_s = loss_and_gradients(scene, ObjectiveConfig(lam=4.0))
+    rep, rep_t, rep_s = loss_and_gradients(scene, ObjectiveConfig(4.0, mode="reprojection_only"))
+    pln, pln_t, pln_s = loss_and_gradients(scene, ObjectiveConfig(4.0, mode="plane_only"))
+    assert breakdown.reprojection == rep.reprojection
+    assert breakdown.plane == pln.plane
+    pairs = zip(rep.per_person, pln.per_person)
+    assert breakdown.per_person == [(r, p) for (r, _), (_, p) in pairs]
+    assert np.array_equal(grad_t, rep_t + pln_t)
+    assert np.array_equal(grad_s, rep_s + pln_s)
+
+
+# --- packed scenes: the ambiguity ray and ragged joint counts ---
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), k=st.floats(0.25, 4.0))
+def test_reprojection_invariant_along_ambiguity_ray(seed, k):
+    scene = random_scene(np.random.default_rng(seed), n_persons=3)
+    cfg = ObjectiveConfig(mode="reprojection_only")
+    base = loss_and_gradients(scene, cfg)[0]
+    for person in scene.persons:
+        person.translation = k * person.translation
+        person.scale = k * person.scale
+    moved = loss_and_gradients(scene, cfg)[0]
+    assert moved.reprojection == pytest.approx(base.reprojection, rel=1e-9)
+    for (rep_b, _), (rep_m, _) in zip(base.per_person, moved.per_person):
+        assert rep_m == pytest.approx(rep_b, rel=1e-9)
+
+
+def ragged_scene(seed, behind=False):
+    """Three persons with 24, 16 and 20 joints sharing one camera and plane.
+
+    With behind=True the second person straddles the camera plane, so some
+    of its joints are clamped at z_epsilon and some are not.
+    """
+    rng = np.random.default_rng(seed)
+    persons = [random_scene(rng, n_persons=1, n_joints=kj).persons[0] for kj in (24, 16, 20)]
+    base = random_scene(rng, n_persons=1)
+    if behind:
+        persons[1].translation = np.array([0.2, -0.1, 0.1])
+    return Scene(persons, base.camera, plane=base.plane)
+
+
+def test_ragged_joint_counts_match_one_person_scenes():
+    cfg = ObjectiveConfig(lam=3.0)
+    for seed in range(5):
+        scene = ragged_scene(seed, behind=seed % 2 == 1)
+        breakdown, grad_t, grad_s = loss_and_gradients(scene, cfg)
+        for i, person in enumerate(scene.persons):
+            alone = Scene([person], scene.camera, plane=scene.plane)
+            one, one_t, one_s = loss_and_gradients(alone, cfg)
+            assert breakdown.per_person[i] == pytest.approx(one.per_person[0], rel=1e-12)
+            assert np.allclose(grad_t[i], one_t[0], rtol=1e-12, atol=1e-12)
+            assert grad_s[i] == pytest.approx(one_s[0], rel=1e-12, abs=1e-12)
+        singles = [loss_and_gradients(Scene([p], scene.camera, plane=scene.plane), cfg)[0]
+                   for p in scene.persons]
+        assert breakdown.total == pytest.approx(sum(b.total for b in singles), rel=1e-12)
+
+
+def test_ragged_gradient_matches_finite_differences_behind_camera():
+    cfg = ObjectiveConfig(lam=1.0)
+    for seed in range(10):
+        scene = ragged_scene(seed, behind=True)
+        posed = posed_joints(scene.persons[1])
+        assert np.any(posed[:, 2] < cfg.z_epsilon) and np.any(posed[:, 2] > cfg.z_epsilon)
+        _, grad_t, grad_s = loss_and_gradients(scene, cfg)
+        fd_t, fd_s = fd_gradient(scene, cfg)
+        # per person: the clamped person's gradient is ~1e4 times the others'
+        for i in range(len(scene.persons)):
+            scale = max(np.abs(fd_t[i]).max(), abs(fd_s[i]), 1.0)
+            assert np.abs(grad_t[i] - fd_t[i]).max() / scale < 1e-4
+            assert abs(grad_s[i] - fd_s[i]) / scale < 1e-4

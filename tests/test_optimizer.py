@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SUITE_LAM, exact_optimum_scene, random_scene
+from conftest import SUITE_LAM, exact_optimum_scene, random_scene, reprojection
 from scenescale import (
     CameraModel,
     GroundPlane,
@@ -15,15 +15,14 @@ from scenescale import (
     WeakPerspectiveCam,
     generate_scene,
     initialize,
+    loss_and_gradients,
     optimize,
     optimize_baseline,
-    plane_loss,
     posed_ankles,
     posed_joints,
     project,
-    reprojection_loss,
-    total_loss,
 )
+from scenescale.optimizer import lift_translations
 
 CAM = CameraModel(1000.0, (1920, 1080))
 
@@ -78,6 +77,20 @@ def test_initialize_requires_some_translation_source():
         initialize(scene)
 
 
+def test_lift_without_reset_keeps_stored_state():
+    stored = weak_cam_person(sigma=2.0)
+    stored.translation = np.array([1.0, 2.0, 5.0])
+    stored.scale = 1.6
+    scene = Scene([weak_cam_person(sigma=1.0), stored], CAM)
+    kept = lift_translations(scene, reset=False)
+    assert np.allclose(kept.persons[0].translation, [0.0, 0.0, 1000.0])
+    assert np.array_equal(kept.persons[1].translation, [1.0, 2.0, 5.0])
+    assert kept.persons[1].scale == 1.6
+    reset = lift_translations(scene, reset=True)
+    assert np.allclose(reset.persons[1].translation, [0.0, 0.0, 500.0])
+    assert reset.persons[1].scale == 1.0
+
+
 def test_initialize_does_not_mutate_input():
     scene = Scene([weak_cam_person(sigma=2.0, tx=0.5)], CAM)
     initialize(scene)
@@ -90,7 +103,7 @@ def test_initialize_does_not_mutate_input():
 def test_optimize_fixed_point():
     scene = exact_optimum_scene(seed=2)
     cfg = OptimConfig(objective=ObjectiveConfig(lam=1.0))
-    initial = total_loss(scene, cfg.objective).total
+    initial = loss_and_gradients(scene, cfg.objective)[0].total
     report = optimize(scene, cfg)
     assert report.final_loss.total <= initial + 1e-9
     for before, after in zip(scene.persons, report.final_scene.persons):
@@ -114,9 +127,9 @@ def test_optimize_reprojection_preserved_under_plane_correction():
     cfg = SynthConfig(n_persons=3, ambiguity_factors=(0.7, 1.0, 1.4), rng_seed=5,
                       keypoint_noise_px=1.0)
     _, observed, _ = generate_scene(cfg)
-    initial_rep = reprojection_loss(observed)
+    initial_rep = reprojection(observed)
     report = optimize(observed, OptimConfig(objective=ObjectiveConfig(lam=SUITE_LAM)))
-    assert reprojection_loss(report.final_scene) <= initial_rep + 1.0
+    assert reprojection(report.final_scene) <= initial_rep + 1.0
 
 
 def test_optimize_plane_only_reaches_ground():
@@ -169,7 +182,8 @@ def test_optimize_trace_and_scale_bookkeeping():
     assert report.converged_iteration == 50
     assert report.scale_trace.shape == (51, 2)
     assert np.all(report.scale_trace >= 0.1)
-    assert report.final_loss.total == total_loss(report.final_scene, ocfg.objective).total
+    final = loss_and_gradients(report.final_scene, ocfg.objective)[0]
+    assert report.final_loss.total == final.total
 
 
 def test_optimize_scale_clamp_engages():

@@ -11,7 +11,6 @@ from scenescale import (
     SchemaError,
     joint_template,
     person_height,
-    posed_joint,
     posed_joints,
     project,
     select_reference_person,
@@ -34,7 +33,7 @@ def two_joint_person(**kw):
 
 def test_posed_joint_identity():
     p = two_joint_person(joints=np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]]))
-    assert np.allclose(posed_joint(p, 0), [1.0, 2.0, 3.0])
+    assert np.allclose(posed_joints(p)[0], [1.0, 2.0, 3.0])
 
 
 def test_posed_joint_scale_translate():
@@ -43,7 +42,7 @@ def test_posed_joint_scale_translate():
         translation=np.array([0.0, 0.0, 10.0]),
         scale=2.0,
     )
-    assert np.allclose(posed_joint(p, 0), [0.0, -2.0, 10.0])
+    assert np.allclose(posed_joints(p)[0], [0.0, -2.0, 10.0])
 
 
 def test_posed_joint_rotation():
@@ -54,13 +53,7 @@ def test_posed_joint_rotation():
         translation=np.array([1.0, 0.0, 0.0]),
         scale=1.5,
     )
-    assert np.allclose(posed_joint(p, 0), [1.0, 1.5, 0.0])
-
-
-def test_posed_joint_index_range():
-    p = two_joint_person()
-    with pytest.raises(IndexError):
-        posed_joint(p, 2)
+    assert np.allclose(posed_joints(p)[0], [1.0, 1.5, 0.0])
 
 
 @settings(max_examples=60, deadline=None)

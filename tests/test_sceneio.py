@@ -175,3 +175,19 @@ def test_scene_to_dict_keeps_weak_cam():
     out = scene_to_dict(scene)
     wc = out["persons"][0]["weak_cam"]
     assert (wc["sigma"], wc["tx"], wc["ty"]) == (1.5, 0.2, 0.3)
+
+
+def test_save_scene_is_atomic(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "scene.json"
+    save_scene(random_scene(rng), path)
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr("scenescale.sceneio.os.replace", interrupted)
+    with pytest.raises(OSError):
+        save_scene(random_scene(rng), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]

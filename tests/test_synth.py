@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import plane_term, reprojection
 from scenescale import (
     ANKLE_LEFT,
     ANKLE_RIGHT,
@@ -12,10 +13,8 @@ from scenescale import (
     generate_scene,
     joint_template,
     person_height,
-    plane_loss,
     posed_ankles,
     ransac_plane,
-    reprojection_loss,
     unproject_ground,
 )
 
@@ -42,22 +41,22 @@ def test_identity_factors_mean_observed_equals_gt():
     for g, o in zip(gt.persons, observed.persons):
         assert np.array_equal(g.translation, o.translation)
         assert g.scale == o.scale
-    assert reprojection_loss(observed) < 1e-9
+    assert reprojection(observed) < 1e-9
 
 
 def test_perturbation_is_reprojection_neutral():
     cfg = SynthConfig(n_persons=2, ambiguity_factors=(1.0, 1.5), rng_seed=1)
     gt, observed, _ = generate_scene(cfg)
-    assert reprojection_loss(observed) < 1e-6
-    assert plane_loss(observed) > 0.0
-    assert plane_loss(gt) < 1e-9
+    assert reprojection(observed) < 1e-6
+    assert plane_term(observed) > 0.0
+    assert plane_term(gt) < 1e-9
 
 
 @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
 def test_perturbation_neutral_for_any_factor(factor):
     cfg = SynthConfig(n_persons=1, ambiguity_factors=(factor,), rng_seed=2)
     _, observed, _ = generate_scene(cfg)
-    assert reprojection_loss(observed) < 1e-6
+    assert reprojection(observed) < 1e-6
 
 
 def test_gt_ankles_on_plane():
