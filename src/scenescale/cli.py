@@ -171,11 +171,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         est.append(e)
         gt.append(g)
 
-    report = (
-        evaluate_scenes(est, gt, tie_epsilon=args.tie_epsilon)
-        if est
-        else evaluate_scenes([], [])
-    )
+    report = evaluate_scenes(est, gt, tie_epsilon=args.tie_epsilon)
     print(f"frames: {report.frames_evaluated} evaluated, {skipped} skipped")
     print(f"pairs: {report.pairs_evaluated}")
     print(f"d_ord: {report.d_ord:.4f}")

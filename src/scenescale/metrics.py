@@ -16,6 +16,7 @@ the estimate also ties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -58,6 +59,8 @@ def _check_frames(est: list[Scene], gt: list[Scene]) -> None:
 def _order_counts(
     est_vals: list[np.ndarray], gt_vals: list[np.ndarray], tie_epsilon: float
 ) -> tuple[int, int]:
+    if not (math.isfinite(tie_epsilon) and tie_epsilon >= 0):
+        raise SchemaError(f"tie_epsilon must be finite and >= 0, got {tie_epsilon}")
     correct = total = 0
     for ev, gv in zip(est_vals, gt_vals):
         if len(gv) < 2:

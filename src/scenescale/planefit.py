@@ -83,17 +83,49 @@ def _lsq_plane(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vh[-1], centroid
 
 
+_BLOCK = 1 << 17  # distances per scoring block, sized to stay in cache
+
+
+def _consensus_counts(points1: np.ndarray, samples: np.ndarray, threshold: float) -> np.ndarray:
+    """Inlier count of the plane through each 3-point sample; -1 if collinear.
+
+    points1 is the (M, 4) cloud with a column of ones, so one product gives
+    every point's signed distance to a block of planes (n, -n.p0).
+    """
+    p0, p1, p2 = points1[samples, :3].transpose(1, 0, 2)
+    a, b = p1 - p0, p2 - p0
+    normals = np.cross(a, b)
+    norms = np.linalg.norm(normals, axis=1)
+    ok = norms > 1e-9 * np.maximum(1.0, np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+    normals /= np.where(ok, norms, 1.0)[:, None]
+    planes = np.vstack([normals.T, -np.einsum("ij,ij->i", normals, p0)])
+    h = len(samples)
+    step = max(1, min(_BLOCK // h, 65535))  # a block's counts fit uint16
+    dist, inl = np.empty((step, h)), np.empty((step, h), dtype=bool)
+    total = np.zeros(h, dtype=np.intp)
+    for start in range(0, points1.shape[0], step):
+        block = points1[start:start + step]
+        d, i = dist[: len(block)], inl[: len(block)]
+        np.matmul(block, planes, out=d)
+        np.abs(d, out=d)
+        np.less_equal(d, threshold, out=i)
+        total += np.add.reduce(i.view(np.uint8), axis=0, dtype=np.uint16)
+    return np.where(ok, total, -1)
+
+
 def ransac_plane(
     points: np.ndarray, cfg: RansacConfig | None = None
 ) -> tuple[GroundPlane, np.ndarray]:
     """Robust plane fit; returns the plane and the final inlier indices.
 
-    Consensus counting keeps the first-seen best hypothesis (strict >),
-    so results are reproducible for a fixed rng_seed.  The winning
-    hypothesis is refined by least squares on its inliers, inliers are
-    recomputed against the refined plane, and one more refinement pass
-    runs on that set.  The normal is flipped, if needed, so the camera
-    origin lies on the positive side of the plane.
+    All cfg.iterations 3-point hypotheses are drawn from one rng_seed stream
+    and scored; the only early stop is when a hypothesis takes every point,
+    since no later one can beat it.  Consensus keeps the first-seen best
+    hypothesis (strict >), so results are reproducible for a fixed rng_seed.
+    The winner's inliers are recomputed from its three points, refined by
+    least squares, inliers are recomputed against the refined plane, and one
+    more refinement pass runs on that set.  The normal is flipped, if
+    needed, so the camera origin lies on the positive side of the plane.
     """
     if cfg is None:
         cfg = RansacConfig()
@@ -104,24 +136,35 @@ def ransac_plane(
     if m < 3:
         raise InsufficientGroundError(f"need >= 3 points, got {m}")
 
+    # Hypotheses are scored in batches of 1, 8, 64, ... in draw order; the
+    # first-seen maximum wins within and across batches, as in a one-by-one
+    # loop, and no batch starts once one hypothesis has taken every point.
+    points1 = np.column_stack([points, np.ones(m)])
     rng = np.random.default_rng(cfg.rng_seed)
     best_count = 0
+    best_sample: np.ndarray | None = None
+    drawn, batch = 0, 1
+    while drawn < cfg.iterations and best_count < m:
+        samples = np.array([
+            rng.choice(m, size=3, replace=False)
+            for _ in range(min(batch, cfg.iterations - drawn))
+        ])
+        counts = _consensus_counts(points1, samples, cfg.inlier_threshold)
+        k = int(np.argmax(counts))
+        if counts[k] > best_count:
+            best_count, best_sample = int(counts[k]), samples[k]
+        drawn += len(samples)
+        batch *= 8
+
+    # the winner's inliers in the one-by-one loop's own arithmetic, so the
+    # plane does not depend on the rounding of the block scoring
     best_inliers: np.ndarray | None = None
-    for _ in range(cfg.iterations):
-        idx = rng.choice(m, size=3, replace=False)
-        p0, p1, p2 = points[idx]
-        a, b = p1 - p0, p2 - p0
-        normal = np.cross(a, b)
-        norm = np.linalg.norm(normal)
-        if norm <= 1e-9 * max(1.0, np.linalg.norm(a) * np.linalg.norm(b)):
-            continue  # collinear sample
-        normal = normal / norm
-        dist = np.abs((points - p0) @ normal)
-        inliers = dist <= cfg.inlier_threshold
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = inliers
+    if best_sample is not None:
+        p0, p1, p2 = points[best_sample]
+        normal = np.cross(p1 - p0, p2 - p0)
+        normal = normal / np.linalg.norm(normal)
+        best_inliers = np.abs((points - p0) @ normal) <= cfg.inlier_threshold
+        best_count = int(np.count_nonzero(best_inliers))
 
     if best_inliers is None or best_count < max(3, int(np.ceil(cfg.min_inlier_fraction * m))):
         raise LowConsensusError(

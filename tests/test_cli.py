@@ -334,6 +334,7 @@ def test_usage_error_exits_two():
         ("fit-plane", "--threshold", "nan"),
         ("fit-plane", "--metric-scale", "nan"),
         ("synth", "--noise-px", "nan"),
+        ("evaluate", "--tie-epsilon", "nan"),
     ],
 )
 def test_non_finite_flag_exits_two(synth_dir, fitted_scene, tmp_path, command, flag, value):
@@ -343,6 +344,8 @@ def test_non_finite_flag_exits_two(synth_dir, fitted_scene, tmp_path, command, f
         "fit-plane": ["fit-plane", synth_dir / "depth_000.f32", synth_dir / "mask_000.u8",
                       synth_dir / "scene_000.json", "--out", out],
         "synth": ["synth", "--out", out],
+        "evaluate": ["evaluate", "--est", synth_dir / "scene_000.json",
+                     "--gt", synth_dir / "gt_000.json", "--json", out],
     }[command]
     res = run_cli(*args, flag, value)
     assert res.returncode == 2

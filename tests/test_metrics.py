@@ -167,6 +167,16 @@ def test_evaluate_scenes_report():
     assert 0.0 <= report.d_ord <= 100.0
 
 
+
+@pytest.mark.parametrize("tie_epsilon", [-1e-6, float("nan"), float("inf")])
+def test_bad_tie_epsilon_rejected(tie_epsilon):
+    gt = [frame(depths=[2.0, 4.0])]
+    for score in (evaluate_scenes, depth_order_accuracy, height_order_accuracy):
+        with pytest.raises(SchemaError, match="tie_epsilon"):
+            score(gt, gt, tie_epsilon=tie_epsilon)
+    with pytest.raises(SchemaError, match="tie_epsilon"):
+        evaluate_scenes([], [], tie_epsilon=tie_epsilon)
+
 def test_metrics_rigid_translation_invariant():
     gt = [frame(positions=[(0, 0), (1, 0), (3, 0)], depths=[3.0, 4.0, 5.0],
                 heights=[1.5, 1.7, 1.9])]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenescale import (
     CameraModel,
@@ -11,12 +13,15 @@ from scenescale import (
     RansacConfig,
     Scene,
     SchemaError,
+    SynthConfig,
     anchor_plane,
     fit_rms,
+    generate_scene,
     project,
     ransac_plane,
     unproject_ground,
 )
+from scenescale import planefit
 
 CAM = CameraModel(1000.0, (1920, 1080))
 
@@ -203,6 +208,178 @@ def test_fit_rms():
     assert fit_rms(plane, pts, inliers) == pytest.approx(0.0, abs=1e-12)
     noisy = pts + np.array([0.0, 0.02, 0.0])
     assert fit_rms(plane, noisy, inliers) == pytest.approx(0.02, abs=1e-12)
+
+
+# --- ransac against the one-by-one consensus loop ---
+
+
+def oracle_ransac(points, cfg):
+    """Literal copy of the one-by-one consensus loop that ransac_plane replaced.
+
+    ransac_plane must draw the same hypotheses, pick the same winner and so
+    return a bit-identical plane and inlier set.
+    """
+    m = points.shape[0]
+    rng = np.random.default_rng(cfg.rng_seed)
+    best_count = 0
+    best_inliers = None
+    for _ in range(cfg.iterations):
+        idx = rng.choice(m, size=3, replace=False)
+        p0, p1, p2 = points[idx]
+        a, b = p1 - p0, p2 - p0
+        normal = np.cross(a, b)
+        norm = np.linalg.norm(normal)
+        if norm <= 1e-9 * max(1.0, np.linalg.norm(a) * np.linalg.norm(b)):
+            continue  # collinear sample
+        normal = normal / norm
+        dist = np.abs((points - p0) @ normal)
+        inliers = dist <= cfg.inlier_threshold
+        count = int(inliers.sum())
+        if count > best_count:
+            best_count = count
+            best_inliers = inliers
+
+    if best_inliers is None or best_count < max(3, int(np.ceil(cfg.min_inlier_fraction * m))):
+        raise LowConsensusError("oracle: low consensus")
+
+    def lsq(pts):
+        centroid = pts.mean(axis=0)
+        _, _, vh = np.linalg.svd(pts - centroid, full_matrices=False)
+        return vh[-1], centroid
+
+    inlier_set = best_inliers
+    for _ in range(2):
+        normal, centroid = lsq(points[inlier_set])
+        dist = np.abs((points - centroid) @ normal)
+        inlier_set = dist <= cfg.inlier_threshold
+        if inlier_set.sum() < 3:
+            inlier_set = best_inliers
+            normal, centroid = lsq(points[inlier_set])
+            break
+    if centroid @ normal > 0:
+        normal = -normal
+    return GroundPlane(normal, centroid), np.nonzero(inlier_set)[0]
+
+
+def assert_matches_oracle(points, cfg):
+    try:
+        expected, expected_inliers = oracle_ransac(points, cfg)
+    except LowConsensusError:
+        with pytest.raises(LowConsensusError):
+            ransac_plane(points, cfg)
+        return None
+    plane, inliers = ransac_plane(points, cfg)
+    assert np.array_equal(plane.normal, expected.normal)
+    assert np.array_equal(plane.point, expected.point)
+    assert np.array_equal(inliers, expected_inliers)
+    return plane
+
+
+def criterion_5_clouds():
+    """The cloud of acceptance criterion 5: a 26x26 grid plus 30% outliers."""
+    clean = grid_on_y0(n_side=26)
+    n_out = int(0.3 / 0.7 * clean.shape[0])
+    noise_rng = np.random.default_rng(4242)
+    for seed in range(20):
+        outliers = noise_rng.uniform([-6, -4, 1], [6, 4, 13], (n_out, 3))
+        yield seed, np.vstack([clean, outliers])
+
+
+def test_ransac_matches_oracle_criterion_5_cloud():
+    for seed, pts in criterion_5_clouds():
+        assert_matches_oracle(pts, RansacConfig(rng_seed=seed))
+
+
+def test_ransac_matches_oracle_synth_frame():
+    cfg = SynthConfig(n_persons=2, outlier_fraction=0.3, mask_stride=9, rng_seed=3,
+                      plane_tilt_deg=7.0)
+    _, observed, obs = generate_scene(cfg)
+    pts = unproject_ground(obs, observed.camera)
+    assert pts.shape[0] > 10_000
+    for seed in (0, 1):
+        assert_matches_oracle(pts, RansacConfig(rng_seed=seed))
+
+
+@pytest.mark.parametrize(
+    "cloud",
+    [
+        grid_on_y0(),
+        # six coplanar points repeated: most samples repeat a point and are skipped
+        np.repeat(grid_on_y0(n_side=3)[:6], 40, axis=0),
+        np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    ],
+    ids=["clean-grid", "repeated-points", "three-points"],
+)
+def test_ransac_matches_oracle_special_clouds(cloud):
+    assert_matches_oracle(cloud, RansacConfig(rng_seed=5))
+
+
+def count_scored(monkeypatch):
+    scored = []
+    real = planefit._consensus_counts
+
+    def spy(points1, samples, threshold):
+        scored.append(len(samples))
+        return real(points1, samples, threshold)
+
+    monkeypatch.setattr(planefit, "_consensus_counts", spy)
+    return scored
+
+
+def test_ransac_stops_once_one_hypothesis_takes_every_point(monkeypatch):
+    scored = count_scored(monkeypatch)
+    pts = grid_on_y0()
+    _, inliers = ransac_plane(pts, RansacConfig(rng_seed=0))
+    assert inliers.size == pts.shape[0]
+    assert scored == [1]
+
+
+def test_ransac_scores_every_hypothesis_without_full_consensus(monkeypatch):
+    scored = count_scored(monkeypatch)
+    _, pts = next(criterion_5_clouds())
+    ransac_plane(pts, RansacConfig(iterations=300, rng_seed=0))
+    assert sum(scored) == 300
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(3, 1500),
+    outlier_fraction=st.floats(0.0, 0.9),
+    threshold=st.floats(0.005, 0.3),
+    iterations=st.integers(1, 600),
+)
+def test_ransac_matches_oracle_random_plane(seed, m, outlier_fraction, threshold, iterations):
+    rng = np.random.default_rng(seed)
+    normal = rng.normal(size=3)
+    normal /= np.linalg.norm(normal)
+    e1 = np.cross(normal, [1.0, 0.0, 0.0] if abs(normal[0]) < 0.9 else [0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(normal, e1)
+    n_out = int(outlier_fraction * m)
+    uv = rng.uniform(-5, 5, (m - n_out, 2))
+    on_plane = (rng.uniform(-3, 3, 3) + uv[:, :1] * e1 + uv[:, 1:] * e2
+                + rng.normal(0, threshold / 3, (m - n_out, 1)) * normal)
+    pts = np.vstack([on_plane, rng.uniform(-8, 8, (n_out, 3))])
+    cfg = RansacConfig(iterations=iterations, inlier_threshold=threshold, rng_seed=seed % 1000)
+    assert_matches_oracle(pts, cfg)
+
+
+def test_ransac_low_inlier_ratio():
+    # 35% of the cloud on a tilted plane, the rest uniform in a box around it
+    true_n = np.array([0.0, np.cos(np.radians(8.0)), np.sin(np.radians(8.0))])
+    e1 = np.array([1.0, 0.0, 0.0])
+    e2 = np.cross(true_n, e1)
+    data_rng = np.random.default_rng(35)
+    for seed in range(10):
+        uv = data_rng.uniform(-5, 5, (350, 2))
+        on_plane = (np.array([0.0, 1.5, 7.0]) + uv[:, :1] * e1 + uv[:, 1:] * e2
+                    + data_rng.normal(0, 0.01, (350, 1)) * true_n)
+        outliers = data_rng.uniform([-6, -3, 1], [6, 6, 13], (650, 3))
+        plane = assert_matches_oracle(np.vstack([on_plane, outliers]), RansacConfig(rng_seed=seed))
+        assert plane is not None
+        angle = np.degrees(np.arccos(min(1.0, abs(plane.normal @ true_n))))
+        assert angle < 2.0
 
 
 # --- anchoring ---
