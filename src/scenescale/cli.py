@@ -116,8 +116,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         report = optimize(scene, cfg)
 
-    out = args.out or args.scene
-    save_scene(report.final_scene, out)
+    # the trace goes first: if it cannot be written, the scene is untouched
     if args.trace:
         lines = ["iteration,reprojection,plane,total"]
         for i, bd in enumerate(report.loss_trace):
@@ -127,6 +126,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             f"{report.converged_iteration},{fl.reprojection!r},{fl.plane!r},{fl.total!r}"
         )
         Path(args.trace).write_text("\n".join(lines) + "\n")
+    out = args.out or args.scene
+    save_scene(report.final_scene, out)
 
     initial = report.loss_trace[0]
     final = report.final_loss

@@ -113,7 +113,7 @@ def project(points: np.ndarray, cam: CameraModel) -> np.ndarray:
 
     ``points`` has shape (..., 3); returns (..., 2) with
     ``(f*x/z + c_x, f*y/z + c_y)``.  Raises :class:`BehindCameraError` if any
-    z <= 0 (the optimization objective uses :func:`project_clamped` instead).
+    z <= 0 (the optimization objective clamps z as :func:`project_clamped` does).
     """
     points = np.asarray(points, dtype=float)
     z = points[..., 2]
@@ -129,8 +129,9 @@ def project_clamped(
     """Projection that clamps z to ``z_epsilon`` instead of raising.
 
     Returns ``(pixels, clamped)`` where ``clamped`` is a boolean mask of the
-    points whose depth was clamped.  Keeps the objective finite while the
-    optimizer recovers a person placed behind the camera.
+    points whose depth was clamped.  The objective computes the same pixels
+    per coordinate, in the same operation order, which keeps it finite while
+    the optimizer recovers a person placed behind the camera.
     """
     points = np.asarray(points, dtype=float)
     z = points[..., 2]

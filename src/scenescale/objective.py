@@ -20,8 +20,13 @@ pixel no longer depends on z) and add a linear penalty
 behind_penalty * c_i * (z_epsilon - z) that pushes them back in front.
 
 A scene is packed once into arrays (persons padded to a common joint count
-with zero-confidence joints); the objective is then a pure function of the
-flat parameter vector theta = [t^1, ..., t^N, s^1, ..., s^N].
+with zero-confidence joints); the objective is then a function of the flat
+parameter vector theta = [t^1, ..., t^N, s^1, ..., s^N] alone.  One
+evaluation writes into buffers preallocated at packing time, in a fixed
+operation order, so equal inputs give equal bits.  Terms that are exactly
+zero for the whole scene (the behind-camera penalty with no joint behind
+the clamp, the KINK_EPS masks with every residual above it) are skipped:
+they could only add or subtract 0.0.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingPlaneError, SchemaError
-from .geometry import CameraModel, project_clamped
+from .geometry import CameraModel
 from .scene import Scene
 
 # Residuals smaller than this are treated as exactly zero in gradients
@@ -84,9 +89,13 @@ class LossBreakdown:
         return cls(rep_sum, plane_sum, rep_sum + lam * plane_sum, per_person)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class PackedScene:
-    """The fixed arrays of a scene; theta carries everything that moves."""
+    """The fixed arrays of a scene, plus the buffers one evaluation fills.
+
+    theta carries everything that moves.  Every _evaluate_theta call
+    overwrites the buffers, so a PackedScene serves one caller at a time.
+    """
 
     rotated: np.ndarray       # (N, K, 3) R @ J_i, zero rows where padded
     keypoints: np.ndarray     # (N, K, 2) pixels, zero where padded
@@ -95,6 +104,33 @@ class PackedScene:
     camera: CameraModel
     normal: np.ndarray | None  # (3,) plane normal, None if plane unused
     offset: float              # plane: n . x = offset
+
+    def __post_init__(self):
+        n, k = self.confidences.shape
+        # constants of the terms, in the layout the evaluation reads them
+        self.kx = np.ascontiguousarray(self.keypoints[..., 0])   # (N, K)
+        self.ky = np.ascontiguousarray(self.keypoints[..., 1])
+        self.focal = float(self.camera.focal)
+        self.cx, self.cy = (float(c) for c in self.camera.principal_point)
+        self.ankle_normal = None if self.normal is None else self.ankles @ self.normal  # (N, 2)
+        self.rotated_xyz = np.ascontiguousarray(self.rotated.transpose(0, 2, 1))  # (N, 3, K)
+        # outputs: per-person reprojection and plane terms, flat gradient
+        self.rep = np.zeros(n)
+        self.plane = np.zeros(n)
+        self.grad = np.zeros(4 * n)
+        self.grad_t = self.grad[: 3 * n].reshape(n, 3)
+        self.grad_s = self.grad[3 * n :]
+        # work buffers; x, y, z are views of posed_xyz and dx_x, dx_y, dx_z of dx
+        self.posed_xyz = np.empty((n, 3, k))
+        self.dx = np.empty((n, k, 3))
+        self.dx_rotated = np.empty((n, k, 3))
+        self.x, self.y, self.z = (self.posed_xyz[:, i] for i in range(3))
+        self.dx_x, self.dx_y, self.dx_z = (self.dx[..., i] for i in range(3))
+        self.zc, self.r0, self.r1, self.norms, self.w, self.f_z, self.tmp = np.empty((7, n, k))
+        self.posed_ankles = np.empty((n, 2, 3))
+        self.dist, self.abs_dist, self.sign = np.empty((3, n, 2))
+        self.plane_t = np.empty((n, 3))
+        self.sign_sum = np.empty(n)
 
 
 def _pack_scene(scene: Scene, cfg: ObjectiveConfig) -> tuple[PackedScene, np.ndarray]:
@@ -137,50 +173,86 @@ def _evaluate_theta(
     """Per-person reprojection (N,), per-person plane term (N,), d(total)/d(theta) (4N,).
 
     A term that cfg.mode leaves out reads 0 and adds nothing to the gradient.
+    The three arrays returned are packed's buffers, which the next call
+    overwrites.  Every value is computed in a fixed operation order, so
+    equal inputs give equal bits.
     """
-    n = packed.rotated.shape[0]
-    t = theta[: 3 * n].reshape(n, 3)
-    s = theta[3 * n :]
-    rep = np.zeros(n)
-    plane = np.zeros(n)
-    grad_t = np.zeros((n, 3))
-    grad_s = np.zeros(n)
+    p = packed
+    n = p.rep.shape[0]
+    t = theta[: 3 * n].reshape(n, 1, 3)
+    s = theta[3 * n :].reshape(n, 1, 1)
+    grad_t, grad_s, tmp = p.grad_t, p.grad_s, p.tmp
 
-    if cfg.mode != "plane_only":
-        eps = cfg.z_epsilon
-        c = packed.confidences
-        posed = s[:, None, None] * packed.rotated + t[:, None, :]    # (N, K, 3)
-        z = posed[..., 2]
-        zc = np.maximum(z, eps)
-        pixels, clamped = project_clamped(posed, packed.camera, eps)
-        residuals = packed.keypoints - pixels                        # (N, K, 2)
-        norms = np.linalg.norm(residuals, axis=-1)
-        behind = np.maximum(eps - z, 0.0)
-        rep = np.sum(c * norms, axis=1) + cfg.behind_penalty * np.sum(c * behind, axis=1)
+    if cfg.mode == "plane_only":
+        p.grad.fill(0.0)
+    else:
+        eps, c, x, y, z = cfg.z_epsilon, p.confidences, p.x, p.y, p.z
+        np.multiply(s, p.rotated_xyz, out=p.posed_xyz)
+        np.add(p.posed_xyz, t.reshape(n, 3, 1), out=p.posed_xyz)     # (N, 3, K)
+        zc = np.maximum(z, eps, out=p.zc)
+        # residual kp - (f * x / zc + cx) per pixel coordinate, and its norm
+        r0 = np.multiply(x, p.focal, out=p.r0)
+        np.divide(r0, zc, out=r0)
+        np.add(r0, p.cx, out=r0)
+        np.subtract(p.kx, r0, out=r0)
+        r1 = np.multiply(y, p.focal, out=p.r1)
+        np.divide(r1, zc, out=r1)
+        np.add(r1, p.cy, out=r1)
+        np.subtract(p.ky, r1, out=r1)
+        norms = np.multiply(r0, r0, out=p.norms)
+        np.add(norms, np.multiply(r1, r1, out=tmp), out=norms)
+        np.sqrt(norms, out=norms)
+        np.add.reduce(np.multiply(c, norms, out=tmp), axis=1, out=p.rep)
+        # with every joint in front of the clamp the penalty terms are exactly 0
+        clamped = None if z.min() >= eps else z < eps
+        if clamped is not None:
+            behind = np.maximum(eps - z, 0.0)
+            p.rep += cfg.behind_penalty * np.sum(c * behind, axis=1)
 
         # d(c*||kp - pi(x)||)/dx = -c * J_pi^T u with u the unit residual and
         # J_pi = [[f/z, 0, -f*x/z^2], [0, f/z, -f*y/z^2]] at the clamped z;
         # the z column is zero below the clamp, where the pixel ignores z.
-        w = np.divide(c, norms, out=np.zeros_like(norms), where=norms >= KINK_EPS)
-        cu = w[..., None] * residuals                                # c * u
-        f_z = packed.camera.focal / zc
-        dx = np.empty_like(posed)
-        dx[..., :2] = -f_z[..., None] * cu
-        dx[..., 2] = np.where(clamped, 0.0, f_z / zc * np.sum(cu * posed[..., :2], axis=-1))
-        # linear push-back for joints clamped at the z floor
-        dx[..., 2] -= cfg.behind_penalty * np.where(clamped, c, 0.0)
-        grad_t += dx.sum(axis=1)
-        grad_s += np.sum(dx * packed.rotated, axis=(1, 2))
+        w = p.w
+        if norms.min() >= KINK_EPS:
+            np.divide(c, norms, out=w)
+        else:
+            w.fill(0.0)
+            np.divide(c, norms, out=w, where=norms >= KINK_EPS)
+        cu0 = np.multiply(w, r0, out=r0)                             # c * u
+        cu1 = np.multiply(w, r1, out=r1)
+        f_z = np.divide(p.focal, zc, out=p.f_z)
+        # dx_z = f_z / zc * (cu0 * x + cu1 * y)
+        np.multiply(cu0, x, out=w)
+        np.add(w, np.multiply(cu1, y, out=tmp), out=w)
+        np.multiply(np.divide(f_z, zc, out=tmp), w, out=p.dx_z)
+        np.negative(f_z, out=f_z)
+        np.multiply(f_z, cu0, out=p.dx_x)
+        np.multiply(f_z, cu1, out=p.dx_y)
+        if clamped is not None:
+            # linear push-back for joints clamped at the z floor
+            p.dx_z[...] = np.where(clamped, 0.0, p.dx_z)
+            p.dx_z -= cfg.behind_penalty * np.where(clamped, c, 0.0)
+        np.add.reduce(p.dx, axis=1, out=grad_t)
+        np.add.reduce(np.multiply(p.dx, p.rotated, out=p.dx_rotated), axis=(1, 2), out=grad_s)
 
     if cfg.mode != "reprojection_only":
-        ankles = s[:, None, None] * packed.ankles + t[:, None, :]     # (N, 2, 3)
-        dist = ankles @ packed.normal - packed.offset
-        plane = np.sum(np.abs(dist), axis=1)
-        sign = np.where(np.abs(dist) < KINK_EPS, 0.0, np.sign(dist))
-        grad_t += cfg.lam * np.sum(sign, axis=1)[:, None] * packed.normal
-        grad_s += cfg.lam * np.sum(sign * (packed.ankles @ packed.normal), axis=1)
+        ankles = np.multiply(s, p.ankles, out=p.posed_ankles)
+        np.add(ankles, t, out=ankles)                                # (N, 2, 3)
+        dist = np.subtract(np.matmul(ankles, p.normal, out=p.dist), p.offset, out=p.dist)
+        abs_dist = np.abs(dist, out=p.abs_dist)
+        np.add.reduce(abs_dist, axis=1, out=p.plane)
+        sign = np.sign(dist, out=p.sign)
+        if not abs_dist.min() >= KINK_EPS:
+            sign[abs_dist < KINK_EPS] = 0.0
+        # grad_t += lam * sum(sign) * n;  grad_s += lam * sum(sign * (A @ n))
+        lam_sum = p.sign_sum
+        np.multiply(np.add.reduce(sign, axis=1, out=lam_sum), cfg.lam, out=lam_sum)
+        grad_t += np.multiply(lam_sum[:, None], p.normal, out=p.plane_t)
+        np.multiply(sign, p.ankle_normal, out=sign)
+        np.multiply(np.add.reduce(sign, axis=1, out=lam_sum), cfg.lam, out=lam_sum)
+        grad_s += lam_sum
 
-    return rep, plane, np.concatenate([grad_t.ravel(), grad_s])
+    return p.rep, p.plane, p.grad
 
 
 def loss_and_gradients(

@@ -2,9 +2,10 @@
 
 The parameter vector is [t^1, ..., t^N, s^1, ..., s^N] (flat, 4N entries).
 Plain ADAM with bias correction, fixed iteration count, no line search.
-Scales are clamped to >= scale_min after every step.  Everything is pure
-numpy on deterministic inputs, so identical runs give bitwise-identical
-traces.
+Scales are clamped to >= scale_min after every step.  The scene is packed
+once; each iteration then updates theta, the two moments and the objective's
+buffers in place, in a fixed operation order, so identical runs give
+bitwise-identical traces.
 """
 
 from __future__ import annotations
@@ -43,8 +44,16 @@ class OptimConfig:
             b = getattr(self, name)
             if not 0 <= b < 1:
                 raise SchemaError(f"{name} must be in [0, 1), got {b}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise SchemaError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if not (math.isfinite(self.scale_min) and self.scale_min > 0):
             raise SchemaError(f"scale_min must be finite and > 0, got {self.scale_min}")
+        if self.early_stop_rel is not None and not (
+            math.isfinite(self.early_stop_rel) and self.early_stop_rel >= 0
+        ):
+            raise SchemaError(
+                f"early_stop_rel must be None or finite and >= 0, got {self.early_stop_rel}"
+            )
 
 
 @dataclass
@@ -106,8 +115,8 @@ def optimize_baseline(
         )
     for i, (person, depth) in enumerate(zip(work.persons, per_person_depth)):
         depth = float(depth)
-        if depth <= 0:
-            raise SchemaError(f"depth for person {i} must be > 0, got {depth}")
+        if not (math.isfinite(depth) and depth > 0):
+            raise SchemaError(f"depth for person {i} must be finite and > 0, got {depth}")
         if person.translation is None:
             raise SchemaError(f"person {i} has no translation (run initialize first)")
         person.translation[2] = depth
@@ -120,25 +129,31 @@ def optimize_baseline(
 
 
 def _run_adam(work: Scene, cfg: OptimConfig) -> OptimReport:
-    """ADAM on theta alone; the persons of work get the result once, at the end."""
+    """ADAM on theta alone; the persons of work get the result once, at the end.
+
+    theta, the moments and the step are updated in place, in a fixed
+    operation order, so equal inputs give equal bits.
+    """
     obj = cfg.objective
     packed, theta = _pack_scene(work, obj)
     n = len(work.persons)
-    update = np.ones(4 * n, dtype=bool)
-    if cfg.freeze_z:
-        update[2 : 3 * n : 3] = False
+    scales = theta[3 * n :]
+    frozen_z = slice(2, 3 * n, 3) if cfg.freeze_z else None
+    b1, b2, lr, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate, cfg.adam_eps
 
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    step = np.empty_like(theta)
+    denom = np.empty_like(theta)
     trace: list[LossBreakdown] = []
     scale_trace = np.empty((cfg.iterations + 1, n))
-    scale_trace[0] = theta[3 * n :]
+    scale_trace[0] = scales
     steps = 0
 
     for it in range(1, cfg.iterations + 1):
         rep, plane, g = _evaluate_theta(packed, theta, obj)
         breakdown = LossBreakdown.from_terms(rep, plane, obj.lam)
-        if not np.isfinite(breakdown.total):
+        if not math.isfinite(breakdown.total):
             raise NonFiniteLossError(
                 f"non-finite loss at iteration {it - 1}: "
                 f"reprojection={breakdown.reprojection}, plane={breakdown.plane}"
@@ -152,15 +167,20 @@ def _run_adam(work: Scene, cfg: OptimConfig) -> OptimReport:
             break
         trace.append(breakdown)
 
-        g[~update] = 0.0
-        m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
-        v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
-        m_hat = m / (1 - cfg.adam_beta1**it)
-        v_hat = v / (1 - cfg.adam_beta2**it)
-        theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        theta[3 * n :] = np.maximum(theta[3 * n :], cfg.scale_min)
+        if frozen_z is not None:
+            g[frozen_z] = 0.0
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        np.multiply(m, b1, out=m)
+        m += np.multiply(g, 1 - b1, out=step)
+        np.multiply(v, b2, out=v)
+        v += np.multiply(np.multiply(g, 1 - b2, out=step), g, out=step)
+        # theta -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.multiply(np.divide(m, 1 - b1**it, out=step), lr, out=step)
+        np.add(np.sqrt(np.divide(v, 1 - b2**it, out=denom), out=denom), eps, out=denom)
+        theta -= np.divide(step, denom, out=step)
+        np.maximum(scales, cfg.scale_min, out=scales)
         steps = it
-        scale_trace[it] = theta[3 * n :]
+        scale_trace[it] = scales
 
     for i, person in enumerate(work.persons):
         person.translation = theta[3 * i : 3 * i + 3].copy()

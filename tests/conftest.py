@@ -79,6 +79,20 @@ def random_scene(rng: np.random.Generator, n_persons: int = 2, n_joints: int = 2
     return Scene(persons, cam, plane=plane)
 
 
+def ragged_scene(seed, behind=False):
+    """Three persons with 24, 16 and 20 joints sharing one camera and plane.
+
+    With behind=True the second person straddles the camera plane, so some
+    of its joints are clamped at z_epsilon and some are not.
+    """
+    rng = np.random.default_rng(seed)
+    persons = [random_scene(rng, n_persons=1, n_joints=kj).persons[0] for kj in (24, 16, 20)]
+    base = random_scene(rng, n_persons=1)
+    if behind:
+        persons[1].translation = np.array([0.2, -0.1, 0.1])
+    return Scene(persons, base.camera, plane=base.plane)
+
+
 def make_suite(n_scenes: int = SUITE_SIZE, base: int = SUITE_SEED):
     """List of (gt_scene, observed_scene, depth_observation) triples."""
     rng = np.random.default_rng(base)

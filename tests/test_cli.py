@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import plane_term
-from scenescale import load_scene, save_scene
+from scenescale import SceneScaleError, cli, load_scene, save_scene
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -335,12 +335,15 @@ def test_usage_error_exits_two():
         ("fit-plane", "--metric-scale", "nan"),
         ("synth", "--noise-px", "nan"),
         ("evaluate", "--tie-epsilon", "nan"),
+        ("optimize --freeze-z", "--depths", "nan,5,5"),
+        ("optimize --freeze-z", "--depths", "inf,5,5"),
     ],
 )
 def test_non_finite_flag_exits_two(synth_dir, fitted_scene, tmp_path, command, flag, value):
     out = tmp_path / "out"
     args = {
         "optimize": ["optimize", fitted_scene, "--out", out],
+        "optimize --freeze-z": ["optimize", fitted_scene, "--out", out, "--freeze-z"],
         "fit-plane": ["fit-plane", synth_dir / "depth_000.f32", synth_dir / "mask_000.u8",
                       synth_dir / "scene_000.json", "--out", out],
         "synth": ["synth", "--out", out],
@@ -371,6 +374,32 @@ def test_unwritable_output_exits_two(synth_dir, tmp_path):
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
     assert str(tmp_path / "no_such_dir" / "o.json") in res.stderr
+
+
+def test_unwritable_trace_leaves_scene_untouched(fitted_scene, tmp_path):
+    scene = tmp_path / "scene.json"
+    scene.write_bytes(fitted_scene.read_bytes())
+    trace = tmp_path / "no_such_dir" / "trace.csv"
+    res = run_cli("optimize", scene, "--iterations", "5", "--trace", trace)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+    assert scene.read_bytes() == fitted_scene.read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
+
+
+@pytest.mark.parametrize(
+    "error, code", [*cli._EXIT_CODES, (SceneScaleError, 2), (OSError, 2)],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+)
+def test_exit_code_table(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("bad input")
+
+    monkeypatch.setattr(cli, "cmd_synth", fail)
+    assert cli.main(["synth", "--out", "unused"]) == code
+    err = capsys.readouterr().err
+    assert err == "error: bad input\n"
+    assert f"\n  {code}  " in cli.__doc__  # the module docstring documents the code
 
 
 def test_in_place_rewrite_leaves_no_temp_file(synth_dir, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_optimum_scene, plane_term, random_scene, reprojection
+from conftest import exact_optimum_scene, plane_term, random_scene, ragged_scene, reprojection
 from scenescale import (
     CameraModel,
     GroundPlane,
@@ -343,20 +343,6 @@ def test_reprojection_invariant_along_ambiguity_ray(seed, k):
     assert moved.reprojection == pytest.approx(base.reprojection, rel=1e-9)
     for (rep_b, _), (rep_m, _) in zip(base.per_person, moved.per_person):
         assert rep_m == pytest.approx(rep_b, rel=1e-9)
-
-
-def ragged_scene(seed, behind=False):
-    """Three persons with 24, 16 and 20 joints sharing one camera and plane.
-
-    With behind=True the second person straddles the camera plane, so some
-    of its joints are clamped at z_epsilon and some are not.
-    """
-    rng = np.random.default_rng(seed)
-    persons = [random_scene(rng, n_persons=1, n_joints=kj).persons[0] for kj in (24, 16, 20)]
-    base = random_scene(rng, n_persons=1)
-    if behind:
-        persons[1].translation = np.array([0.2, -0.1, 0.1])
-    return Scene(persons, base.camera, plane=base.plane)
 
 
 def test_ragged_joint_counts_match_one_person_scenes():

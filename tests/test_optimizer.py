@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SUITE_LAM, exact_optimum_scene, random_scene, reprojection
+from conftest import SUITE_LAM, exact_optimum_scene, ragged_scene, random_scene, reprojection
 from scenescale import (
     CameraModel,
     GroundPlane,
@@ -22,7 +24,10 @@ from scenescale import (
     posed_joints,
     project,
 )
-from scenescale.optimizer import lift_translations
+from scenescale import optimizer
+from scenescale.geometry import project_clamped
+from scenescale.objective import KINK_EPS, LossBreakdown, _evaluate_theta, _pack_scene
+from scenescale.optimizer import OptimReport, lift_translations
 
 CAM = CameraModel(1000.0, (1920, 1080))
 
@@ -222,6 +227,13 @@ def test_optim_config_validation():
         OptimConfig(adam_beta1=1.0)
     with pytest.raises(SchemaError):
         OptimConfig(scale_min=0.0)
+    for eps in (0.0, -1e-8, np.nan, np.inf):
+        with pytest.raises(SchemaError):
+            OptimConfig(adam_eps=eps)
+    for rel in (np.nan, -1.0, np.inf):
+        with pytest.raises(SchemaError):
+            OptimConfig(early_stop_rel=rel)
+    assert OptimConfig(early_stop_rel=0.0).early_stop_rel == 0.0
 
 
 # --- baseline ---
@@ -277,5 +289,225 @@ def test_baseline_validation():
     _, observed, _ = baseline_scene(rng_seed=37, factors=(1.0, 1.0))
     with pytest.raises(SchemaError):
         optimize_baseline(observed, [5.0])  # wrong length
-    with pytest.raises(SchemaError):
-        optimize_baseline(observed, [5.0, -1.0])
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(SchemaError):
+            optimize_baseline(observed, [5.0, bad])
+
+
+# --- optimize against the allocating arithmetic it replaced ---
+
+
+def oracle_evaluate_theta(packed, theta, cfg):
+    """Literal copy of the allocating _evaluate_theta that the in-place one replaced."""
+    n = packed.rotated.shape[0]
+    t = theta[: 3 * n].reshape(n, 3)
+    s = theta[3 * n :]
+    rep = np.zeros(n)
+    plane = np.zeros(n)
+    grad_t = np.zeros((n, 3))
+    grad_s = np.zeros(n)
+
+    if cfg.mode != "plane_only":
+        eps = cfg.z_epsilon
+        c = packed.confidences
+        posed = s[:, None, None] * packed.rotated + t[:, None, :]    # (N, K, 3)
+        z = posed[..., 2]
+        zc = np.maximum(z, eps)
+        pixels, clamped = project_clamped(posed, packed.camera, eps)
+        residuals = packed.keypoints - pixels                        # (N, K, 2)
+        norms = np.linalg.norm(residuals, axis=-1)
+        behind = np.maximum(eps - z, 0.0)
+        rep = np.sum(c * norms, axis=1) + cfg.behind_penalty * np.sum(c * behind, axis=1)
+
+        w = np.divide(c, norms, out=np.zeros_like(norms), where=norms >= KINK_EPS)
+        cu = w[..., None] * residuals                                # c * u
+        f_z = packed.camera.focal / zc
+        dx = np.empty_like(posed)
+        dx[..., :2] = -f_z[..., None] * cu
+        dx[..., 2] = np.where(clamped, 0.0, f_z / zc * np.sum(cu * posed[..., :2], axis=-1))
+        dx[..., 2] -= cfg.behind_penalty * np.where(clamped, c, 0.0)
+        grad_t += dx.sum(axis=1)
+        grad_s += np.sum(dx * packed.rotated, axis=(1, 2))
+
+    if cfg.mode != "reprojection_only":
+        ankles = s[:, None, None] * packed.ankles + t[:, None, :]     # (N, 2, 3)
+        dist = ankles @ packed.normal - packed.offset
+        plane = np.sum(np.abs(dist), axis=1)
+        sign = np.where(np.abs(dist) < KINK_EPS, 0.0, np.sign(dist))
+        grad_t += cfg.lam * np.sum(sign, axis=1)[:, None] * packed.normal
+        grad_s += cfg.lam * np.sum(sign * (packed.ankles @ packed.normal), axis=1)
+
+    return rep, plane, np.concatenate([grad_t.ravel(), grad_s])
+
+
+def oracle_run_adam(work, cfg):
+    """Literal copy of the allocating _run_adam that the in-place one replaced."""
+    obj = cfg.objective
+    packed, theta = _pack_scene(work, obj)
+    n = len(work.persons)
+    update = np.ones(4 * n, dtype=bool)
+    if cfg.freeze_z:
+        update[2 : 3 * n : 3] = False
+
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    trace = []
+    scale_trace = np.empty((cfg.iterations + 1, n))
+    scale_trace[0] = theta[3 * n :]
+    steps = 0
+
+    for it in range(1, cfg.iterations + 1):
+        rep, plane, g = oracle_evaluate_theta(packed, theta, obj)
+        breakdown = LossBreakdown.from_terms(rep, plane, obj.lam)
+        if not np.isfinite(breakdown.total):
+            raise NonFiniteLossError(f"non-finite loss at iteration {it - 1}")
+        if (
+            cfg.early_stop_rel is not None
+            and trace
+            and trace[-1].total - breakdown.total
+            <= cfg.early_stop_rel * max(1.0, abs(trace[-1].total))
+        ):
+            break
+        trace.append(breakdown)
+
+        g[~update] = 0.0
+        m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
+        v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
+        m_hat = m / (1 - cfg.adam_beta1**it)
+        v_hat = v / (1 - cfg.adam_beta2**it)
+        theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        theta[3 * n :] = np.maximum(theta[3 * n :], cfg.scale_min)
+        steps = it
+        scale_trace[it] = theta[3 * n :]
+
+    for i, person in enumerate(work.persons):
+        person.translation = theta[3 * i : 3 * i + 3].copy()
+        person.scale = float(theta[3 * n + i])
+    rep, plane, _ = oracle_evaluate_theta(packed, theta, obj)
+    return OptimReport(
+        loss_trace=trace,
+        final_loss=LossBreakdown.from_terms(rep, plane, obj.lam),
+        final_scene=work,
+        converged_iteration=steps,
+        scale_trace=scale_trace[: steps + 1],
+    )
+
+
+def final_theta(report):
+    persons = report.final_scene.persons
+    return np.concatenate([p.translation for p in persons] + [[p.scale for p in persons]])
+
+
+def assert_matches_oracle(monkeypatch, run):
+    """run() through the in-place ADAM and through the oracle: the same bits."""
+    got = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(optimizer, "_run_adam", oracle_run_adam)
+        expected = run()
+    assert got.converged_iteration == expected.converged_iteration
+    assert np.array_equal(final_theta(got), final_theta(expected))
+    assert [b.total for b in got.loss_trace] == [b.total for b in expected.loss_trace]
+    assert [b.per_person for b in got.loss_trace] == [b.per_person for b in expected.loss_trace]
+    assert got.final_loss == expected.final_loss
+    assert np.array_equal(got.scale_trace, expected.scale_trace)
+    return got
+
+
+def crowd_scene(n_persons=20, seed=41):
+    rng = np.random.default_rng(seed)
+    cfg = SynthConfig(n_persons=n_persons, rng_seed=seed, keypoint_noise_px=1.0,
+                      ambiguity_factors=tuple(rng.uniform(0.6, 1.6, n_persons)),
+                      depth_range=(3.5, 12.0), mask_stride=12)
+    return generate_scene(cfg)
+
+
+def test_adam_matches_oracle_crowd(monkeypatch):
+    _, observed, _ = crowd_scene()
+    ocfg = OptimConfig(objective=ObjectiveConfig(lam=SUITE_LAM))
+    report = assert_matches_oracle(monkeypatch, lambda: optimize(observed, ocfg))
+    assert report.converged_iteration == 600
+
+
+@pytest.mark.parametrize("mode", ["full", "reprojection_only", "plane_only"])
+def test_adam_matches_oracle_each_mode(monkeypatch, mode):
+    _, observed, _ = crowd_scene(n_persons=4, seed=43)
+    ocfg = OptimConfig(iterations=300, objective=ObjectiveConfig(lam=SUITE_LAM, mode=mode))
+    assert_matches_oracle(monkeypatch, lambda: optimize(observed, ocfg))
+
+
+def test_adam_matches_oracle_behind_camera(monkeypatch):
+    scene = ragged_scene(seed=3, behind=True)
+    cfg = ObjectiveConfig(lam=1.0)
+    assert np.any(posed_joints(scene.persons[1])[:, 2] < cfg.z_epsilon)  # the penalty runs
+    ocfg = OptimConfig(iterations=200, objective=cfg)
+    assert_matches_oracle(monkeypatch, lambda: optimize(scene, ocfg))
+
+
+def test_adam_matches_oracle_ragged_zero_confidence(monkeypatch):
+    scene = ragged_scene(seed=5)
+    persons = scene.persons
+    persons[2].confidences = np.zeros(persons[2].n_joints)
+    ocfg = OptimConfig(iterations=200, objective=ObjectiveConfig(lam=SUITE_LAM))
+    assert_matches_oracle(monkeypatch, lambda: optimize(scene, ocfg))
+    reproj = OptimConfig(iterations=200, objective=ObjectiveConfig(mode="reprojection_only"))
+    report = assert_matches_oracle(monkeypatch, lambda: optimize(scene, reproj))
+    # the zero-confidence person has no gradient and never moves
+    assert np.array_equal(report.final_scene.persons[2].translation, persons[2].translation)
+
+
+def test_adam_matches_oracle_frozen_z_baseline(monkeypatch):
+    gt, observed, _ = baseline_scene(rng_seed=19, factors=(1.2, 0.9, 1.4))
+    depths = [1.1 * float(p.translation[2]) for p in gt.persons]
+    ocfg = OptimConfig(iterations=300)
+    report = assert_matches_oracle(monkeypatch, lambda: optimize_baseline(observed, depths, ocfg))
+    assert [p.translation[2] for p in report.final_scene.persons] == depths
+
+
+def test_adam_matches_oracle_at_kinks(monkeypatch):
+    # both terms start at exactly zero: every residual and ankle distance
+    # sits below KINK_EPS, where the gradient takes the zero subgradient
+    scene = exact_optimum_scene(seed=4)
+    ocfg = OptimConfig(iterations=100, objective=ObjectiveConfig(lam=1.0))
+    assert_matches_oracle(monkeypatch, lambda: optimize(scene, ocfg))
+
+
+def test_evaluate_matches_oracle_with_nan_theta():
+    # a nan depth must not hide another person's behind-camera penalty or
+    # ankle kink: every entry, nan or not, equals the oracle's
+    scene = ragged_scene(seed=7, behind=True)
+    for mode in ("full", "reprojection_only", "plane_only"):
+        cfg = ObjectiveConfig(lam=2.0, mode=mode)
+        packed, theta = _pack_scene(scene, cfg)
+        theta[2] = np.nan
+        if packed.normal is not None:
+            # person 2's left ankle 1e-12 m off the plane, inside KINK_EPS
+            ankle = theta[3 * 3 + 2] * packed.ankles[2, 0] + theta[6:9]
+            packed.offset = float(ankle @ packed.normal) - 1e-12
+        got = [a.copy() for a in _evaluate_theta(packed, theta, cfg)]
+        expected = oracle_evaluate_theta(packed, theta, cfg)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_adam_matches_oracle_early_stop(monkeypatch):
+    _, observed, _ = crowd_scene(n_persons=3, seed=47)
+    ocfg = OptimConfig(early_stop_rel=1e-5, objective=ObjectiveConfig(lam=SUITE_LAM))
+    report = assert_matches_oracle(monkeypatch, lambda: optimize(observed, ocfg))
+    assert report.converged_iteration < 600
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_persons=st.integers(1, 6),
+    mode=st.sampled_from(["full", "reprojection_only", "plane_only"]),
+    noise_px=st.sampled_from([0.0, 1.0, 3.0]),
+)
+def test_adam_matches_oracle_random_synth(seed, n_persons, mode, noise_px):
+    rng = np.random.default_rng(seed)
+    cfg = SynthConfig(n_persons=n_persons, rng_seed=seed, keypoint_noise_px=noise_px,
+                      ambiguity_factors=tuple(rng.uniform(0.6, 1.6, n_persons)))
+    _, observed, _ = generate_scene(cfg)
+    ocfg = OptimConfig(iterations=150, objective=ObjectiveConfig(lam=SUITE_LAM, mode=mode))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_matches_oracle(monkeypatch, lambda: optimize(observed, ocfg))
