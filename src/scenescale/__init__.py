@@ -39,7 +39,13 @@ from .objective import (
     ObjectiveConfig,
     loss_and_gradients,
 )
-from .optimizer import OptimConfig, OptimReport, initialize, optimize, optimize_baseline
+from .optimizer import (
+    OptimConfig,
+    OptimReport,
+    lift_translations,
+    optimize,
+    optimize_baseline,
+)
 from .planefit import (
     DepthObservation,
     RansacConfig,
@@ -71,7 +77,7 @@ from .scene import (
     posed_ankles,
     posed_joints,
 )
-from .synth import SynthConfig, evaluate_recovery, generate_scene, joint_template
+from .synth import SynthConfig, generate_scene, joint_template
 
 __version__ = "0.1.0"
 
@@ -107,13 +113,12 @@ __all__ = [
     "crop_to_weak_perspective",
     "depth_order_accuracy",
     "dumps_canonical",
-    "evaluate_recovery",
     "evaluate_scenes",
     "fit_rms",
     "generate_scene",
     "height_order_accuracy",
-    "initialize",
     "joint_template",
+    "lift_translations",
     "load_depth_observation",
     "load_scene",
     "loss_and_gradients",

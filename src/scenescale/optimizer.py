@@ -65,21 +65,14 @@ class OptimReport:
     scale_trace: np.ndarray             # (iterations+1, N); row 0 = initial scales
 
 
-def initialize(scene: Scene) -> Scene:
-    """Reset to the upstream starting point: s = 1, t from the estimator.
-
-    Persons carrying a weak-perspective camera get their translation lifted
-    from it; persons with an explicit translation keep it.
-    """
-    return lift_translations(scene, reset=True)
-
-
 def lift_translations(scene: Scene, reset: bool) -> Scene:
     """Copy of the scene with translations lifted from weak-perspective cameras.
 
     reset=False lifts only missing translations and keeps every stored t and
     s, so a scene file that was already optimized continues from its stored
-    state.  reset=True is :func:`initialize`.
+    state.  reset=True resets to the upstream starting point: s = 1, and t
+    lifted from the weak-perspective camera where there is one (an explicit
+    translation without a camera is kept).
     """
     out = scene.copy()
     for i, person in enumerate(out.persons):
@@ -118,7 +111,7 @@ def optimize_baseline(
         if not (math.isfinite(depth) and depth > 0):
             raise SchemaError(f"depth for person {i} must be finite and > 0, got {depth}")
         if person.translation is None:
-            raise SchemaError(f"person {i} has no translation (run initialize first)")
+            raise SchemaError(f"person {i} has no translation (call lift_translations first)")
         person.translation[2] = depth
     cfg = replace(
         cfg,

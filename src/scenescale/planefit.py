@@ -23,12 +23,13 @@ from .scene import GroundPlane, Scene, posed_ankles
 class DepthObservation:
     """Relative depth grid + ground mask; metric_scale converts to meters."""
 
-    depth: np.ndarray        # (H, W) relative units
+    depth: np.ndarray        # (H, W) relative units; float32 kept, else float64
     ground_mask: np.ndarray  # (H, W) bool, True = ground
     metric_scale: float = 6.0
 
     def __post_init__(self):
-        self.depth = np.asarray(self.depth, dtype=np.float64)
+        depth = np.asarray(self.depth)
+        self.depth = depth if depth.dtype == np.float32 else depth.astype(np.float64, copy=False)
         self.ground_mask = np.asarray(self.ground_mask).astype(bool)
         if self.depth.ndim != 2:
             raise SchemaError(f"depth must be 2-D, got shape {self.depth.shape}")
@@ -65,11 +66,16 @@ class RansacConfig:
 
 
 def unproject_ground(obs: DepthObservation, cam: CameraModel) -> np.ndarray:
-    """Masked pixels to camera-frame points, (M, 3), row-major pixel order."""
-    rows, cols = np.nonzero(obs.ground_mask)
-    if rows.size < 3:
-        raise InsufficientGroundError(f"need >= 3 ground pixels, mask has {rows.size}")
-    z = obs.depth[rows, cols] * obs.metric_scale
+    """Masked pixels to camera-frame points, (M, 3), row-major pixel order.
+
+    The points are float64 whatever the depth's dtype; a float32 depth is
+    widened exactly before the metric scale multiplies it.
+    """
+    flat = np.flatnonzero(obs.ground_mask)
+    if flat.size < 3:
+        raise InsufficientGroundError(f"need >= 3 ground pixels, mask has {flat.size}")
+    rows, cols = np.divmod(flat, obs.depth.shape[1])
+    z = np.multiply(obs.depth.ravel()[flat], obs.metric_scale, dtype=np.float64)
     cx, cy = cam.principal_point
     x = (cols - cx) * z / cam.focal
     y = (rows - cy) * z / cam.focal
@@ -155,6 +161,7 @@ def ransac_plane(
             best_count, best_sample = int(counts[k]), samples[k]
         drawn += len(samples)
         batch *= 8
+    del points1  # the refits below need only the (M, 3) cloud
 
     # the winner's inliers in the one-by-one loop's own arithmetic, so the
     # plane does not depend on the rounding of the block scoring

@@ -144,7 +144,7 @@ class Scene:
 def posed_joints(person: Person) -> np.ndarray:
     """All posed joints at once, (K, 3)."""
     if person.translation is None:
-        raise SchemaError("person translation not set (initialize the scene first)")
+        raise SchemaError("person translation not set (call lift_translations first)")
     # scale applied after the rotation so this matches the optimizer's
     # internal split (rotated joints cached for the scale gradient)
     return person.scale * (person.joints @ person.rotation.T) + person.translation

@@ -228,7 +228,7 @@ def save_depth_observation(
 ) -> None:
     depth_path = Path(depth_path)
     h, w = obs.depth.shape
-    depth_path.write_bytes(obs.depth.astype("<f4").tobytes(order="C"))
+    depth_path.write_bytes(obs.depth.astype("<f4", copy=False).tobytes(order="C"))
     sidecar = {
         "width": int(w),
         "height": int(h),
@@ -253,13 +253,17 @@ def load_depth_observation(depth_path: str | Path, mask_path: str | Path) -> Dep
     w, h = int(sidecar["width"]), int(sidecar["height"])
     if sidecar.get("byte_order", "little") != "little":
         raise SchemaError(f"{sidecar_path}: only little-endian payloads supported")
-    payload = depth_path.read_bytes()
-    if len(payload) != w * h * 4:
+    # read straight into the one (H, W) float32 array the observation keeps
+    with depth_path.open("rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size == w * h * 4:
+            depth = np.empty((h, w), dtype="<f4")
+            size = f.readinto(depth)  # short if the file shrank since fstat
+    if size != w * h * 4:
         raise SchemaError(
-            f"{depth_path}: payload is {len(payload)} bytes, expected {w * h * 4} "
+            f"{depth_path}: payload is {size} bytes, expected {w * h * 4} "
             f"for {w}x{h} float32"
         )
-    depth = np.frombuffer(payload, dtype="<f4").reshape(h, w).astype(np.float64)
     mask_bytes = Path(mask_path).read_bytes()
     if len(mask_bytes) != w * h:
         raise SchemaError(

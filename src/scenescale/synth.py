@@ -260,21 +260,3 @@ def _rasterize_ground(
             z[rows, cols] = np.maximum(z[rows, cols] + offset, 0.3)
 
     return DepthObservation(z / cfg.metric_scale, mask, cfg.metric_scale)
-
-
-def evaluate_recovery(gt: Scene, recovered: Scene) -> np.ndarray:
-    """Per-person (scale_error, depth_error, xy_error), shape (N, 3).
-
-    scale_error and depth_error are relative (|est/true - 1|); xy_error is
-    the absolute lateral offset in meters.
-    """
-    if len(gt.persons) != len(recovered.persons):
-        raise SchemaError(
-            f"{len(recovered.persons)} recovered persons vs {len(gt.persons)} ground truth"
-        )
-    out = np.zeros((len(gt.persons), 3))
-    for i, (g, r) in enumerate(zip(gt.persons, recovered.persons)):
-        out[i, 0] = abs(r.scale / g.scale - 1.0)
-        out[i, 1] = abs(r.translation[2] / g.translation[2] - 1.0)
-        out[i, 2] = float(np.linalg.norm(r.translation[:2] - g.translation[:2]))
-    return out

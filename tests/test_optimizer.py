@@ -16,7 +16,7 @@ from scenescale import (
     SynthConfig,
     WeakPerspectiveCam,
     generate_scene,
-    initialize,
+    lift_translations,
     loss_and_gradients,
     optimize,
     optimize_baseline,
@@ -27,7 +27,7 @@ from scenescale import (
 from scenescale import optimizer
 from scenescale.geometry import project_clamped
 from scenescale.objective import KINK_EPS, LossBreakdown, _evaluate_theta, _pack_scene
-from scenescale.optimizer import OptimReport, lift_translations
+from scenescale.optimizer import OptimReport
 
 CAM = CameraModel(1000.0, (1920, 1080))
 
@@ -45,12 +45,12 @@ def weak_cam_person(sigma=1.0, tx=0.0, ty=0.0):
     )
 
 
-# --- initialize ---
+# --- lift_translations ---
 
 
 def test_initialize_lifts_weak_camera():
     scene = Scene([weak_cam_person(sigma=1.0)], CAM)
-    out = initialize(scene)
+    out = lift_translations(scene, reset=True)
     assert np.allclose(out.persons[0].translation, [0.0, 0.0, 1000.0])
     assert out.persons[0].scale == 1.0
 
@@ -60,7 +60,7 @@ def test_initialize_keeps_explicit_translation():
     p.weak_cam = None
     p.translation = np.array([1.0, 2.0, 5.0])
     p.scale = 1.6
-    out = initialize(Scene([p], CAM))
+    out = lift_translations(Scene([p], CAM), reset=True)
     assert np.array_equal(out.persons[0].translation, [1.0, 2.0, 5.0])
     assert out.persons[0].scale == 1.0
 
@@ -70,7 +70,7 @@ def test_initialize_all_scales_one():
     scene = random_scene(rng, n_persons=3)
     for person in scene.persons:
         person.scale = float(rng.uniform(0.5, 2.0))
-    out = initialize(scene)
+    out = lift_translations(scene, reset=True)
     assert [p.scale for p in out.persons] == [1.0, 1.0, 1.0]
 
 
@@ -79,7 +79,7 @@ def test_initialize_requires_some_translation_source():
     p.weak_cam = None
     scene = Scene([p], CAM)
     with pytest.raises(SchemaError):
-        initialize(scene)
+        lift_translations(scene, reset=True)
 
 
 def test_lift_without_reset_keeps_stored_state():
@@ -98,7 +98,7 @@ def test_lift_without_reset_keeps_stored_state():
 
 def test_initialize_does_not_mutate_input():
     scene = Scene([weak_cam_person(sigma=2.0, tx=0.5)], CAM)
-    initialize(scene)
+    lift_translations(scene, reset=True)
     assert scene.persons[0].translation is None
 
 

@@ -115,6 +115,28 @@ def test_depth_observation_validation():
         DepthObservation(bad, np.ones((4, 4), dtype=bool))
 
 
+def test_depth_observation_dtypes():
+    mask = np.ones((3, 4), dtype=bool)
+    f32 = np.ones((3, 4), dtype=np.float32)
+    f64 = np.ones((3, 4))
+    assert DepthObservation(f32, mask).depth is f32
+    assert DepthObservation(f64, mask).depth is f64
+    widened = DepthObservation(np.ones((3, 4), dtype=np.int32), mask).depth
+    assert widened.dtype == np.float64 and np.array_equal(widened, f64)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+def test_depth_observation_float32_masked_values_checked(value):
+    depth = np.ones((4, 4), dtype=np.float32)
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[1:, 1:] = True
+    depth[0, 0] = value  # unmasked, so allowed
+    assert DepthObservation(depth, mask).depth.dtype == np.float32
+    depth[2, 3] = value
+    with pytest.raises(SchemaError, match="finite and > 0"):
+        DepthObservation(depth, mask)
+
+
 # --- ransac ---
 
 

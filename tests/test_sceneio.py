@@ -2,10 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_scene
 from scenescale import (
+    CameraModel,
     DepthObservation,
+    GroundPlane,
+    Person,
+    Scene,
     SchemaError,
     SynthConfig,
     dumps_canonical,
@@ -16,7 +23,89 @@ from scenescale import (
     save_scene,
     scene_from_dict,
     scene_to_dict,
+    unproject_ground,
 )
+from scenescale.geometry import WeakPerspectiveCam
+
+coords = st.floats(-1e4, 1e4, allow_nan=False)
+positive = st.floats(1e-3, 1e4)
+
+
+@st.composite
+def persons(draw):
+    k = draw(st.integers(2, 30))
+    index = st.integers(0, k - 1)
+    left, right = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+    q, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(3, 3)))
+    weak_cam = draw(st.none() | st.builds(WeakPerspectiveCam, positive, coords, coords))
+    translation = arrays(float, 3, elements=coords)
+    if weak_cam is not None:  # a person needs a translation or a weak camera
+        translation = st.none() | translation
+    return Person(
+        joints=draw(arrays(float, (k, 3), elements=coords)),
+        rotation=q,
+        translation=draw(translation),
+        scale=draw(positive),
+        ref_keypoints=draw(st.none() | arrays(float, (k, 2), elements=coords)),
+        confidences=draw(arrays(float, k, elements=st.floats(0.0, 1.0))),
+        weak_cam=weak_cam,
+        ankle_left_idx=left,
+        ankle_right_idx=right,
+        head_idx=draw(index),
+        foot_chain=tuple(draw(st.lists(index, max_size=6))),
+    )
+
+
+@st.composite
+def scenes(draw):
+    camera = CameraModel(
+        focal=draw(positive),
+        image_size=(draw(st.integers(1, 8192)), draw(st.integers(1, 8192))),
+        principal_point=draw(st.none() | arrays(float, 2, elements=coords)),
+    )
+    plane = draw(
+        st.none()
+        | st.builds(
+            GroundPlane,
+            arrays(float, 3, elements=st.floats(-1.0, 1.0)).filter(
+                lambda n: np.linalg.norm(n) > 1e-3
+            ),
+            arrays(float, 3, elements=coords),
+        )
+    )
+    return Scene(draw(st.lists(persons(), min_size=1, max_size=4)), camera, plane)
+
+
+def _same(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.dtype == b.dtype and np.array_equal(a, b)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(scene=scenes())
+def test_scene_dict_round_trip_is_exact(scene):
+    back = scene_from_dict(json.loads(dumps_canonical(scene_to_dict(scene))))
+    assert back.camera.focal == scene.camera.focal
+    assert back.camera.image_size == scene.camera.image_size
+    assert _same(back.camera.principal_point, scene.camera.principal_point)
+    assert (back.plane is None) == (scene.plane is None)
+    if scene.plane is not None:
+        # GroundPlane divides the loaded normal by its norm again, which can
+        # move a unit normal's last bit, so the normal is only exact up to
+        # that one renormalization
+        renormalized = GroundPlane(scene.plane.normal, scene.plane.point).normal
+        assert _same(back.plane.normal, renormalized)
+        assert _same(back.plane.point, scene.plane.point)
+    assert len(back.persons) == len(scene.persons)
+    for b, p in zip(back.persons, scene.persons):
+        for name in ("joints", "rotation", "translation", "ref_keypoints", "confidences"):
+            assert _same(getattr(b, name), getattr(p, name)), name
+        assert b.scale == p.scale
+        assert b.weak_cam == p.weak_cam
+        assert (b.ankle_left_idx, b.ankle_right_idx, b.head_idx, b.foot_chain) == (
+            p.ankle_left_idx, p.ankle_right_idx, p.head_idx, p.foot_chain
+        )
 
 
 def test_scene_round_trip_structural(tmp_path):
@@ -136,6 +225,43 @@ def test_depth_round_trip(tmp_path):
     assert sidecar["dtype"] == "float32"
     assert sidecar["byte_order"] == "little"
     assert dpath.stat().st_size == sidecar["width"] * sidecar["height"] * 4
+
+
+def test_loaded_depth_is_one_writable_float32_array(tmp_path):
+    _, _, obs = generate_scene(SynthConfig(n_persons=2, rng_seed=0))
+    dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
+    save_depth_observation(obs, dpath, mpath)
+    depth = load_depth_observation(dpath, mpath).depth
+    h, w = obs.depth.shape
+    assert depth.dtype == np.float32 and depth.shape == (h, w)
+    assert depth.nbytes == 4 * h * w
+    assert depth.flags.writeable and depth.flags.c_contiguous and depth.flags.owndata
+    assert np.array_equal(depth, obs.depth.astype(np.float32))
+    save_depth_observation(load_depth_observation(dpath, mpath), tmp_path / "again.f32", mpath)
+    assert (tmp_path / "again.f32").read_bytes() == dpath.read_bytes()
+
+
+def test_unproject_loaded_float32_equals_float64(tmp_path):
+    _, observed, obs = generate_scene(
+        SynthConfig(n_persons=2, outlier_fraction=0.3, rng_seed=5)
+    )
+    assert obs.depth.shape == (1080, 1920)
+    dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
+    save_depth_observation(obs, dpath, mpath)
+    loaded = load_depth_observation(dpath, mpath)
+    widened = DepthObservation(
+        loaded.depth.astype(np.float64), loaded.ground_mask, loaded.metric_scale
+    )
+    cam = observed.camera
+    pts = unproject_ground(loaded, cam)
+    assert pts.dtype == np.float64
+    assert np.array_equal(pts, unproject_ground(widened, cam))
+    # the 2-D index formula the flat indices replace, on the float64 map
+    rows, cols = np.nonzero(widened.ground_mask)
+    z = widened.depth[rows, cols] * widened.metric_scale
+    cx, cy = cam.principal_point
+    expected = np.column_stack([(cols - cx) * z / cam.focal, (rows - cy) * z / cam.focal, z])
+    assert np.array_equal(pts, expected)
 
 
 def test_depth_payload_size_checked(tmp_path):

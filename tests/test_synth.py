@@ -9,7 +9,6 @@ from scenescale import (
     RansacConfig,
     SchemaError,
     SynthConfig,
-    evaluate_recovery,
     generate_scene,
     joint_template,
     person_height,
@@ -153,20 +152,3 @@ def test_synth_config_validation():
         SynthConfig(n_persons=2, ambiguity_factors=(1.0,))
     with pytest.raises(SchemaError):
         SynthConfig(outlier_fraction=1.5)
-
-
-def test_evaluate_recovery_identity():
-    cfg = SynthConfig(n_persons=3, rng_seed=11)
-    gt, observed, _ = generate_scene(cfg)
-    errs = evaluate_recovery(gt, observed)
-    assert errs.shape == (3, 3)
-    assert np.all(errs == 0.0)
-
-
-def test_evaluate_recovery_scale_error():
-    cfg = SynthConfig(n_persons=1, rng_seed=12)
-    gt, observed, _ = generate_scene(cfg)
-    observed.persons[0].scale *= 1.02
-    errs = evaluate_recovery(gt, observed)
-    assert errs[0, 0] == pytest.approx(0.02, abs=1e-12)
-    assert errs[0, 1] == 0.0
