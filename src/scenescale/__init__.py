@@ -21,17 +21,12 @@ from .errors import (
 from .geometry import (
     CameraModel,
     WeakPerspectiveCam,
-    crop_to_weak_perspective,
     project,
-    project_clamped,
     weak_to_perspective,
 )
 from .metrics import (
     MetricsReport,
-    depth_order_accuracy,
     evaluate_scenes,
-    height_order_accuracy,
-    normalized_distance_error,
     pair_sum_discrepancy,
 )
 from .objective import (
@@ -110,19 +105,15 @@ __all__ = [
     "SynthConfig",
     "WeakPerspectiveCam",
     "anchor_plane",
-    "crop_to_weak_perspective",
-    "depth_order_accuracy",
     "dumps_canonical",
     "evaluate_scenes",
     "fit_rms",
     "generate_scene",
-    "height_order_accuracy",
     "joint_template",
     "lift_translations",
     "load_depth_observation",
     "load_scene",
     "loss_and_gradients",
-    "normalized_distance_error",
     "optimize",
     "optimize_baseline",
     "pair_sum_discrepancy",
@@ -130,7 +121,6 @@ __all__ = [
     "posed_ankles",
     "posed_joints",
     "project",
-    "project_clamped",
     "ransac_plane",
     "save_depth_observation",
     "save_scene",

@@ -119,21 +119,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     # the trace goes first: if it cannot be written, the scene is untouched
     if args.trace:
         lines = ["iteration,reprojection,plane,total"]
-        for i, bd in enumerate(report.loss_trace):
-            lines.append(f"{i},{bd.reprojection!r},{bd.plane!r},{bd.total!r}")
-        fl = report.final_loss
-        lines.append(
-            f"{report.converged_iteration},{fl.reprojection!r},{fl.plane!r},{fl.total!r}"
-        )
+        for i, (rep, plane, total) in enumerate(report.loss_trace.tolist()):
+            lines.append(f"{i},{rep!r},{plane!r},{total!r}")
         Path(args.trace).write_text("\n".join(lines) + "\n")
     out = args.out or args.scene
     save_scene(report.final_scene, out)
 
-    initial = report.loss_trace[0]
     final = report.final_loss
     print(
         f"iterations: {report.converged_iteration}  "
-        f"loss: {initial.total:.6f} -> {final.total:.6f}  "
+        f"loss: {report.loss_trace[0, 2]:.6f} -> {final.total:.6f}  "
         f"(reprojection {final.reprojection:.6f}, plane {final.plane:.6f})"
     )
     for i, person in enumerate(report.final_scene.persons):

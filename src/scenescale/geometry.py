@@ -8,13 +8,13 @@ Coordinate conventions (OpenCV-style):
 A weak-perspective person camera ``[sigma, t_x, t_y]`` is lifted to a full
 perspective translation ``[t_x, t_y, f / sigma]``.  Here ``t_x, t_y`` are
 camera-frame meters at the lifted depth; upstream estimators that report
-crop-normalized translations should be converted first with
-``crop_to_weak_perspective``.
+crop-normalized translations must be converted to the full image first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,8 @@ class CameraModel:
         self.focal = float(self.focal)
         w, h = self.image_size
         self.image_size = (int(w), int(h))
-        if self.focal <= 0:
-            raise InvalidCameraError(f"focal must be > 0, got {self.focal}")
+        if not (math.isfinite(self.focal) and self.focal > 0):
+            raise InvalidCameraError(f"focal must be finite and > 0, got {self.focal}")
         if self.image_size[0] <= 0 or self.image_size[1] <= 0:
             raise InvalidCameraError(f"image size must be positive, got {self.image_size}")
         if self.principal_point is None:
@@ -60,8 +60,8 @@ class WeakPerspectiveCam:
         self.sigma = float(self.sigma)
         self.tx = float(self.tx)
         self.ty = float(self.ty)
-        if self.sigma <= 0:
-            raise InvalidCameraError(f"sigma must be > 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise InvalidCameraError(f"sigma must be finite and > 0, got {self.sigma}")
 
 
 def weak_to_perspective(wp: WeakPerspectiveCam, cam: CameraModel) -> np.ndarray:
@@ -76,71 +76,19 @@ def weak_to_perspective(wp: WeakPerspectiveCam, cam: CameraModel) -> np.ndarray:
     return np.array([wp.tx, wp.ty, cam.focal / wp.sigma])
 
 
-def crop_to_weak_perspective(
-    crop_scale: float,
-    crop_tx: float,
-    crop_ty: float,
-    crop_center: tuple[float, float],
-    crop_size: float,
-    cam: CameraModel,
-) -> WeakPerspectiveCam:
-    """Convert an HMR-style crop camera to a full-image weak-perspective camera.
-
-    Upstream convention assumed: a body point ``X`` (camera-aligned, meters)
-    lands at pixel ``u = u0 + (b/2) * s * (X + t_x)`` for a square crop of
-    side ``b`` centered at ``(u0, v0)``.  Matching against the perspective
-    form ``u = c_x + f * (X + T_x) / T_z`` gives
-
-        sigma = s * b / 2
-        T_x   = t_x + 2 * (u0 - c_x) / (s * b)      (same for y)
-
-    so the returned camera lifts through :func:`weak_to_perspective` to the
-    translation the crop camera implies in the full image.
-    """
-    if crop_scale <= 0 or crop_size <= 0:
-        raise InvalidCameraError("crop scale and size must be > 0")
-    cx, cy = cam.principal_point
-    sb = crop_scale * crop_size
-    return WeakPerspectiveCam(
-        sigma=sb / 2.0,
-        tx=crop_tx + 2.0 * (crop_center[0] - cx) / sb,
-        ty=crop_ty + 2.0 * (crop_center[1] - cy) / sb,
-    )
-
-
 def project(points: np.ndarray, cam: CameraModel) -> np.ndarray:
     """Perspective-project camera-frame points to pixels.
 
     ``points`` has shape (..., 3); returns (..., 2) with
     ``(f*x/z + c_x, f*y/z + c_y)``.  Raises :class:`BehindCameraError` if any
-    z <= 0 (the optimization objective clamps z as :func:`project_clamped` does).
+    z <= 0.  (The optimization objective instead clamps z at z_epsilon, see
+    ``scenescale.objective``.)
     """
     points = np.asarray(points, dtype=float)
     z = points[..., 2]
     if np.any(z <= 0):
         bad = np.nonzero(np.atleast_1d(z) <= 0)[0]
         raise BehindCameraError(f"points behind camera (z <= 0) at indices {bad.tolist()}")
-    return _pinhole(points, z, cam)
-
-
-def project_clamped(
-    points: np.ndarray, cam: CameraModel, z_epsilon: float = 1e-3
-) -> tuple[np.ndarray, np.ndarray]:
-    """Projection that clamps z to ``z_epsilon`` instead of raising.
-
-    Returns ``(pixels, clamped)`` where ``clamped`` is a boolean mask of the
-    points whose depth was clamped.  The objective computes the same pixels
-    per coordinate, in the same operation order, which keeps it finite while
-    the optimizer recovers a person placed behind the camera.
-    """
-    points = np.asarray(points, dtype=float)
-    z = points[..., 2]
-    clamped = z < z_epsilon
-    zc = np.maximum(z, z_epsilon)
-    return _pinhole(points, zc, cam), clamped
-
-
-def _pinhole(points: np.ndarray, z: np.ndarray, cam: CameraModel) -> np.ndarray:
     cx, cy = cam.principal_point
     u = cam.focal * points[..., 0] / z + cx
     v = cam.focal * points[..., 1] / z + cy

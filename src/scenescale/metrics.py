@@ -56,57 +56,25 @@ def _check_frames(est: list[Scene], gt: list[Scene]) -> None:
             )
 
 
-def _order_counts(
-    est_vals: list[np.ndarray], gt_vals: list[np.ndarray], tie_epsilon: float
-) -> tuple[int, int]:
-    if not (math.isfinite(tie_epsilon) and tie_epsilon >= 0):
-        raise SchemaError(f"tie_epsilon must be finite and >= 0, got {tie_epsilon}")
-    correct = total = 0
-    for ev, gv in zip(est_vals, gt_vals):
-        if len(gv) < 2:
-            continue
-        for i, j in combinations(range(len(gv)), 2):
-            gd = gv[i] - gv[j]
-            ed = ev[i] - ev[j]
-            if abs(gd) <= tie_epsilon:
-                correct += abs(ed) < tie_epsilon
-            else:
-                correct += np.sign(ed) == np.sign(gd)
-            total += 1
-    return correct, total
+def _order_correct(est_vals: np.ndarray, gt_vals: np.ndarray, tie_epsilon: float) -> int:
+    """Correctly ordered pairs of one frame's values (each pair once)."""
+    correct = 0
+    for i, j in combinations(range(len(gt_vals)), 2):
+        gd = gt_vals[i] - gt_vals[j]
+        ed = est_vals[i] - est_vals[j]
+        if abs(gd) <= tie_epsilon:
+            correct += abs(ed) < tie_epsilon
+        else:
+            correct += np.sign(ed) == np.sign(gd)
+    return int(correct)
 
 
-def _order_accuracy(
-    est_vals: list[np.ndarray], gt_vals: list[np.ndarray], tie_epsilon: float
-) -> float:
-    correct, total = _order_counts(est_vals, gt_vals, tie_epsilon)
-    if total == 0:
-        return float("nan")
-    return 100.0 * correct / total
+def _translations_z(scene: Scene) -> np.ndarray:
+    return np.array([p.translation[2] for p in scene.persons])
 
 
-def _translations_z(scenes: list[Scene]) -> list[np.ndarray]:
-    return [np.array([p.translation[2] for p in s.persons]) for s in scenes]
-
-
-def _heights(scenes: list[Scene]) -> list[np.ndarray]:
-    return [np.array([person_height(p) for p in s.persons]) for s in scenes]
-
-
-def depth_order_accuracy(
-    est: list[Scene], gt: list[Scene], tie_epsilon: float = TIE_EPSILON
-) -> float:
-    """Pooled % of correctly ordered depth pairs; nan if no frame has a pair."""
-    _check_frames(est, gt)
-    return _order_accuracy(_translations_z(est), _translations_z(gt), tie_epsilon)
-
-
-def height_order_accuracy(
-    est: list[Scene], gt: list[Scene], tie_epsilon: float = TIE_EPSILON
-) -> float:
-    """Pooled % of correctly ordered height pairs; nan if no frame has a pair."""
-    _check_frames(est, gt)
-    return _order_accuracy(_heights(est), _heights(gt), tie_epsilon)
+def _heights(scene: Scene) -> np.ndarray:
+    return np.array([person_height(p) for p in scene.persons])
 
 
 def pair_sum_discrepancy(est_dists: np.ndarray, gt_dists: np.ndarray) -> float:
@@ -134,49 +102,37 @@ def _pairwise_dists(scene: Scene) -> np.ndarray:
     return np.linalg.norm(t[i] - t[j], axis=1)
 
 
-def normalized_distance_error(est: list[Scene], gt: list[Scene]) -> float:
-    """Mean over frames of pair_sum_discrepancy on translation distances.
-
-    Normalizing by each frame's own maximum distance makes the score
-    invariant to a global scaling of that frame's estimated layout.
-    Returns nan if no frame has at least two persons.
-    """
-    _check_frames(est, gt)
-    vals = [
-        pair_sum_discrepancy(_pairwise_dists(e), _pairwise_dists(g))
-        for e, g in zip(est, gt)
-        if len(g.persons) >= 2
-    ]
-    if not vals:
-        return float("nan")
-    return float(np.mean(vals))
-
-
 def evaluate_scenes(
     est: list[Scene], gt: list[Scene], tie_epsilon: float = TIE_EPSILON
 ) -> MetricsReport:
-    """All three metrics plus per-frame detail in one report."""
-    _check_frames(est, gt)
-    est_z, gt_z = _translations_z(est), _translations_z(gt)
-    est_h, gt_h = _heights(est), _heights(gt)
+    """All three metrics plus per-frame detail, scoring each frame once.
 
+    A metric with no frame to score (no frame has two persons) is nan.
+    """
+    _check_frames(est, gt)
+    if not (math.isfinite(tie_epsilon) and tie_epsilon >= 0):
+        raise SchemaError(f"tie_epsilon must be finite and >= 0, got {tie_epsilon}")
     per_frame = []
-    pairs_total = 0
-    for f in range(len(gt)):
-        n = len(gt[f].persons)
+    for e, g in zip(est, gt):
+        n = len(g.persons)
         if n < 2:
             continue
-        dc, pairs = _order_counts([est_z[f]], [gt_z[f]], tie_epsilon)
-        hc, _ = _order_counts([est_h[f]], [gt_h[f]], tie_epsilon)
-        dn = pair_sum_discrepancy(_pairwise_dists(est[f]), _pairwise_dists(gt[f]))
-        per_frame.append(FrameMetrics(int(dc), int(hc), pairs, dn))
-        pairs_total += pairs
+        per_frame.append(
+            FrameMetrics(
+                depth_correct=_order_correct(_translations_z(e), _translations_z(g), tie_epsilon),
+                height_correct=_order_correct(_heights(e), _heights(g), tie_epsilon),
+                pairs=n * (n - 1) // 2,
+                d_norm=pair_sum_discrepancy(_pairwise_dists(e), _pairwise_dists(g)),
+            )
+        )
 
+    pairs = sum(fm.pairs for fm in per_frame)
+    nan = float("nan")
     return MetricsReport(
-        d_ord=_order_accuracy(est_z, gt_z, tie_epsilon),
-        d_norm=normalized_distance_error(est, gt),
-        h_ord=_order_accuracy(est_h, gt_h, tie_epsilon),
+        d_ord=100.0 * sum(fm.depth_correct for fm in per_frame) / pairs if pairs else nan,
+        d_norm=float(np.mean([fm.d_norm for fm in per_frame])) if per_frame else nan,
+        h_ord=100.0 * sum(fm.height_correct for fm in per_frame) / pairs if pairs else nan,
         per_frame=per_frame,
         frames_evaluated=len(per_frame),
-        pairs_evaluated=pairs_total,
+        pairs_evaluated=pairs,
     )

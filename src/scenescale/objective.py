@@ -17,7 +17,7 @@ sign flips of float-roundoff residuals.
 
 Joints behind the camera are projected at z clamped to z_epsilon (where the
 pixel no longer depends on z) and add a linear penalty
-behind_penalty * c_i * (z_epsilon - z) that pushes them back in front.
+BEHIND_PENALTY * c_i * (z_epsilon - z) that pushes them back in front.
 
 A scene is packed once into arrays (persons padded to a common joint count
 with zero-confidence joints); the objective is then a function of the flat
@@ -47,6 +47,10 @@ from .scene import Scene
 # residuals would otherwise inject full-strength noise into the optimizer.
 KINK_EPS = 1e-9
 
+# Weight of the behind-camera penalty, per meter behind the z_epsilon clamp
+# and per unit confidence.
+BEHIND_PENALTY = 100.0
+
 MODES = ("full", "reprojection_only", "plane_only")
 
 
@@ -55,20 +59,14 @@ class ObjectiveConfig:
     lam: float = 1.0              # plane-term weight
     z_epsilon: float = 1e-3      # behind-camera depth clamp
     mode: str = "full"
-    behind_penalty: float = 100.0  # per meter behind the clamp, per unit confidence
 
     def __post_init__(self):
         self.lam = float(self.lam)
         self.z_epsilon = float(self.z_epsilon)
-        self.behind_penalty = float(self.behind_penalty)
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise SchemaError(f"lam must be finite and >= 0, got {self.lam}")
         if not (math.isfinite(self.z_epsilon) and self.z_epsilon > 0):
             raise SchemaError(f"z_epsilon must be finite and > 0, got {self.z_epsilon}")
-        if not (math.isfinite(self.behind_penalty) and self.behind_penalty >= 0):
-            raise SchemaError(
-                f"behind_penalty must be finite and >= 0, got {self.behind_penalty}"
-            )
         if self.mode not in MODES:
             raise SchemaError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -207,7 +205,7 @@ def _evaluate_theta(
         clamped = None if z.min() >= eps else z < eps
         if clamped is not None:
             behind = np.maximum(eps - z, 0.0)
-            p.rep += cfg.behind_penalty * np.sum(c * behind, axis=1)
+            p.rep += BEHIND_PENALTY * np.sum(c * behind, axis=1)
 
         # d(c*||kp - pi(x)||)/dx = -c * J_pi^T u with u the unit residual and
         # J_pi = [[f/z, 0, -f*x/z^2], [0, f/z, -f*y/z^2]] at the clamped z;
@@ -231,7 +229,7 @@ def _evaluate_theta(
         if clamped is not None:
             # linear push-back for joints clamped at the z floor
             p.dx_z[...] = np.where(clamped, 0.0, p.dx_z)
-            p.dx_z -= cfg.behind_penalty * np.where(clamped, c, 0.0)
+            p.dx_z -= BEHIND_PENALTY * np.where(clamped, c, 0.0)
         np.add.reduce(p.dx, axis=1, out=grad_t)
         np.add.reduce(np.multiply(p.dx, p.rotated, out=p.dx_rotated), axis=(1, 2), out=grad_s)
 

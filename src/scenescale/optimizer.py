@@ -21,48 +21,37 @@ from .objective import LossBreakdown, ObjectiveConfig, _evaluate_theta, _pack_sc
 from .scene import Scene
 
 
+# ADAM's moment decay rates and denominator guard: the published defaults
+# (Kingma & Ba, ICLR 2015).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 @dataclass
 class OptimConfig:
     learning_rate: float = 1e-2
     iterations: int = 600
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
-    freeze_z: bool = False
     scale_min: float = 0.1
-    # Optional early stop: halt when the relative drop of the total loss
-    # between consecutive iterations falls below this. None = fixed count.
-    early_stop_rel: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise SchemaError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.iterations < 1:
             raise SchemaError(f"iterations must be >= 1, got {self.iterations}")
-        for name in ("adam_beta1", "adam_beta2"):
-            b = getattr(self, name)
-            if not 0 <= b < 1:
-                raise SchemaError(f"{name} must be in [0, 1), got {b}")
-        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
-            raise SchemaError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if not (math.isfinite(self.scale_min) and self.scale_min > 0):
             raise SchemaError(f"scale_min must be finite and > 0, got {self.scale_min}")
-        if self.early_stop_rel is not None and not (
-            math.isfinite(self.early_stop_rel) and self.early_stop_rel >= 0
-        ):
-            raise SchemaError(
-                f"early_stop_rel must be None or finite and >= 0, got {self.early_stop_rel}"
-            )
 
 
 @dataclass
 class OptimReport:
-    loss_trace: list[LossBreakdown]     # entry i = loss before step i
+    # (iterations+1, 3): reprojection, plane, total; row i = loss before
+    # step i, the last row = final_loss
+    loss_trace: np.ndarray
     final_loss: LossBreakdown
     final_scene: Scene
-    converged_iteration: int            # iterations run (< cfg.iterations on early stop)
-    scale_trace: np.ndarray             # (iterations+1, N); row 0 = initial scales
+    converged_iteration: int            # iterations run, always cfg.iterations
 
 
 def lift_translations(scene: Scene, reset: bool) -> Scene:
@@ -113,76 +102,62 @@ def optimize_baseline(
         if person.translation is None:
             raise SchemaError(f"person {i} has no translation (call lift_translations first)")
         person.translation[2] = depth
-    cfg = replace(
-        cfg,
-        freeze_z=True,
-        objective=replace(cfg.objective, mode="reprojection_only"),
-    )
-    return _run_adam(work, cfg)
+    cfg = replace(cfg, objective=replace(cfg.objective, mode="reprojection_only"))
+    return _run_adam(work, cfg, freeze_z=True)
 
 
-def _run_adam(work: Scene, cfg: OptimConfig) -> OptimReport:
+def _run_adam(work: Scene, cfg: OptimConfig, freeze_z: bool = False) -> OptimReport:
     """ADAM on theta alone; the persons of work get the result once, at the end.
 
     theta, the moments and the step are updated in place, in a fixed
-    operation order, so equal inputs give equal bits.
+    operation order, so equal inputs give equal bits.  freeze_z keeps every
+    person's depth where it starts.
     """
     obj = cfg.objective
     packed, theta = _pack_scene(work, obj)
     n = len(work.persons)
     scales = theta[3 * n :]
-    frozen_z = slice(2, 3 * n, 3) if cfg.freeze_z else None
-    b1, b2, lr, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate, cfg.adam_eps
+    b1, b2, lr, eps = _BETA1, _BETA2, cfg.learning_rate, _EPS
 
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     step = np.empty_like(theta)
     denom = np.empty_like(theta)
-    trace: list[LossBreakdown] = []
-    scale_trace = np.empty((cfg.iterations + 1, n))
-    scale_trace[0] = scales
-    steps = 0
+    trace = np.empty((cfg.iterations + 1, 3))
 
-    for it in range(1, cfg.iterations + 1):
+    for it in range(cfg.iterations + 1):
         rep, plane, g = _evaluate_theta(packed, theta, obj)
-        breakdown = LossBreakdown.from_terms(rep, plane, obj.lam)
-        if not math.isfinite(breakdown.total):
-            raise NonFiniteLossError(
-                f"non-finite loss at iteration {it - 1}: "
-                f"reprojection={breakdown.reprojection}, plane={breakdown.plane}"
-            )
-        if (
-            cfg.early_stop_rel is not None
-            and trace
-            and trace[-1].total - breakdown.total
-            <= cfg.early_stop_rel * max(1.0, abs(trace[-1].total))
-        ):
+        # person by person, as LossBreakdown.from_terms sums them
+        rep_sum, plane_sum = sum(rep.tolist()), sum(plane.tolist())
+        total = rep_sum + obj.lam * plane_sum
+        trace[it] = rep_sum, plane_sum, total
+        if it == cfg.iterations:
             break
-        trace.append(breakdown)
+        if not math.isfinite(total):
+            raise NonFiniteLossError(
+                f"non-finite loss at iteration {it}: "
+                f"reprojection={rep_sum}, plane={plane_sum}"
+            )
 
-        if frozen_z is not None:
-            g[frozen_z] = 0.0
+        if freeze_z:
+            g[2 : 3 * n : 3] = 0.0
         # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
         np.multiply(m, b1, out=m)
         m += np.multiply(g, 1 - b1, out=step)
         np.multiply(v, b2, out=v)
         v += np.multiply(np.multiply(g, 1 - b2, out=step), g, out=step)
-        # theta -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.multiply(np.divide(m, 1 - b1**it, out=step), lr, out=step)
-        np.add(np.sqrt(np.divide(v, 1 - b2**it, out=denom), out=denom), eps, out=denom)
+        # theta -= lr * m_hat / (sqrt(v_hat) + eps), at ADAM step it + 1
+        np.multiply(np.divide(m, 1 - b1 ** (it + 1), out=step), lr, out=step)
+        np.add(np.sqrt(np.divide(v, 1 - b2 ** (it + 1), out=denom), out=denom), eps, out=denom)
         theta -= np.divide(step, denom, out=step)
         np.maximum(scales, cfg.scale_min, out=scales)
-        steps = it
-        scale_trace[it] = scales
 
     for i, person in enumerate(work.persons):
         person.translation = theta[3 * i : 3 * i + 3].copy()
         person.scale = float(theta[3 * n + i])
-    rep, plane, _ = _evaluate_theta(packed, theta, obj)
     return OptimReport(
         loss_trace=trace,
         final_loss=LossBreakdown.from_terms(rep, plane, obj.lam),
         final_scene=work,
-        converged_iteration=steps,
-        scale_trace=scale_trace[: steps + 1],
+        converged_iteration=cfg.iterations,
     )

@@ -45,6 +45,12 @@ class DepthObservation:
             raise SchemaError("masked depth values must be finite and > 0")
 
 
+def _check_int(value, name: str, minimum: int) -> None:
+    """Raise SchemaError unless value is an integer >= minimum (bool excluded)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise SchemaError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass
 class RansacConfig:
     iterations: int = 500
@@ -63,6 +69,7 @@ class RansacConfig:
             raise SchemaError(
                 f"min_inlier_fraction must be in [0, 1], got {self.min_inlier_fraction}"
             )
+        _check_int(self.rng_seed, "rng_seed", 0)
 
 
 def unproject_ground(obs: DepthObservation, cam: CameraModel) -> np.ndarray:

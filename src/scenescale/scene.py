@@ -80,8 +80,8 @@ class Person:
         if self.translation is not None:
             self.translation = np.asarray(self.translation, dtype=float).reshape(3)
         self.scale = float(self.scale)
-        if self.scale <= 0:
-            raise SchemaError(f"scale must be > 0, got {self.scale}")
+        if not (np.isfinite(self.scale) and self.scale > 0):
+            raise SchemaError(f"scale must be finite and > 0, got {self.scale}")
         if self.ref_keypoints is not None:
             self.ref_keypoints = np.asarray(self.ref_keypoints, dtype=float)
             if self.ref_keypoints.shape != (k, 2):

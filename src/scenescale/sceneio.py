@@ -176,7 +176,7 @@ def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
                 head_idx=indices["head_idx"],
                 foot_chain=tuple(indices["foot_chain"]),
             )
-        except SchemaError as exc:
+        except (TypeError, ValueError) as exc:  # SchemaError is a ValueError
             raise SchemaError(f"{ctx}: {exc}") from None
         persons.append(person)
 
@@ -250,7 +250,13 @@ def load_depth_observation(depth_path: str | Path, mask_path: str | Path) -> Dep
     for key in ("width", "height", "metric_scale"):
         if key not in sidecar:
             raise SchemaError(f"{sidecar_path}: missing '{key}'")
-    w, h = int(sidecar["width"]), int(sidecar["height"])
+    try:
+        w, h = int(sidecar["width"]), int(sidecar["height"])
+        metric_scale = float(sidecar["metric_scale"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{sidecar_path}: {exc}") from None
+    if w < 1 or h < 1:
+        raise SchemaError(f"{sidecar_path}: width and height must be >= 1, got {w}x{h}")
     if sidecar.get("byte_order", "little") != "little":
         raise SchemaError(f"{sidecar_path}: only little-endian payloads supported")
     # read straight into the one (H, W) float32 array the observation keeps
@@ -270,4 +276,4 @@ def load_depth_observation(depth_path: str | Path, mask_path: str | Path) -> Dep
             f"{mask_path}: payload is {len(mask_bytes)} bytes, expected {w * h} uint8"
         )
     mask = np.frombuffer(mask_bytes, dtype=np.uint8).reshape(h, w) != 0
-    return DepthObservation(depth, mask, float(sidecar["metric_scale"]))
+    return DepthObservation(depth, mask, metric_scale)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BehindCameraError, PlacementError, SchemaError
 from .geometry import CameraModel, project
-from .planefit import DepthObservation
+from .planefit import DepthObservation, _check_int
 from .scene import GroundPlane, Person, Scene, posed_joints
 
 # Stick-figure template in SMPL 24-joint order, units of the target height,
@@ -91,8 +91,9 @@ class SynthConfig:
     mask_stride: int = 3               # ground-mask pixel stride
 
     def __post_init__(self):
-        if self.n_persons < 1:
-            raise SchemaError(f"n_persons must be >= 1, got {self.n_persons}")
+        _check_int(self.n_persons, "n_persons", 1)
+        _check_int(self.mask_stride, "mask_stride", 1)
+        _check_int(self.rng_seed, "rng_seed", 0)
         for name in ("height_range", "depth_range"):
             lo, hi = getattr(self, name)
             if not 0 < lo <= hi:
@@ -116,8 +117,6 @@ class SynthConfig:
             raise SchemaError("outlier_fraction must be in [0, 1)")
         if not (math.isfinite(self.camera_height) and self.camera_height > 0):
             raise SchemaError("camera_height must be finite and > 0")
-        if self.mask_stride < 1:
-            raise SchemaError("mask_stride must be >= 1")
 
 
 def _plane_frame(tilt_rad: float, camera_height: float):

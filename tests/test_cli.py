@@ -337,6 +337,8 @@ def test_usage_error_exits_two():
         ("evaluate", "--tie-epsilon", "nan"),
         ("optimize --freeze-z", "--depths", "nan,5,5"),
         ("optimize --freeze-z", "--depths", "inf,5,5"),
+        ("fit-plane", "--seed", "-1"),
+        ("synth", "--seed", "-1"),
     ],
 )
 def test_non_finite_flag_exits_two(synth_dir, fitted_scene, tmp_path, command, flag, value):
@@ -353,6 +355,62 @@ def test_non_finite_flag_exits_two(synth_dir, fitted_scene, tmp_path, command, f
     res = run_cli(*args, flag, value)
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+NAN = float("nan")
+BAD_FIELDS = [
+    ("scene", {"persons.1.scale": "abc"}, "persons[1]"),
+    ("scene", {"persons.1.scale": NAN}, "persons[1]"),
+    ("scene", {"persons.1.ankle_left_idx": "x"}, "persons[1]"),
+    ("scene", {"persons.1.foot_chain": 5}, "persons[1]"),
+    ("scene", {"persons.1.weak_cam": {"sigma": NAN}}, "persons[1]"),
+    ("scene", {"camera.focal": NAN}, "camera"),
+    ("sidecar", {"metric_scale": "abc"}, "depth.f32.json"),
+    ("sidecar", {"width": "abc"}, "depth.f32.json"),
+    ("sidecar", {"height": None}, "depth.f32.json"),
+    ("sidecar", {"width": -1920, "height": -1080}, "depth.f32.json"),
+    ("synth config", {"n_persons": 2.5}, "n_persons"),
+    ("synth config", {"mask_stride": 2.5}, "mask_stride"),
+    ("synth config", {"rng_seed": 1.5}, "rng_seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, edits, named",
+    BAD_FIELDS,
+    ids=[f"{kind}-{'-'.join(f'{k}={v}' for k, v in edits.items())}"
+         for kind, edits, _ in BAD_FIELDS],
+)
+def test_bad_input_file_field_exits_two(synth_dir, fitted_scene, tmp_path, kind, edits, named):
+    """A bad field in a scene file, depth sidecar or synth config: exit 2, one line."""
+    depth, mask = tmp_path / "depth.f32", tmp_path / "mask.u8"
+    depth.write_bytes((synth_dir / "depth_000.f32").read_bytes())
+    mask.write_bytes((synth_dir / "mask_000.u8").read_bytes())
+    source = {
+        "scene": fitted_scene,
+        "sidecar": synth_dir / "depth_000.f32.json",
+        "synth config": None,
+    }[kind]
+    doc = json.loads(source.read_text()) if source else {}
+    for dotted, value in edits.items():
+        *parents, last = [int(k) if k.isdigit() else k for k in dotted.split(".")]
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    edited = tmp_path / ("depth.f32.json" if kind == "sidecar" else "edited.json")
+    edited.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    args = {
+        "scene": ["optimize", edited, "--out", out, "--iterations", "5"],
+        "sidecar": ["fit-plane", depth, mask, synth_dir / "scene_000.json", "--out", out],
+        "synth config": ["synth", "--out", out, "--config", edited],
+    }[kind]
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+    assert named in res.stderr
     assert not out.exists()
 
 

@@ -11,21 +11,37 @@ from scenescale import (
     Person,
     Scene,
     WeakPerspectiveCam,
-    crop_to_weak_perspective,
     loss_and_gradients,
     project,
-    project_clamped,
     weak_to_perspective,
 )
+from scenescale.objective import BEHIND_PENALTY
 
 CAM = CameraModel(focal=1000.0, image_size=(1000, 1000))  # principal point (500, 500)
+
+
+def project_clamped(points, cam, z_epsilon=1e-3):
+    """Pixels with z clamped to z_epsilon, and the mask of clamped points.
+
+    The objective projects joints this way, so it stays finite behind the
+    camera.
+    """
+    points = np.asarray(points, dtype=float)
+    z = points[..., 2]
+    zc = np.maximum(z, z_epsilon)
+    cx, cy = cam.principal_point
+    u = cam.focal * points[..., 0] / zc + cx
+    v = cam.focal * points[..., 1] / zc + cy
+    return np.stack([u, v], axis=-1), z < z_epsilon
 
 
 def project_jacobian(point, z_epsilon=1e-3):
     """The 2x3 projection Jacobian as the objective's gradient applies it.
 
     One live joint at ``point`` with a 1 px residual along u (then v) has
-    d(loss)/dt = -J^T u, so each residual direction reads out one row.
+    d(loss)/dt = -J^T u, so each residual direction reads out one row.  A
+    joint behind the clamp also gets the behind-camera push-back
+    -BEHIND_PENALTY in d(loss)/dz, which is taken out again here.
     """
     point = np.asarray(point, dtype=float)
     rows = []
@@ -41,8 +57,10 @@ def project_jacobian(point, z_epsilon=1e-3):
             foot_chain=(0,),
         )
         person.ref_keypoints = project_clamped(person.joints, CAM, z_epsilon)[0] + unit
-        cfg = ObjectiveConfig(mode="reprojection_only", z_epsilon=z_epsilon, behind_penalty=0.0)
+        cfg = ObjectiveConfig(mode="reprojection_only", z_epsilon=z_epsilon)
         _, grad_t, _ = loss_and_gradients(Scene([person], CAM), cfg)
+        if point[2] < z_epsilon:
+            grad_t[0, 2] += BEHIND_PENALTY
         rows.append(-grad_t[0])
     return np.array(rows)
 
@@ -67,6 +85,9 @@ def test_nonpositive_sigma_rejected():
         WeakPerspectiveCam(sigma=0.0)
     with pytest.raises(InvalidCameraError):
         WeakPerspectiveCam(sigma=-2.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidCameraError):
+            WeakPerspectiveCam(sigma=bad)
 
 
 def test_project_on_axis():
@@ -93,12 +114,26 @@ def test_project_behind_camera_raises():
 
 
 def test_project_clamped_handles_behind_points():
+    # the objective scores a joint behind the camera at the pixel it would
+    # have at the z_epsilon clamp, plus BEHIND_PENALTY per meter behind it
     pts = np.array([[0.1, 0.0, 2.0], [0.1, 0.0, -3.0]])
+    at_clamp = project(np.array([0.1, 0.0, 1e-3]), CAM)
+    person = Person(
+        joints=pts,
+        rotation=np.eye(3),
+        translation=np.zeros(3),
+        ref_keypoints=np.array([project(pts[0], CAM), at_clamp + [3.0, 4.0]]),
+        ankle_left_idx=0,
+        ankle_right_idx=1,
+        head_idx=1,
+        foot_chain=(0,),
+    )
+    cfg = ObjectiveConfig(mode="reprojection_only", z_epsilon=1e-3)
+    breakdown, _, _ = loss_and_gradients(Scene([person], CAM), cfg)
+    assert breakdown.reprojection == pytest.approx(5.0 + BEHIND_PENALTY * (1e-3 + 3.0))
     px, clamped = project_clamped(pts, CAM, z_epsilon=1e-3)
     assert clamped.tolist() == [False, True]
-    assert np.allclose(px[0], project(pts[0], CAM))
-    # behind point projects as if at the epsilon depth
-    assert np.allclose(px[1], project(np.array([0.1, 0.0, 1e-3]), CAM))
+    assert np.allclose(px, [project(pts[0], CAM), at_clamp])
 
 
 def test_jacobian_on_axis():
@@ -177,32 +212,10 @@ def test_weak_perspective_depth_monotone(s1, s2):
     assert d_lo > d_hi
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    crop_scale=st.floats(0.2, 5.0),
-    tx=st.floats(-1.0, 1.0),
-    ty=st.floats(-1.0, 1.0),
-    u0=st.floats(200, 1700),
-    v0=st.floats(200, 900),
-    body_x=st.floats(-0.5, 0.5),
-    body_y=st.floats(-0.5, 0.5),
-)
-def test_crop_conversion_matches_crop_projection(crop_scale, tx, ty, u0, v0, body_x, body_y):
-    """Lifting the converted camera reproduces the crop's projection rule."""
-    cam = CameraModel(1000.0, (1920, 1080))
-    crop_size = 224.0
-    wp = crop_to_weak_perspective(crop_scale, tx, ty, (u0, v0), crop_size, cam)
-    t = weak_to_perspective(wp, cam)
-    # crop convention: u = u0 + (b/2) * s * (X + t_x)
-    u_crop = u0 + (crop_size / 2) * crop_scale * (body_x + tx)
-    v_crop = v0 + (crop_size / 2) * crop_scale * (body_y + ty)
-    px = project(np.array([body_x + t[0], body_y + t[1], t[2]]), cam)
-    assert np.allclose(px, [u_crop, v_crop], atol=1e-6)
-
-
 def test_camera_validation():
-    with pytest.raises(InvalidCameraError):
-        CameraModel(focal=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidCameraError):
+            CameraModel(focal=bad)
     with pytest.raises(InvalidCameraError):
         CameraModel(focal=100.0, image_size=(0, 100))
     cam = CameraModel(500.0, (640, 480))

@@ -9,11 +9,8 @@ from scenescale import (
     Person,
     Scene,
     SchemaError,
-    depth_order_accuracy,
     evaluate_scenes,
-    height_order_accuracy,
     joint_template,
-    normalized_distance_error,
     pair_sum_discrepancy,
 )
 
@@ -46,41 +43,41 @@ def frame(depths=None, heights=None, positions=None):
 
 def test_depth_order_perfect():
     frames = [frame(depths=[3.0, 5.0, 7.0]), frame(depths=[4.0, 2.0])]
-    assert depth_order_accuracy(frames, frames) == 100.0
+    assert evaluate_scenes(frames, frames).d_ord == 100.0
 
 
 def test_depth_order_swapped_pair():
     gt = [frame(depths=[3.0, 5.0])]
     est = [frame(depths=[5.0, 3.0])]
-    assert depth_order_accuracy(est, gt) == 0.0
+    assert evaluate_scenes(est, gt).d_ord == 0.0
 
 
 def test_depth_order_one_of_three_wrong():
     gt = [frame(depths=[2.0, 4.0, 6.0])]
     est = [frame(depths=[2.0, 6.0, 4.0])]
-    assert depth_order_accuracy(est, gt) == pytest.approx(200.0 / 3.0)
+    assert evaluate_scenes(est, gt).d_ord == pytest.approx(200.0 / 3.0)
 
 
 def test_depth_order_gt_tie_rule():
     gt = [frame(depths=[5.0, 5.0])]
     spread = [frame(depths=[5.0, 5.1])]
     tied = [frame(depths=[5.0, 5.0 + 1e-9])]
-    assert depth_order_accuracy(spread, gt) == 0.0
-    assert depth_order_accuracy(tied, gt) == 100.0
+    assert evaluate_scenes(spread, gt).d_ord == 0.0
+    assert evaluate_scenes(tied, gt).d_ord == 100.0
 
 
 def test_depth_order_pools_pairs_across_frames():
     gt = [frame(depths=[3.0, 5.0]), frame(depths=[2.0, 4.0, 6.0])]
     est = [frame(depths=[3.0, 5.0]), frame(depths=[2.0, 6.0, 4.0])]
     # 1/1 + 2/3 pooled = 3 of 4
-    assert depth_order_accuracy(est, gt) == 75.0
+    assert evaluate_scenes(est, gt).d_ord == 75.0
 
 
 def test_depth_order_person_count_mismatch():
     with pytest.raises(SchemaError):
-        depth_order_accuracy([frame(depths=[3.0, 5.0])], [frame(depths=[3.0])])
+        evaluate_scenes([frame(depths=[3.0, 5.0])], [frame(depths=[3.0])])
     with pytest.raises(SchemaError):
-        depth_order_accuracy([frame(depths=[3.0])], [])
+        evaluate_scenes([frame(depths=[3.0])], [])
 
 
 # --- normalized distance ---
@@ -88,13 +85,13 @@ def test_depth_order_person_count_mismatch():
 
 def test_distance_error_identity():
     frames = [frame(positions=[(0, 0), (1, 0), (1, 1)])]
-    assert normalized_distance_error(frames, frames) == 0.0
+    assert evaluate_scenes(frames, frames).d_norm == 0.0
 
 
 def test_distance_error_scale_invariance():
     gt = [frame(positions=[(0, 0), (1.3, 0), (0.4, 2.0)], depths=[3.0, 5.0, 6.5])]
     est = [frame(positions=[(0, 0), (2.6, 0), (0.8, 4.0)], depths=[6.0, 10.0, 13.0])]
-    assert normalized_distance_error(est, gt) < 1e-12
+    assert evaluate_scenes(est, gt).d_norm < 1e-12
 
 
 def test_pair_sum_discrepancy_hand_value():
@@ -115,20 +112,23 @@ def test_distance_error_known_triangle():
     gt = [frame(positions=[(0, 0), (1, 0), (3, 0)])]
     est = [frame(positions=[(0, 0), (1, 0), (1, 1)])]
     expected = np.sqrt(2.0) + 1.0 - 2.0
-    assert normalized_distance_error(est, gt) == pytest.approx(expected, rel=1e-12)
+    assert evaluate_scenes(est, gt).d_norm == pytest.approx(expected, rel=1e-12)
 
 
 def test_distance_error_skips_single_person_frames():
     gt = [frame(depths=[5.0]), frame(positions=[(0, 0), (1, 0), (3, 0)])]
     est = [frame(depths=[9.0]), frame(positions=[(0, 0), (1, 0), (1, 1)])]
     expected = np.sqrt(2.0) + 1.0 - 2.0
-    assert normalized_distance_error(est, gt) == pytest.approx(expected, rel=1e-12)
+    assert evaluate_scenes(est, gt).d_norm == pytest.approx(expected, rel=1e-12)
 
 
 def test_distance_error_no_evaluable_frames_is_nan():
     gt = [frame(depths=[5.0])]
     est = [frame(depths=[9.0])]
-    assert np.isnan(normalized_distance_error(est, gt))
+    report = evaluate_scenes(est, gt)
+    assert np.isnan(report.d_norm)
+    assert np.isnan(report.d_ord) and np.isnan(report.h_ord)
+    assert report.frames_evaluated == report.pairs_evaluated == 0
 
 
 # --- height ordering ---
@@ -136,19 +136,19 @@ def test_distance_error_no_evaluable_frames_is_nan():
 
 def test_height_order_perfect():
     frames = [frame(heights=[1.5, 1.7, 1.9])]
-    assert height_order_accuracy(frames, frames) == 100.0
+    assert evaluate_scenes(frames, frames).h_ord == 100.0
 
 
 def test_height_order_gt_tie_spread_estimate():
     gt = [frame(heights=[1.7, 1.7])]
     est = [frame(heights=[1.6, 1.8])]
-    assert height_order_accuracy(est, gt) == 0.0
+    assert evaluate_scenes(est, gt).h_ord == 0.0
 
 
 def test_height_order_two_of_three():
     gt = [frame(heights=[1.6, 1.7, 1.8])]
     est = [frame(heights=[1.6, 1.8, 1.7])]
-    assert height_order_accuracy(est, gt) == pytest.approx(200.0 / 3.0)
+    assert evaluate_scenes(est, gt).h_ord == pytest.approx(200.0 / 3.0)
 
 
 # --- aggregation and invariances ---
@@ -164,6 +164,10 @@ def test_evaluate_scenes_report():
     assert report.d_ord == 75.0
     assert report.h_ord == 100.0
     assert len(report.per_frame) == 2
+    assert [(fm.depth_correct, fm.height_correct, fm.pairs) for fm in report.per_frame] == [
+        (2, 3, 3),
+        (1, 1, 1),
+    ]
     assert 0.0 <= report.d_ord <= 100.0
 
 
@@ -171,11 +175,11 @@ def test_evaluate_scenes_report():
 @pytest.mark.parametrize("tie_epsilon", [-1e-6, float("nan"), float("inf")])
 def test_bad_tie_epsilon_rejected(tie_epsilon):
     gt = [frame(depths=[2.0, 4.0])]
-    for score in (evaluate_scenes, depth_order_accuracy, height_order_accuracy):
+    # checked with pairs to score, with no frame at all, and with frames
+    # that hold no pair
+    for scenes in (gt, [], [frame(depths=[3.0])]):
         with pytest.raises(SchemaError, match="tie_epsilon"):
-            score(gt, gt, tie_epsilon=tie_epsilon)
-    with pytest.raises(SchemaError, match="tie_epsilon"):
-        evaluate_scenes([], [], tie_epsilon=tie_epsilon)
+            evaluate_scenes(scenes, scenes, tie_epsilon=tie_epsilon)
 
 def test_metrics_rigid_translation_invariant():
     gt = [frame(positions=[(0, 0), (1, 0), (3, 0)], depths=[3.0, 4.0, 5.0],

@@ -162,8 +162,9 @@ def test_select_reference_joint_permutation_invariant():
 def test_person_validation():
     with pytest.raises(SchemaError):
         two_joint_person(rotation=np.eye(3) * 2.0)  # not orthonormal
-    with pytest.raises(SchemaError):
-        two_joint_person(scale=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(SchemaError):
+            two_joint_person(scale=bad)
     with pytest.raises(SchemaError):
         two_joint_person(confidences=np.array([0.5, 1.5]))
     with pytest.raises(SchemaError):

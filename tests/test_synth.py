@@ -152,3 +152,8 @@ def test_synth_config_validation():
         SynthConfig(n_persons=2, ambiguity_factors=(1.0,))
     with pytest.raises(SchemaError):
         SynthConfig(outlier_fraction=1.5)
+    for field, bad in [("n_persons", 2.5), ("mask_stride", 2.5), ("mask_stride", 0),
+                       ("rng_seed", -1), ("rng_seed", 1.0), ("rng_seed", True)]:
+        with pytest.raises(SchemaError, match=field):
+            SynthConfig(**{field: bad})
+    assert SynthConfig(n_persons=np.int64(2), rng_seed=np.int64(5)).rng_seed == 5
