@@ -77,6 +77,7 @@ def cmd_fit_plane(args: argparse.Namespace) -> int:
     if args.metric_scale is not None:
         obs = replace(obs, metric_scale=args.metric_scale)
     points = unproject_ground(obs, scene.camera)
+    del obs  # nothing below reads the raster: free it before RANSAC
     cfg = RansacConfig(
         iterations=args.iterations,
         inlier_threshold=args.threshold,

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NonFiniteLossError, SchemaError
 from .geometry import weak_to_perspective
 from .objective import LossBreakdown, ObjectiveConfig, _evaluate_theta, _pack_scene
+from .planefit import _check_int
 from .scene import Scene
 
 
@@ -38,8 +39,7 @@ class OptimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise SchemaError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.iterations < 1:
-            raise SchemaError(f"iterations must be >= 1, got {self.iterations}")
+        _check_int(self.iterations, "iterations", 1)
         if not (math.isfinite(self.scale_min) and self.scale_min > 0):
             raise SchemaError(f"scale_min must be finite and > 0, got {self.scale_min}")
 

@@ -4,6 +4,11 @@ Pipeline: unproject masked ground pixels to a metric point cloud, fit a
 plane by RANSAC over 3-point hypotheses, refine the winner on its inliers
 by least squares, then re-anchor the plane at the reference person's ankle
 so the feet constraint measures distances from a point with trusted depth.
+
+Memory: the unprojection writes the (M, 3) cloud in place and makes no other
+M-by-3 array; RANSAC scores through one block-sized buffer and refits in one
+(M, 3) workspace with one (M,) distance buffer, and never writes to the
+caller's cloud.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ class DepthObservation:
     def __post_init__(self):
         depth = np.asarray(self.depth)
         self.depth = depth if depth.dtype == np.float32 else depth.astype(np.float64, copy=False)
-        self.ground_mask = np.asarray(self.ground_mask).astype(bool)
+        self.ground_mask = np.asarray(self.ground_mask).astype(bool, copy=False)
         if self.depth.ndim != 2:
             raise SchemaError(f"depth must be 2-D, got shape {self.depth.shape}")
         if self.ground_mask.shape != self.depth.shape:
@@ -59,8 +64,7 @@ class RansacConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise SchemaError(f"iterations must be >= 1, got {self.iterations}")
+        _check_int(self.iterations, "iterations", 1)
         if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
             raise SchemaError(
                 f"inlier_threshold must be finite and > 0, got {self.inlier_threshold}"
@@ -76,36 +80,47 @@ def unproject_ground(obs: DepthObservation, cam: CameraModel) -> np.ndarray:
     """Masked pixels to camera-frame points, (M, 3), row-major pixel order.
 
     The points are float64 whatever the depth's dtype; a float32 depth is
-    widened exactly before the metric scale multiplies it.
+    widened exactly before the metric scale multiplies it.  z, then x and y
+    are written straight into the columns of the result: the row and column
+    indices land there as exact floats, then (i - c) * z / f runs in place.
     """
     flat = np.flatnonzero(obs.ground_mask)
     if flat.size < 3:
         raise InsufficientGroundError(f"need >= 3 ground pixels, mask has {flat.size}")
-    rows, cols = np.divmod(flat, obs.depth.shape[1])
-    z = np.multiply(obs.depth.ravel()[flat], obs.metric_scale, dtype=np.float64)
-    cx, cy = cam.principal_point
-    x = (cols - cx) * z / cam.focal
-    y = (rows - cy) * z / cam.focal
-    return np.column_stack([x, y, z])
+    points = np.empty((flat.size, 3))
+    x, y, z = points.T
+    np.multiply(obs.depth.ravel()[flat], obs.metric_scale, out=z, dtype=np.float64)
+    np.divmod(flat, obs.depth.shape[1], out=(y, x))
+    for col, c in zip((x, y), cam.principal_point):
+        np.subtract(col, c, out=col)
+        np.multiply(col, z, out=col)
+        np.divide(col, cam.focal, out=col)
+    return points
 
 
-def _lsq_plane(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares plane: centroid + smallest-singular direction."""
-    centroid = points.mean(axis=0)
-    _, _, vh = np.linalg.svd(points - centroid, full_matrices=False)
+def _lsq_plane(
+    points: np.ndarray, inliers: np.ndarray, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares plane through points[inliers]: centroid + smallest-singular
+    direction.  The inliers are gathered and centred in the (M, 3) workspace."""
+    sel = np.compress(inliers, points, axis=0, out=work[: np.count_nonzero(inliers)])
+    centroid = sel.mean(axis=0)
+    sel -= centroid
+    _, _, vh = np.linalg.svd(sel, full_matrices=False)
     return vh[-1], centroid
 
 
 _BLOCK = 1 << 17  # distances per scoring block, sized to stay in cache
 
 
-def _consensus_counts(points1: np.ndarray, samples: np.ndarray, threshold: float) -> np.ndarray:
+def _consensus_counts(points: np.ndarray, samples: np.ndarray, threshold: float) -> np.ndarray:
     """Inlier count of the plane through each 3-point sample; -1 if collinear.
 
-    points1 is the (M, 4) cloud with a column of ones, so one product gives
-    every point's signed distance to a block of planes (n, -n.p0).
+    Each block of the (M, 3) cloud is copied into a reused (step, 4) buffer
+    whose last column is ones, so one product gives every point's signed
+    distance to a batch of planes (n, -n.p0).
     """
-    p0, p1, p2 = points1[samples, :3].transpose(1, 0, 2)
+    p0, p1, p2 = points[samples].transpose(1, 0, 2)
     a, b = p1 - p0, p2 - p0
     normals = np.cross(a, b)
     norms = np.linalg.norm(normals, axis=1)
@@ -114,12 +129,15 @@ def _consensus_counts(points1: np.ndarray, samples: np.ndarray, threshold: float
     planes = np.vstack([normals.T, -np.einsum("ij,ij->i", normals, p0)])
     h = len(samples)
     step = max(1, min(_BLOCK // h, 65535))  # a block's counts fit uint16
-    dist, inl = np.empty((step, h)), np.empty((step, h), dtype=bool)
+    rows = min(step, points.shape[0])
+    block1, dist, inl = np.empty((rows, 4)), np.empty((rows, h)), np.empty((rows, h), dtype=bool)
+    block1[:, 3] = 1.0
     total = np.zeros(h, dtype=np.intp)
-    for start in range(0, points1.shape[0], step):
-        block = points1[start:start + step]
-        d, i = dist[: len(block)], inl[: len(block)]
-        np.matmul(block, planes, out=d)
+    for start in range(0, points.shape[0], step):
+        block = points[start:start + step]
+        b, d, i = block1[: len(block)], dist[: len(block)], inl[: len(block)]
+        b[:, :3] = block
+        np.matmul(b, planes, out=d)
         np.abs(d, out=d)
         np.less_equal(d, threshold, out=i)
         total += np.add.reduce(i.view(np.uint8), axis=0, dtype=np.uint16)
@@ -139,6 +157,11 @@ def ransac_plane(
     least squares, inliers are recomputed against the refined plane, and one
     more refinement pass runs on that set.  The normal is flipped, if
     needed, so the camera origin lies on the positive side of the plane.
+
+    Beyond the cloud, the only M-sized arrays are one (M, 3) workspace and
+    one (M,) distance buffer, shared by the winner's recount and both refits,
+    and the inlier masks; scoring copies one block at a time.  points itself
+    is never written.
     """
     if cfg is None:
         cfg = RansacConfig()
@@ -152,7 +175,6 @@ def ransac_plane(
     # Hypotheses are scored in batches of 1, 8, 64, ... in draw order; the
     # first-seen maximum wins within and across batches, as in a one-by-one
     # loop, and no batch starts once one hypothesis has taken every point.
-    points1 = np.column_stack([points, np.ones(m)])
     rng = np.random.default_rng(cfg.rng_seed)
     best_count = 0
     best_sample: np.ndarray | None = None
@@ -162,13 +184,21 @@ def ransac_plane(
             rng.choice(m, size=3, replace=False)
             for _ in range(min(batch, cfg.iterations - drawn))
         ])
-        counts = _consensus_counts(points1, samples, cfg.inlier_threshold)
+        counts = _consensus_counts(points, samples, cfg.inlier_threshold)
         k = int(np.argmax(counts))
         if counts[k] > best_count:
             best_count, best_sample = int(counts[k]), samples[k]
         drawn += len(samples)
         batch *= 8
-    del points1  # the refits below need only the (M, 3) cloud
+
+    work, dist = np.empty((m, 3)), np.empty(m)
+
+    def within(point: np.ndarray, normal: np.ndarray) -> np.ndarray:
+        """|(points - point) @ normal| <= threshold, through work and dist."""
+        np.subtract(points, point, out=work)
+        np.matmul(work, normal, out=dist)
+        np.abs(dist, out=dist)
+        return np.less_equal(dist, cfg.inlier_threshold)
 
     # the winner's inliers in the one-by-one loop's own arithmetic, so the
     # plane does not depend on the rounding of the block scoring
@@ -177,7 +207,7 @@ def ransac_plane(
         p0, p1, p2 = points[best_sample]
         normal = np.cross(p1 - p0, p2 - p0)
         normal = normal / np.linalg.norm(normal)
-        best_inliers = np.abs((points - p0) @ normal) <= cfg.inlier_threshold
+        best_inliers = within(p0, normal)
         best_count = int(np.count_nonzero(best_inliers))
 
     if best_inliers is None or best_count < max(3, int(np.ceil(cfg.min_inlier_fraction * m))):
@@ -189,13 +219,12 @@ def ransac_plane(
     inlier_set = best_inliers
     normal = centroid = None
     for _ in range(2):
-        normal, centroid = _lsq_plane(points[inlier_set])
-        dist = np.abs((points - centroid) @ normal)
-        inlier_set = dist <= cfg.inlier_threshold
-        if inlier_set.sum() < 3:
+        normal, centroid = _lsq_plane(points, inlier_set, work)
+        inlier_set = within(centroid, normal)
+        if np.count_nonzero(inlier_set) < 3:
             # refinement degenerated; fall back to the consensus set
             inlier_set = best_inliers
-            normal, centroid = _lsq_plane(points[inlier_set])
+            normal, centroid = _lsq_plane(points, inlier_set, work)
             break
 
     # camera origin on the positive side: (0 - centroid) . n >= 0

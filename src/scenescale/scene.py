@@ -27,6 +27,18 @@ HEAD = 15
 FOOT_CHAIN = (12, 1, 4, 7)
 
 
+def whole_number(value, name: str) -> int:
+    """value as an int if it is a whole number (7 or 7.0), else SchemaError.
+
+    Indices and raster sizes are never truncated: 7.9 is an error, not 7.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise SchemaError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass
 class GroundPlane:
     """Plane through ``point`` with unit ``normal``; distances are signed by n."""
@@ -95,13 +107,13 @@ class Person:
             if np.any(self.confidences < 0) or np.any(self.confidences > 1):
                 raise SchemaError("confidences must lie in [0, 1]")
         for name in ("ankle_left_idx", "ankle_right_idx", "head_idx"):
-            idx = int(getattr(self, name))
+            idx = whole_number(getattr(self, name), name)
             setattr(self, name, idx)
             if not 0 <= idx < k:
                 raise SchemaError(f"{name}={idx} out of range for K={k}")
         if self.ankle_left_idx == self.ankle_right_idx:
             raise SchemaError("ankle indices must be distinct")
-        self.foot_chain = tuple(int(i) for i in self.foot_chain)
+        self.foot_chain = tuple(whole_number(i, "foot_chain") for i in self.foot_chain)
         for idx in self.foot_chain:
             if not 0 <= idx < k:
                 raise SchemaError(f"foot_chain index {idx} out of range for K={k}")

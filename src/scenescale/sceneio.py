@@ -4,6 +4,7 @@ Scenes are JSON documents (camera, persons, optional plane).  Depth maps
 are raw row-major little-endian float32 payloads with a JSON sidecar at
 "<depth_path>.json" declaring width, height, metric scale, and byte order;
 ground masks are raw uint8 grids of the same shape (nonzero = ground).
+Both payloads are read in place, each into the one array that keeps it.
 
 Writers emit canonical JSON (sorted keys, two-space indent, repr floats)
 so identical inputs always produce byte-identical files.
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import SchemaError
 from .geometry import CameraModel, WeakPerspectiveCam
 from .planefit import DepthObservation
-from .scene import GroundPlane, Person, Scene
+from .scene import GroundPlane, Person, Scene, whole_number
 
 JOINT_CONVENTIONS = {
     "smpl24": {
@@ -251,29 +252,33 @@ def load_depth_observation(depth_path: str | Path, mask_path: str | Path) -> Dep
         if key not in sidecar:
             raise SchemaError(f"{sidecar_path}: missing '{key}'")
     try:
-        w, h = int(sidecar["width"]), int(sidecar["height"])
         metric_scale = float(sidecar["metric_scale"])
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{sidecar_path}: {exc}") from None
+    w = whole_number(sidecar["width"], f"{sidecar_path}: width")
+    h = whole_number(sidecar["height"], f"{sidecar_path}: height")
     if w < 1 or h < 1:
         raise SchemaError(f"{sidecar_path}: width and height must be >= 1, got {w}x{h}")
     if sidecar.get("byte_order", "little") != "little":
         raise SchemaError(f"{sidecar_path}: only little-endian payloads supported")
-    # read straight into the one (H, W) float32 array the observation keeps
-    with depth_path.open("rb") as f:
+    depth = _read_raster(depth_path, h, w, "<f4", f"for {w}x{h} float32")
+    mask = _read_raster(Path(mask_path), h, w, np.uint8, "uint8")
+    # nonzero = ground, turned into bool in the same buffer
+    return DepthObservation(depth, np.not_equal(mask, 0, out=mask.view(bool)), metric_scale)
+
+
+def _read_raster(path: Path, h: int, w: int, dtype, what: str) -> np.ndarray:
+    """Read a raw (h, w) payload straight into the one array that keeps it.
+
+    No memory-mapping and no bytes copy; a file that shrinks between
+    ``fstat`` and the read fails the same size check.
+    """
+    nbytes = h * w * np.dtype(dtype).itemsize
+    with path.open("rb") as f:
         size = os.fstat(f.fileno()).st_size
-        if size == w * h * 4:
-            depth = np.empty((h, w), dtype="<f4")
-            size = f.readinto(depth)  # short if the file shrank since fstat
-    if size != w * h * 4:
-        raise SchemaError(
-            f"{depth_path}: payload is {size} bytes, expected {w * h * 4} "
-            f"for {w}x{h} float32"
-        )
-    mask_bytes = Path(mask_path).read_bytes()
-    if len(mask_bytes) != w * h:
-        raise SchemaError(
-            f"{mask_path}: payload is {len(mask_bytes)} bytes, expected {w * h} uint8"
-        )
-    mask = np.frombuffer(mask_bytes, dtype=np.uint8).reshape(h, w) != 0
-    return DepthObservation(depth, mask, metric_scale)
+        if size == nbytes:
+            raster = np.empty((h, w), dtype=dtype)
+            size = f.readinto(raster)
+    if size != nbytes:
+        raise SchemaError(f"{path}: payload is {size} bytes, expected {nbytes} {what}")
+    return raster

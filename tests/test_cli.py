@@ -2,12 +2,21 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import plane_term
-from scenescale import SceneScaleError, cli, load_scene, save_scene
+from scenescale import (
+    SceneScaleError,
+    SynthConfig,
+    cli,
+    generate_scene,
+    load_scene,
+    save_depth_observation,
+    save_scene,
+)
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -363,6 +372,10 @@ BAD_FIELDS = [
     ("scene", {"persons.1.scale": "abc"}, "persons[1]"),
     ("scene", {"persons.1.scale": NAN}, "persons[1]"),
     ("scene", {"persons.1.ankle_left_idx": "x"}, "persons[1]"),
+    ("scene", {"persons.1.ankle_left_idx": 7.9}, "ankle_left_idx"),
+    ("scene", {"persons.1.ankle_right_idx": 8.5}, "ankle_right_idx"),
+    ("scene", {"persons.1.head_idx": 15.2}, "head_idx"),
+    ("scene", {"persons.1.foot_chain": [12, 1, 4.5, 7]}, "foot_chain"),
     ("scene", {"persons.1.foot_chain": 5}, "persons[1]"),
     ("scene", {"persons.1.weak_cam": {"sigma": NAN}}, "persons[1]"),
     ("scene", {"camera.focal": NAN}, "camera"),
@@ -370,6 +383,8 @@ BAD_FIELDS = [
     ("sidecar", {"width": "abc"}, "depth.f32.json"),
     ("sidecar", {"height": None}, "depth.f32.json"),
     ("sidecar", {"width": -1920, "height": -1080}, "depth.f32.json"),
+    ("sidecar", {"width": 1920.5}, "width"),
+    ("sidecar", {"height": 1080.5}, "height"),
     ("synth config", {"n_persons": 2.5}, "n_persons"),
     ("synth config", {"mask_stride": 2.5}, "mask_stride"),
     ("synth config", {"rng_seed": 1.5}, "rng_seed"),
@@ -469,3 +484,37 @@ def test_in_place_rewrite_leaves_no_temp_file(synth_dir, tmp_path):
     assert res.returncode == 0, res.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
     assert load_scene(scene).plane is not None
+
+
+def test_fit_plane_memory_stays_near_the_raster(tmp_path, capsys):
+    """fit-plane's traced peak on a 1080p frame: the raster plus 3 point clouds.
+
+    The loader reads each payload into the one array that keeps it, the
+    raster is freed once the cloud exists, and RANSAC refits in one (M, 3)
+    workspace; the fit once peaked at the raster plus ~3.6 clouds.
+    tracemalloc sees numpy's arrays but not LAPACK's or OpenBLAS's
+    workspaces, so the figure does not depend on the BLAS build.
+    """
+    _, observed, obs = generate_scene(
+        SynthConfig(n_persons=2, outlier_fraction=0.3, rng_seed=5)
+    )
+    assert obs.depth.shape == (1080, 1920)
+    raster = obs.depth.size * (4 + 1)  # float32 depth + uint8 mask
+    cloud = int(np.count_nonzero(obs.ground_mask)) * 3 * 8
+    depth, mask, scene = tmp_path / "d.f32", tmp_path / "m.u8", tmp_path / "s.json"
+    save_depth_observation(obs, depth, mask)
+    save_scene(observed, scene)
+    del obs, observed
+    argv = ["fit-plane", str(depth), str(mask), str(scene), "--out", str(tmp_path / "o.json")]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= raster + 3 * cloud, (
+        f"peak {peak / 1e6:.2f} MB = raster {raster / 1e6:.2f} MB "
+        f"+ {(peak - raster) / cloud:.2f} x cloud {cloud / 1e6:.2f} MB"
+    )

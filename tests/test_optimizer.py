@@ -224,6 +224,9 @@ def test_optim_config_validation():
         OptimConfig(learning_rate=0.0)
     with pytest.raises(SchemaError):
         OptimConfig(iterations=0)
+    for bad in (2.5, 3.0, True, "5"):
+        with pytest.raises(SchemaError, match="iterations"):
+            OptimConfig(iterations=bad)
     with pytest.raises(SchemaError):
         OptimConfig(scale_min=0.0)
 

@@ -121,6 +121,9 @@ def test_depth_observation_dtypes():
     f64 = np.ones((3, 4))
     assert DepthObservation(f32, mask).depth is f32
     assert DepthObservation(f64, mask).depth is f64
+    assert DepthObservation(f32, mask).ground_mask is mask
+    as_bool = DepthObservation(f32, np.eye(3, 4, dtype=np.uint8) * 7).ground_mask
+    assert as_bool.dtype == bool and np.array_equal(as_bool, np.eye(3, 4, dtype=bool))
     widened = DepthObservation(np.ones((3, 4), dtype=np.int32), mask).depth
     assert widened.dtype == np.float64 and np.array_equal(widened, f64)
 
@@ -222,6 +225,34 @@ def test_ransac_orients_camera_positive():
 def test_ransac_needs_points():
     with pytest.raises(InsufficientGroundError):
         ransac_plane(np.zeros((2, 3)), RansacConfig())
+
+
+def test_ransac_config_validation():
+    for bad in (0, 2.5, 3.0, True, "5"):
+        with pytest.raises(SchemaError, match="iterations"):
+            RansacConfig(iterations=bad)
+    assert RansacConfig(iterations=np.int64(7)).iterations == 7
+
+
+def test_fit_leaves_inputs_untouched():
+    """unproject_ground, ransac_plane and fit_rms write only arrays of their own:
+    the refits centre in a workspace, never in the caller's cloud."""
+    cfg = SynthConfig(n_persons=2, outlier_fraction=0.3, mask_stride=9, rng_seed=3)
+    _, observed, obs = generate_scene(cfg)
+    depth, mask = obs.depth.tobytes(), obs.ground_mask.tobytes()
+    pts = unproject_ground(obs, observed.camera)
+    before = pts.tobytes()
+    plane, inliers = ransac_plane(pts, RansacConfig(rng_seed=1))
+    fit_rms(plane, pts, inliers)
+    assert pts.tobytes() == before
+    assert obs.depth.tobytes() == depth and obs.ground_mask.tobytes() == mask
+    # a non-contiguous float64 view of the cloud is read, not written, too
+    wide = np.zeros((pts.shape[0], 4))
+    wide[:, 1:] = pts
+    view = wide[:, 1:]
+    again, again_inliers = ransac_plane(view, RansacConfig(rng_seed=1))
+    assert np.array_equal(wide[:, 1:], pts) and not wide[:, 0].any()
+    assert np.array_equal(again.normal, plane.normal) and np.array_equal(again_inliers, inliers)
 
 
 def test_fit_rms():
@@ -340,9 +371,9 @@ def count_scored(monkeypatch):
     scored = []
     real = planefit._consensus_counts
 
-    def spy(points1, samples, threshold):
+    def spy(points, samples, threshold):
         scored.append(len(samples))
-        return real(points1, samples, threshold)
+        return real(points, samples, threshold)
 
     monkeypatch.setattr(planefit, "_consensus_counts", spy)
     return scored

@@ -171,8 +171,20 @@ def test_person_validation():
         two_joint_person(ankle_right_idx=0)  # same as left
     with pytest.raises(SchemaError):
         two_joint_person(head_idx=7)  # out of range
+    # an index that is not a whole number is an error naming it, never truncated
+    for field, value in [("ankle_left_idx", 0.5), ("ankle_right_idx", 1.25),
+                         ("head_idx", True), ("head_idx", "1"), ("head_idx", np.nan),
+                         ("foot_chain", (0.9,))]:
+        with pytest.raises(SchemaError, match=field):
+            two_joint_person(**{field: value})
     with pytest.raises(SchemaError):
         Person(joints=np.zeros((1, 3)), rotation=np.eye(3), translation=np.zeros(3))
+
+
+def test_person_keeps_whole_float_indices():
+    person = two_joint_person(ankle_left_idx=0.0, head_idx=np.int64(1), foot_chain=(1.0, 0))
+    assert (person.ankle_left_idx, person.head_idx, person.foot_chain) == (0, 1, (1, 0))
+    assert all(type(i) is int for i in (person.ankle_left_idx, person.head_idx, *person.foot_chain))
 
 
 def test_plane_normalizes_normal():

@@ -241,6 +241,34 @@ def test_loaded_depth_is_one_writable_float32_array(tmp_path):
     assert (tmp_path / "again.f32").read_bytes() == dpath.read_bytes()
 
 
+def test_loaded_mask_is_one_bool_array(tmp_path):
+    """Mask bytes 0, 1, 2 and 255 load as payload != 0, one byte a pixel."""
+    h, w = 5, 7
+    payload = np.random.default_rng(0).choice(
+        np.array([0, 1, 2, 255], dtype=np.uint8), size=(h, w)
+    )
+    payload[0, :4] = [0, 1, 2, 255]
+    obs = DepthObservation(np.ones((h, w), dtype=np.float32), payload != 0)
+    dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
+    save_depth_observation(obs, dpath, mpath)
+    mpath.write_bytes(payload.tobytes())
+    mask = load_depth_observation(dpath, mpath).ground_mask
+    assert mask.dtype == bool and mask.shape == (h, w) and mask.nbytes == h * w
+    assert np.array_equal(mask, payload != 0)
+    assert mask.view(np.uint8).max() == 1  # canonical bools, not raw bytes
+    assert mask.flags.writeable and mask.flags.c_contiguous
+
+
+def test_sidecar_whole_float_sizes_load(tmp_path):
+    _, _, obs = generate_scene(SynthConfig(n_persons=1, rng_seed=1))
+    dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
+    save_depth_observation(obs, dpath, mpath)
+    sidecar = tmp_path / "d.f32.json"
+    doc = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**doc, "width": float(doc["width"])}))
+    assert load_depth_observation(dpath, mpath).depth.shape == obs.depth.shape
+
+
 def test_unproject_loaded_float32_equals_float64(tmp_path):
     _, observed, obs = generate_scene(
         SynthConfig(n_persons=2, outlier_fraction=0.3, rng_seed=5)
