@@ -29,7 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import (
@@ -40,6 +40,7 @@ from .errors import (
     PlacementError,
     SceneScaleError,
     SchemaError,
+    check_int,
 )
 from .metrics import evaluate_scenes
 from .objective import MODES, ObjectiveConfig
@@ -103,17 +104,13 @@ def cmd_fit_plane(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     scene = lift_translations(load_scene(args.scene), reset=args.reset)
-    if args.freeze_z != (args.depths is not None):
-        raise SchemaError("--freeze-z and --depths must be used together")
     cfg = OptimConfig(
         learning_rate=args.lr,
         iterations=args.iterations,
-        objective=ObjectiveConfig(lam=args.lam, z_epsilon=args.z_epsilon, mode=args.mode),
-        scale_min=args.scale_min,
+        objective=ObjectiveConfig(lam=args.lam, mode=args.mode),
     )
-    if args.freeze_z:
-        depths = _float_list(args.depths, "--depths")
-        report = optimize_baseline(scene, depths, cfg)
+    if args.depths is not None:
+        report = optimize_baseline(scene, _float_list(args.depths, "--depths"), cfg)
     else:
         report = optimize(scene, cfg)
 
@@ -141,7 +138,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _json_safe(value):
+def _nan_to_none(value):
+    """A JSON-ready copy of a report document: nan becomes null, at any depth."""
+    if isinstance(value, dict):
+        return {key: _nan_to_none(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_nan_to_none(v) for v in value]
     if isinstance(value, float) and math.isnan(value):
         return None
     return value
@@ -168,31 +170,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         est.append(e)
         gt.append(g)
 
-    report = evaluate_scenes(est, gt, tie_epsilon=args.tie_epsilon)
+    report = evaluate_scenes(est, gt)
+    report.frames_skipped = skipped
     print(f"frames: {report.frames_evaluated} evaluated, {skipped} skipped")
     print(f"pairs: {report.pairs_evaluated}")
     print(f"d_ord: {report.d_ord:.4f}")
     print(f"d_norm: {report.d_norm:.6f}")
     print(f"h_ord: {report.h_ord:.4f}")
     if args.json:
-        doc = {
-            "d_ord": _json_safe(report.d_ord),
-            "d_norm": _json_safe(report.d_norm),
-            "h_ord": _json_safe(report.h_ord),
-            "frames_evaluated": report.frames_evaluated,
-            "frames_skipped": skipped,
-            "pairs_evaluated": report.pairs_evaluated,
-            "per_frame": [
-                {
-                    "depth_correct": fm.depth_correct,
-                    "height_correct": fm.height_correct,
-                    "pairs": fm.pairs,
-                    "d_norm": _json_safe(fm.d_norm),
-                }
-                for fm in report.per_frame
-            ],
-        }
-        Path(args.json).write_text(dumps_canonical(doc))
+        Path(args.json).write_text(dumps_canonical(_nan_to_none(asdict(report))))
     return 6 if skipped or report.frames_evaluated == 0 else 0
 
 
@@ -216,7 +202,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             raise SchemaError(f"{cfg_path}: {exc}") from None
         if not isinstance(doc, dict):
             raise SchemaError(f"{cfg_path}: config must be a JSON object")
-    n_scenes = int(doc.pop("n_scenes", 1))
+    n_scenes = doc.pop("n_scenes", 1)
     if args.n_scenes is not None:
         n_scenes = args.n_scenes
     if args.n_persons is not None:
@@ -231,15 +217,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         doc["ambiguity_factors"] = _float_list(args.factors, "--factors")
     if args.outlier_fraction is not None:
         doc["outlier_fraction"] = args.outlier_fraction
-    for key in ("height_range", "depth_range", "image_size", "ambiguity_factors"):
-        if doc.get(key) is not None:
-            doc[key] = tuple(doc[key])
+    check_int(n_scenes, "n_scenes", 1)
     try:
         base = SynthConfig(**doc)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # SceneScaleErrors are ValueErrors
         raise SchemaError(f"synth config: {exc}") from None
-    if n_scenes < 1:
-        raise SchemaError(f"n_scenes must be >= 1, got {n_scenes}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -287,18 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=600)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--mode", choices=MODES, default="full")
-    p.add_argument("--freeze-z", action="store_true", help="baseline: keep depths fixed")
-    p.add_argument("--depths", help="comma-separated per-person depths for --freeze-z")
+    p.add_argument(
+        "--depths", help="comma-separated per-person depths: run the depth-pinned baseline"
+    )
     p.add_argument("--reset", action="store_true", help="reset scales to 1 and re-lift translations")
-    p.add_argument("--scale-min", type=float, default=0.1)
-    p.add_argument("--z-epsilon", type=float, default=1e-3)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("evaluate", help="score estimated scenes against ground truth")
     p.add_argument("--est", nargs="+", required=True, help="estimated scene files")
     p.add_argument("--gt", nargs="+", required=True, help="ground-truth scene files")
     p.add_argument("--json", help="write the structured report here")
-    p.add_argument("--tie-epsilon", type=float, default=1e-6)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic test set")

@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer checks.
 
 The CLI maps each class to a distinct exit code (see ``scenescale.cli``),
 so errors raised by library code should pick the most specific class.
 """
+
+import numpy as np
 
 
 class SceneScaleError(Exception):
@@ -39,3 +41,24 @@ class NonFiniteLossError(SceneScaleError, RuntimeError):
 
 class PlacementError(SceneScaleError, RuntimeError):
     """Synthetic person placement failed repeatedly (outside frustum)."""
+
+
+def whole_number(value, name: str) -> int:
+    """value as an int if it is a whole number (7 or 7.0), else SchemaError.
+
+    Indices and raster sizes are never truncated: 7.9 is an error, not 7.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise SchemaError(f"{name} must be a whole number, got {value!r}")
+
+
+def check_int(value, name: str, minimum: int) -> None:
+    """Raise SchemaError unless value is an integer >= minimum (bool and 7.0 refused).
+
+    For counts and seeds in configs, where a float is a typing mistake.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise SchemaError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -18,14 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, InvalidCameraError
+from .errors import BehindCameraError, InvalidCameraError, whole_number
 
 
 @dataclass
 class CameraModel:
     """Perspective camera: focal length (px), principal point (px), image size.
 
-    ``principal_point`` defaults to the image center when omitted.
+    ``principal_point`` defaults to the image center when omitted.  The image
+    size must be two whole numbers: 1920.0 is kept as 1920, 1920.5 refused.
     """
 
     focal: float = 1000.0
@@ -34,8 +35,13 @@ class CameraModel:
 
     def __post_init__(self):
         self.focal = float(self.focal)
-        w, h = self.image_size
-        self.image_size = (int(w), int(h))
+        try:
+            w, h = self.image_size
+        except (TypeError, ValueError):
+            raise InvalidCameraError(
+                f"image_size must be (width, height), got {self.image_size!r}"
+            ) from None
+        self.image_size = (whole_number(w, "image_size"), whole_number(h, "image_size"))
         if not (math.isfinite(self.focal) and self.focal > 0):
             raise InvalidCameraError(f"focal must be finite and > 0, got {self.focal}")
         if self.image_size[0] <= 0 or self.image_size[1] <= 0:
@@ -81,8 +87,8 @@ def project(points: np.ndarray, cam: CameraModel) -> np.ndarray:
 
     ``points`` has shape (..., 3); returns (..., 2) with
     ``(f*x/z + c_x, f*y/z + c_y)``.  Raises :class:`BehindCameraError` if any
-    z <= 0.  (The optimization objective instead clamps z at z_epsilon, see
-    ``scenescale.objective``.)
+    z <= 0.  (The optimization objective instead clamps z at
+    ``objective.Z_EPSILON``.)
     """
     points = np.asarray(points, dtype=float)
     z = points[..., 2]

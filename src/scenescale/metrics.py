@@ -10,13 +10,12 @@ frame with person correspondence given by list order:
   h_ord:  % of person pairs whose taller/shorter relation is correct.
 
 Frames with fewer than two persons carry no pairs and are excluded.
-Ground-truth ties (difference below tie_epsilon) count as correct only if
+Ground-truth ties (difference within TIE_EPSILON) count as correct only if
 the estimate also ties.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -44,6 +43,7 @@ class MetricsReport:
     per_frame: list[FrameMetrics] = field(default_factory=list)
     frames_evaluated: int = 0
     pairs_evaluated: int = 0
+    frames_skipped: int = 0  # dropped by the caller before scoring (CLI evaluate)
 
 
 def _check_frames(est: list[Scene], gt: list[Scene]) -> None:
@@ -56,14 +56,14 @@ def _check_frames(est: list[Scene], gt: list[Scene]) -> None:
             )
 
 
-def _order_correct(est_vals: np.ndarray, gt_vals: np.ndarray, tie_epsilon: float) -> int:
+def _order_correct(est_vals: np.ndarray, gt_vals: np.ndarray) -> int:
     """Correctly ordered pairs of one frame's values (each pair once)."""
     correct = 0
     for i, j in combinations(range(len(gt_vals)), 2):
         gd = gt_vals[i] - gt_vals[j]
         ed = est_vals[i] - est_vals[j]
-        if abs(gd) <= tie_epsilon:
-            correct += abs(ed) < tie_epsilon
+        if abs(gd) <= TIE_EPSILON:
+            correct += abs(ed) < TIE_EPSILON
         else:
             correct += np.sign(ed) == np.sign(gd)
     return int(correct)
@@ -102,16 +102,12 @@ def _pairwise_dists(scene: Scene) -> np.ndarray:
     return np.linalg.norm(t[i] - t[j], axis=1)
 
 
-def evaluate_scenes(
-    est: list[Scene], gt: list[Scene], tie_epsilon: float = TIE_EPSILON
-) -> MetricsReport:
+def evaluate_scenes(est: list[Scene], gt: list[Scene]) -> MetricsReport:
     """All three metrics plus per-frame detail, scoring each frame once.
 
     A metric with no frame to score (no frame has two persons) is nan.
     """
     _check_frames(est, gt)
-    if not (math.isfinite(tie_epsilon) and tie_epsilon >= 0):
-        raise SchemaError(f"tie_epsilon must be finite and >= 0, got {tie_epsilon}")
     per_frame = []
     for e, g in zip(est, gt):
         n = len(g.persons)
@@ -119,8 +115,8 @@ def evaluate_scenes(
             continue
         per_frame.append(
             FrameMetrics(
-                depth_correct=_order_correct(_translations_z(e), _translations_z(g), tie_epsilon),
-                height_correct=_order_correct(_heights(e), _heights(g), tie_epsilon),
+                depth_correct=_order_correct(_translations_z(e), _translations_z(g)),
+                height_correct=_order_correct(_heights(e), _heights(g)),
                 pairs=n * (n - 1) // 2,
                 d_norm=pair_sum_discrepancy(_pairwise_dists(e), _pairwise_dists(g)),
             )

@@ -15,9 +15,9 @@ KINK_EPS contributes nothing to the gradient, so a scene at an exact
 optimum stays a fixed point of gradient descent instead of dithering on
 sign flips of float-roundoff residuals.
 
-Joints behind the camera are projected at z clamped to z_epsilon (where the
+Joints behind the camera are projected at z clamped to Z_EPSILON (where the
 pixel no longer depends on z) and add a linear penalty
-BEHIND_PENALTY * c_i * (z_epsilon - z) that pushes them back in front.
+BEHIND_PENALTY * c_i * (Z_EPSILON - z) that pushes them back in front.
 
 A scene is packed once into arrays (persons padded to a common joint count
 with zero-confidence joints); the objective is then a function of the flat
@@ -47,7 +47,10 @@ from .scene import Scene
 # residuals would otherwise inject full-strength noise into the optimizer.
 KINK_EPS = 1e-9
 
-# Weight of the behind-camera penalty, per meter behind the z_epsilon clamp
+# Behind-camera depth clamp, meters: a joint is projected at z >= Z_EPSILON.
+Z_EPSILON = 1e-3
+
+# Weight of the behind-camera penalty, per meter behind the Z_EPSILON clamp
 # and per unit confidence.
 BEHIND_PENALTY = 100.0
 
@@ -57,16 +60,12 @@ MODES = ("full", "reprojection_only", "plane_only")
 @dataclass
 class ObjectiveConfig:
     lam: float = 1.0              # plane-term weight
-    z_epsilon: float = 1e-3      # behind-camera depth clamp
     mode: str = "full"
 
     def __post_init__(self):
         self.lam = float(self.lam)
-        self.z_epsilon = float(self.z_epsilon)
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise SchemaError(f"lam must be finite and >= 0, got {self.lam}")
-        if not (math.isfinite(self.z_epsilon) and self.z_epsilon > 0):
-            raise SchemaError(f"z_epsilon must be finite and > 0, got {self.z_epsilon}")
         if self.mode not in MODES:
             raise SchemaError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -184,7 +183,7 @@ def _evaluate_theta(
     if cfg.mode == "plane_only":
         p.grad.fill(0.0)
     else:
-        eps, c, x, y, z = cfg.z_epsilon, p.confidences, p.x, p.y, p.z
+        eps, c, x, y, z = Z_EPSILON, p.confidences, p.x, p.y, p.z
         np.multiply(s, p.rotated_xyz, out=p.posed_xyz)
         np.add(p.posed_xyz, t.reshape(n, 3, 1), out=p.posed_xyz)     # (N, 3, K)
         zc = np.maximum(z, eps, out=p.zc)

@@ -2,7 +2,7 @@
 
 The parameter vector is [t^1, ..., t^N, s^1, ..., s^N] (flat, 4N entries).
 Plain ADAM with bias correction, fixed iteration count, no line search.
-Scales are clamped to >= scale_min after every step.  The scene is packed
+Scales are clamped to >= SCALE_MIN after every step.  The scene is packed
 once; each iteration then updates theta, the two moments and the objective's
 buffers in place, in a fixed operation order, so identical runs give
 bitwise-identical traces.
@@ -15,10 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NonFiniteLossError, SchemaError
+from .errors import NonFiniteLossError, SchemaError, check_int
 from .geometry import weak_to_perspective
 from .objective import LossBreakdown, ObjectiveConfig, _evaluate_theta, _pack_scene
-from .planefit import _check_int
 from .scene import Scene
 
 
@@ -28,20 +27,20 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
 
+# Floor on every scale after each step, so no person collapses to a point.
+SCALE_MIN = 0.1
+
 
 @dataclass
 class OptimConfig:
     learning_rate: float = 1e-2
     iterations: int = 600
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
-    scale_min: float = 0.1
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise SchemaError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        _check_int(self.iterations, "iterations", 1)
-        if not (math.isfinite(self.scale_min) and self.scale_min > 0):
-            raise SchemaError(f"scale_min must be finite and > 0, got {self.scale_min}")
+        check_int(self.iterations, "iterations", 1)
 
 
 @dataclass
@@ -150,7 +149,7 @@ def _run_adam(work: Scene, cfg: OptimConfig, freeze_z: bool = False) -> OptimRep
         np.multiply(np.divide(m, 1 - b1 ** (it + 1), out=step), lr, out=step)
         np.add(np.sqrt(np.divide(v, 1 - b2 ** (it + 1), out=denom), out=denom), eps, out=denom)
         theta -= np.divide(step, denom, out=step)
-        np.maximum(scales, cfg.scale_min, out=scales)
+        np.maximum(scales, SCALE_MIN, out=scales)
 
     for i, person in enumerate(work.persons):
         person.translation = theta[3 * i : 3 * i + 3].copy()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientGroundError, LowConsensusError, SchemaError
+from .errors import InsufficientGroundError, LowConsensusError, SchemaError, check_int
 from .geometry import CameraModel
 from .objective import ObjectiveConfig, loss_and_gradients
 from .scene import GroundPlane, Scene, posed_ankles
@@ -50,12 +50,6 @@ class DepthObservation:
             raise SchemaError("masked depth values must be finite and > 0")
 
 
-def _check_int(value, name: str, minimum: int) -> None:
-    """Raise SchemaError unless value is an integer >= minimum (bool excluded)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise SchemaError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
 @dataclass
 class RansacConfig:
     iterations: int = 500
@@ -64,7 +58,7 @@ class RansacConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        _check_int(self.iterations, "iterations", 1)
+        check_int(self.iterations, "iterations", 1)
         if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
             raise SchemaError(
                 f"inlier_threshold must be finite and > 0, got {self.inlier_threshold}"
@@ -73,7 +67,7 @@ class RansacConfig:
             raise SchemaError(
                 f"min_inlier_fraction must be in [0, 1], got {self.min_inlier_fraction}"
             )
-        _check_int(self.rng_seed, "rng_seed", 0)
+        check_int(self.rng_seed, "rng_seed", 0)
 
 
 def unproject_ground(obs: DepthObservation, cam: CameraModel) -> np.ndarray:
@@ -239,12 +233,12 @@ def fit_rms(plane: GroundPlane, points: np.ndarray, inliers: np.ndarray) -> floa
     return float(np.sqrt(np.mean(d * d)))
 
 
-def select_reference_person(scene: Scene, z_epsilon: float = 1e-3) -> int:
+def select_reference_person(scene: Scene) -> int:
     """Index of the person with lowest initial reprojection error.
 
     Ties break toward the lowest index (np.argmin picks the first minimum).
     """
-    cfg = ObjectiveConfig(z_epsilon=z_epsilon, mode="reprojection_only")
+    cfg = ObjectiveConfig(mode="reprojection_only")
     breakdown, _, _ = loss_and_gradients(scene, cfg)
     return int(np.argmin([rep for rep, _ in breakdown.per_person]))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, whole_number
 from .geometry import CameraModel, WeakPerspectiveCam
 
 # Default joint indices (SMPL 24-joint order).
@@ -25,18 +25,6 @@ ANKLE_RIGHT = 8
 HEAD = 15
 # head -> neck -> left hip -> left knee -> left ankle
 FOOT_CHAIN = (12, 1, 4, 7)
-
-
-def whole_number(value, name: str) -> int:
-    """value as an int if it is a whole number (7 or 7.0), else SchemaError.
-
-    Indices and raster sizes are never truncated: 7.9 is an error, not 7.
-    """
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise SchemaError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass

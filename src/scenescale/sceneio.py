@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, whole_number
 from .geometry import CameraModel, WeakPerspectiveCam
 from .planefit import DepthObservation
-from .scene import GroundPlane, Person, Scene, whole_number
+from .scene import GroundPlane, Person, Scene
 
 JOINT_CONVENTIONS = {
     "smpl24": {

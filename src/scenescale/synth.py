@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, PlacementError, SchemaError
+from .errors import BehindCameraError, PlacementError, SchemaError, check_int
 from .geometry import CameraModel, project
-from .planefit import DepthObservation, _check_int
+from .planefit import DepthObservation
 from .scene import GroundPlane, Person, Scene, posed_joints
 
 # Stick-figure template in SMPL 24-joint order, units of the target height,
@@ -74,6 +74,19 @@ def joint_template(height: float) -> np.ndarray:
     return _TEMPLATE * (height / _CHAIN_MEASURE)
 
 
+def _numbers(value, name: str, count: int | None = None) -> tuple[float, ...]:
+    """value as a tuple of floats, of length count if given, else SchemaError."""
+    try:
+        if isinstance(value, str):  # "12" would read as (1.0, 2.0)
+            raise TypeError
+        numbers = tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{name} must be a list of numbers, got {value!r}") from None
+    if count is not None and len(numbers) != count:
+        raise SchemaError(f"{name} must have {count} entries, got {value!r}")
+    return numbers
+
+
 @dataclass
 class SynthConfig:
     n_persons: int = 3
@@ -91,11 +104,13 @@ class SynthConfig:
     mask_stride: int = 3               # ground-mask pixel stride
 
     def __post_init__(self):
-        _check_int(self.n_persons, "n_persons", 1)
-        _check_int(self.mask_stride, "mask_stride", 1)
-        _check_int(self.rng_seed, "rng_seed", 0)
+        check_int(self.n_persons, "n_persons", 1)
+        check_int(self.mask_stride, "mask_stride", 1)
+        check_int(self.rng_seed, "rng_seed", 0)
+        self.image_size = CameraModel(self.camera_focal, self.image_size).image_size
         for name in ("height_range", "depth_range"):
-            lo, hi = getattr(self, name)
+            lo, hi = _numbers(getattr(self, name), name, 2)
+            setattr(self, name, (lo, hi))
             if not 0 < lo <= hi:
                 raise SchemaError(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
         if not 0 <= self.plane_tilt_deg <= 45:
@@ -105,7 +120,7 @@ class SynthConfig:
                 f"keypoint_noise_px must be finite and >= 0, got {self.keypoint_noise_px}"
             )
         if self.ambiguity_factors is not None:
-            self.ambiguity_factors = tuple(float(f) for f in self.ambiguity_factors)
+            self.ambiguity_factors = _numbers(self.ambiguity_factors, "ambiguity_factors")
             if len(self.ambiguity_factors) != self.n_persons:
                 raise SchemaError(
                     f"{len(self.ambiguity_factors)} ambiguity factors for "
@@ -117,6 +132,8 @@ class SynthConfig:
             raise SchemaError("outlier_fraction must be in [0, 1)")
         if not (math.isfinite(self.camera_height) and self.camera_height > 0):
             raise SchemaError("camera_height must be finite and > 0")
+        if not (math.isfinite(self.metric_scale) and self.metric_scale > 0):
+            raise SchemaError("metric_scale must be finite and > 0")
 
 
 def _plane_frame(tilt_rad: float, camera_height: float):

@@ -26,9 +26,9 @@ from scenescale import (
     generate_scene,
     loss_and_gradients,
     optimize,
-    posed_joints,
-    project,
 )
+from scenescale.geometry import project
+from scenescale.scene import posed_joints
 
 SUITE_SEED = 1000
 SUITE_SIZE = 50

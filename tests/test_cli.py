@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,8 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import scenescale
 from conftest import plane_term
 from scenescale import (
+    MetricsReport,
     SceneScaleError,
     SynthConfig,
     cli,
@@ -208,7 +212,7 @@ def test_optimize_freeze_z_keeps_depths(fitted_scene, tmp_path):
     depths = [4.0, 5.5, 6.25]
     out = tmp_path / "opt.json"
     res = run_cli(
-        "optimize", fitted_scene, "--out", out, "--freeze-z",
+        "optimize", fitted_scene, "--out", out,
         "--depths", ",".join(str(d) for d in depths), "--iterations", "50",
     )
     assert res.returncode == 0, res.stderr
@@ -216,11 +220,6 @@ def test_optimize_freeze_z_keeps_depths(fitted_scene, tmp_path):
     assert len(optimized.persons) == len(scene.persons)
     for person, depth in zip(optimized.persons, depths):
         assert person.translation[2] == depth
-
-
-def test_optimize_freeze_z_requires_depths(fitted_scene, tmp_path):
-    res = run_cli("optimize", fitted_scene, "--out", tmp_path / "o.json", "--freeze-z")
-    assert res.returncode == 2
 
 
 def test_optimize_missing_plane_exit_code(synth_dir, tmp_path):
@@ -304,6 +303,27 @@ def test_evaluate_report_round_trips(synth_dir, tmp_path):
     assert json.loads(rerun.read_text()) == doc
 
 
+def test_evaluate_json_is_the_report(tmp_path):
+    """--json writes every MetricsReport field, frames_skipped set, nan as null."""
+    res = run_cli("synth", "--out", tmp_path, "--n-scenes", "2", "--n-persons", "1", "--seed", "2")
+    assert res.returncode == 0, res.stderr
+    solo = tmp_path / "scene_001.json"
+    trio = load_scene(solo)
+    trio.persons = trio.persons * 3
+    save_scene(trio, tmp_path / "trio.json")
+    report = tmp_path / "report.json"
+    res = run_cli(
+        "evaluate", "--est", tmp_path / "gt_000.json", tmp_path / "trio.json",
+        "--gt", tmp_path / "gt_000.json", solo, "--json", report,
+    )
+    assert res.returncode == 6
+    doc = json.loads(report.read_text())
+    assert sorted(doc) == sorted(f.name for f in dataclasses.fields(MetricsReport))
+    assert doc["frames_skipped"] == 1
+    assert doc["frames_evaluated"] == 0 and doc["per_frame"] == []
+    assert doc["d_ord"] is None and doc["d_norm"] is None and doc["h_ord"] is None
+
+
 def test_full_pipeline_round_trip(tmp_path):
     """synth -> fit-plane -> optimize -> evaluate, end to end."""
     res = run_cli(
@@ -343,9 +363,8 @@ def test_usage_error_exits_two():
         ("fit-plane", "--threshold", "nan"),
         ("fit-plane", "--metric-scale", "nan"),
         ("synth", "--noise-px", "nan"),
-        ("evaluate", "--tie-epsilon", "nan"),
-        ("optimize --freeze-z", "--depths", "nan,5,5"),
-        ("optimize --freeze-z", "--depths", "inf,5,5"),
+        ("optimize", "--depths", "nan,5,5"),
+        ("optimize", "--depths", "inf,5,5"),
         ("fit-plane", "--seed", "-1"),
         ("synth", "--seed", "-1"),
     ],
@@ -354,12 +373,9 @@ def test_non_finite_flag_exits_two(synth_dir, fitted_scene, tmp_path, command, f
     out = tmp_path / "out"
     args = {
         "optimize": ["optimize", fitted_scene, "--out", out],
-        "optimize --freeze-z": ["optimize", fitted_scene, "--out", out, "--freeze-z"],
         "fit-plane": ["fit-plane", synth_dir / "depth_000.f32", synth_dir / "mask_000.u8",
                       synth_dir / "scene_000.json", "--out", out],
         "synth": ["synth", "--out", out],
-        "evaluate": ["evaluate", "--est", synth_dir / "scene_000.json",
-                     "--gt", synth_dir / "gt_000.json", "--json", out],
     }[command]
     res = run_cli(*args, flag, value)
     assert res.returncode == 2
@@ -379,6 +395,7 @@ BAD_FIELDS = [
     ("scene", {"persons.1.foot_chain": 5}, "persons[1]"),
     ("scene", {"persons.1.weak_cam": {"sigma": NAN}}, "persons[1]"),
     ("scene", {"camera.focal": NAN}, "camera"),
+    ("scene", {"camera.image_size": [1920.5, 1080]}, "image_size"),
     ("sidecar", {"metric_scale": "abc"}, "depth.f32.json"),
     ("sidecar", {"width": "abc"}, "depth.f32.json"),
     ("sidecar", {"height": None}, "depth.f32.json"),
@@ -388,6 +405,16 @@ BAD_FIELDS = [
     ("synth config", {"n_persons": 2.5}, "n_persons"),
     ("synth config", {"mask_stride": 2.5}, "mask_stride"),
     ("synth config", {"rng_seed": 1.5}, "rng_seed"),
+    ("synth config", {"n_scenes": 2.5}, "n_scenes"),
+    ("synth config", {"n_scenes": True}, "n_scenes"),
+    ("synth config", {"n_scenes": "abc"}, "n_scenes"),
+    ("synth config", {"height_range": 5}, "height_range"),
+    ("synth config", {"height_range": [1.5]}, "height_range"),
+    ("synth config", {"image_size": [1920]}, "image_size"),
+    ("synth config", {"image_size": [1920.5, 1080]}, "image_size"),
+    ("synth config", {"ambiguity_factors": 3}, "ambiguity_factors"),
+    ("synth config", {"metric_scale": -1}, "metric_scale"),
+    ("synth config", {"camera_focal": "abc"}, "synth config"),
 ]
 
 
@@ -473,6 +500,31 @@ def test_exit_code_table(monkeypatch, capsys, error, code):
     err = capsys.readouterr().err
     assert err == "error: bad input\n"
     assert f"\n  {code}  " in cli.__doc__  # the module docstring documents the code
+
+
+def test_public_surface_is_pinned():
+    """A new export or CLI option is a deliberate edit of this list."""
+    assert sorted(scenescale.__all__) == [
+        "BehindCameraError", "CameraModel", "DepthObservation", "GroundPlane",
+        "InsufficientGroundError", "InvalidCameraError", "LossBreakdown",
+        "LowConsensusError", "MetricsReport", "MissingPlaneError", "NonFiniteLossError",
+        "ObjectiveConfig", "OptimConfig", "OptimReport", "Person", "PlacementError",
+        "RansacConfig", "Scene", "SceneScaleError", "SchemaError", "SynthConfig",
+        "WeakPerspectiveCam", "anchor_plane", "evaluate_scenes", "generate_scene",
+        "lift_translations", "load_depth_observation", "load_scene", "loss_and_gradients",
+        "optimize", "optimize_baseline", "ransac_plane", "save_depth_observation",
+        "save_scene", "unproject_ground",
+    ]
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def options(command):
+        actions = sub.choices[command]._actions
+        return sorted(s for a in actions for s in a.option_strings if s not in ("-h", "--help"))
+
+    assert options("optimize") == [
+        "--depths", "--iterations", "--lambda", "--lr", "--mode", "--out", "--reset", "--trace",
+    ]
+    assert options("evaluate") == ["--est", "--gt", "--json"]
 
 
 def test_in_place_rewrite_leaves_no_temp_file(synth_dir, tmp_path):

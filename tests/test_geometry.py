@@ -12,15 +12,14 @@ from scenescale import (
     Scene,
     WeakPerspectiveCam,
     loss_and_gradients,
-    project,
-    weak_to_perspective,
 )
-from scenescale.objective import BEHIND_PENALTY
+from scenescale.geometry import project, weak_to_perspective
+from scenescale.objective import BEHIND_PENALTY, Z_EPSILON
 
 CAM = CameraModel(focal=1000.0, image_size=(1000, 1000))  # principal point (500, 500)
 
 
-def project_clamped(points, cam, z_epsilon=1e-3):
+def project_clamped(points, cam, z_epsilon=Z_EPSILON):
     """Pixels with z clamped to z_epsilon, and the mask of clamped points.
 
     The objective projects joints this way, so it stays finite behind the
@@ -35,7 +34,7 @@ def project_clamped(points, cam, z_epsilon=1e-3):
     return np.stack([u, v], axis=-1), z < z_epsilon
 
 
-def project_jacobian(point, z_epsilon=1e-3):
+def project_jacobian(point):
     """The 2x3 projection Jacobian as the objective's gradient applies it.
 
     One live joint at ``point`` with a 1 px residual along u (then v) has
@@ -56,10 +55,10 @@ def project_jacobian(point, z_epsilon=1e-3):
             head_idx=1,
             foot_chain=(0,),
         )
-        person.ref_keypoints = project_clamped(person.joints, CAM, z_epsilon)[0] + unit
-        cfg = ObjectiveConfig(mode="reprojection_only", z_epsilon=z_epsilon)
+        person.ref_keypoints = project_clamped(person.joints, CAM)[0] + unit
+        cfg = ObjectiveConfig(mode="reprojection_only")
         _, grad_t, _ = loss_and_gradients(Scene([person], CAM), cfg)
-        if point[2] < z_epsilon:
+        if point[2] < Z_EPSILON:
             grad_t[0, 2] += BEHIND_PENALTY
         rows.append(-grad_t[0])
     return np.array(rows)
@@ -115,9 +114,9 @@ def test_project_behind_camera_raises():
 
 def test_project_clamped_handles_behind_points():
     # the objective scores a joint behind the camera at the pixel it would
-    # have at the z_epsilon clamp, plus BEHIND_PENALTY per meter behind it
+    # have at the Z_EPSILON clamp, plus BEHIND_PENALTY per meter behind it
     pts = np.array([[0.1, 0.0, 2.0], [0.1, 0.0, -3.0]])
-    at_clamp = project(np.array([0.1, 0.0, 1e-3]), CAM)
+    at_clamp = project(np.array([0.1, 0.0, Z_EPSILON]), CAM)
     person = Person(
         joints=pts,
         rotation=np.eye(3),
@@ -128,10 +127,10 @@ def test_project_clamped_handles_behind_points():
         head_idx=1,
         foot_chain=(0,),
     )
-    cfg = ObjectiveConfig(mode="reprojection_only", z_epsilon=1e-3)
+    cfg = ObjectiveConfig(mode="reprojection_only")
     breakdown, _, _ = loss_and_gradients(Scene([person], CAM), cfg)
-    assert breakdown.reprojection == pytest.approx(5.0 + BEHIND_PENALTY * (1e-3 + 3.0))
-    px, clamped = project_clamped(pts, CAM, z_epsilon=1e-3)
+    assert breakdown.reprojection == pytest.approx(5.0 + BEHIND_PENALTY * (Z_EPSILON + 3.0))
+    px, clamped = project_clamped(pts, CAM)
     assert clamped.tolist() == [False, True]
     assert np.allclose(px, [project(pts[0], CAM), at_clamp])
 
@@ -147,10 +146,10 @@ def test_jacobian_formula():
 
 
 def test_jacobian_clamped_zeroes_depth_column():
-    jac = project_jacobian([0.2, -0.1, -5.0], z_epsilon=1e-3)
+    jac = project_jacobian([0.2, -0.1, -5.0])
     assert np.all(jac[:, 2] == 0.0)
     # x/y columns evaluated at the clamped depth
-    ref = project_jacobian([0.2, -0.1, 1e-3])
+    ref = project_jacobian([0.2, -0.1, Z_EPSILON])
     assert np.allclose(jac[:, :2], ref[:, :2])
 
 

@@ -20,19 +20,18 @@ from scenescale import (
     loss_and_gradients,
     optimize,
     optimize_baseline,
-    posed_ankles,
-    posed_joints,
-    project,
 )
 from scenescale import optimizer
 from scenescale.objective import (
     BEHIND_PENALTY,
     KINK_EPS,
+    Z_EPSILON,
     LossBreakdown,
     _evaluate_theta,
     _pack_scene,
 )
-from scenescale.optimizer import OptimReport
+from scenescale.optimizer import SCALE_MIN, OptimReport
+from scenescale.scene import posed_ankles, posed_joints
 
 CAM = CameraModel(1000.0, (1920, 1080))
 
@@ -183,8 +182,7 @@ def test_optimize_does_not_mutate_input():
 def test_optimize_trace_and_scale_bookkeeping():
     cfg = SynthConfig(n_persons=2, ambiguity_factors=(1.2, 0.8), rng_seed=13)
     _, observed, _ = generate_scene(cfg)
-    ocfg = OptimConfig(iterations=50, scale_min=0.1,
-                       objective=ObjectiveConfig(lam=SUITE_LAM))
+    ocfg = OptimConfig(iterations=50, objective=ObjectiveConfig(lam=SUITE_LAM))
     report = optimize(observed, ocfg)
     assert report.loss_trace.shape == (51, 3)
     assert report.converged_iteration == 50
@@ -195,7 +193,7 @@ def test_optimize_trace_and_scale_bookkeeping():
     assert np.array_equal(
         report.loss_trace[:, 2], report.loss_trace[:, 0] + SUITE_LAM * report.loss_trace[:, 1]
     )
-    assert all(p.scale >= 0.1 for p in report.final_scene.persons)
+    assert all(p.scale >= SCALE_MIN for p in report.final_scene.persons)
     final = loss_and_gradients(report.final_scene, ocfg.objective)[0]
     assert report.final_loss.total == final.total
 
@@ -205,10 +203,10 @@ def test_optimize_scale_clamp_engages():
     # takes the first step far below the floor
     cfg = SynthConfig(n_persons=1, ambiguity_factors=(1.6,), rng_seed=4)
     _, observed, _ = generate_scene(cfg)
-    ocfg = OptimConfig(learning_rate=5.0, iterations=1, scale_min=0.25,
-                       objective=ObjectiveConfig(lam=SUITE_LAM))
+    ocfg = OptimConfig(learning_rate=5.0, iterations=1, objective=ObjectiveConfig(lam=SUITE_LAM))
     report = optimize(observed, ocfg)
-    assert report.final_scene.persons[0].scale == 0.25
+    assert SCALE_MIN == 0.1
+    assert report.final_scene.persons[0].scale == SCALE_MIN
 
 
 def test_optimize_rejects_non_finite():
@@ -227,8 +225,6 @@ def test_optim_config_validation():
     for bad in (2.5, 3.0, True, "5"):
         with pytest.raises(SchemaError, match="iterations"):
             OptimConfig(iterations=bad)
-    with pytest.raises(SchemaError):
-        OptimConfig(scale_min=0.0)
 
 
 # --- baseline ---
@@ -292,7 +288,7 @@ def test_baseline_validation():
 # --- optimize against the allocating arithmetic it replaced ---
 
 
-def project_clamped(points, cam, z_epsilon=1e-3):
+def project_clamped(points, cam, z_epsilon):
     """Literal copy of the projection with z clamped at z_epsilon that the oracle used."""
     points = np.asarray(points, dtype=float)
     z = points[..., 2]
@@ -315,7 +311,7 @@ def oracle_evaluate_theta(packed, theta, cfg):
     grad_s = np.zeros(n)
 
     if cfg.mode != "plane_only":
-        eps = cfg.z_epsilon
+        eps = 1e-3  # the parent's ObjectiveConfig.z_epsilon
         c = packed.confidences
         posed = s[:, None, None] * packed.rotated + t[:, None, :]    # (N, K, 3)
         z = posed[..., 2]
@@ -379,7 +375,7 @@ def oracle_run_adam(work, cfg, freeze_z=False):
         m_hat = m / (1 - b1**it)
         v_hat = v / (1 - b2**it)
         theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        theta[3 * n :] = np.maximum(theta[3 * n :], cfg.scale_min)
+        theta[3 * n :] = np.maximum(theta[3 * n :], 0.1)  # the parent's scale_min
         steps = it
 
     for i, person in enumerate(work.persons):
@@ -441,7 +437,7 @@ def test_adam_matches_oracle_each_mode(monkeypatch, mode):
 def test_adam_matches_oracle_behind_camera(monkeypatch):
     scene = ragged_scene(seed=3, behind=True)
     cfg = ObjectiveConfig(lam=1.0)
-    assert np.any(posed_joints(scene.persons[1])[:, 2] < cfg.z_epsilon)  # the penalty runs
+    assert np.any(posed_joints(scene.persons[1])[:, 2] < Z_EPSILON)  # the penalty runs
     ocfg = OptimConfig(iterations=200, objective=cfg)
     assert_matches_oracle(monkeypatch, lambda: optimize(scene, ocfg))
 

@@ -15,13 +15,13 @@ from scenescale import (
     SchemaError,
     SynthConfig,
     anchor_plane,
-    fit_rms,
     generate_scene,
-    project,
     ransac_plane,
     unproject_ground,
 )
 from scenescale import planefit
+from scenescale.geometry import project
+from scenescale.planefit import fit_rms
 
 CAM = CameraModel(1000.0, (1920, 1080))
 

@@ -9,12 +9,11 @@ from scenescale import (
     Person,
     Scene,
     SchemaError,
-    joint_template,
-    person_height,
-    posed_joints,
-    project,
-    select_reference_person,
 )
+from scenescale.geometry import project
+from scenescale.planefit import select_reference_person
+from scenescale.scene import person_height, posed_joints
+from scenescale.synth import joint_template
 
 
 def two_joint_person(**kw):

@@ -15,17 +15,15 @@ from scenescale import (
     Scene,
     SchemaError,
     SynthConfig,
-    dumps_canonical,
     generate_scene,
     load_depth_observation,
     load_scene,
     save_depth_observation,
     save_scene,
-    scene_from_dict,
-    scene_to_dict,
     unproject_ground,
 )
 from scenescale.geometry import WeakPerspectiveCam
+from scenescale.sceneio import dumps_canonical, scene_from_dict, scene_to_dict
 
 coords = st.floats(-1e4, 1e4, allow_nan=False)
 positive = st.floats(1e-3, 1e4)

@@ -3,19 +3,16 @@ import pytest
 
 from conftest import plane_term, reprojection
 from scenescale import (
-    ANKLE_LEFT,
-    ANKLE_RIGHT,
     PlacementError,
     RansacConfig,
     SchemaError,
     SynthConfig,
     generate_scene,
-    joint_template,
-    person_height,
-    posed_ankles,
     ransac_plane,
     unproject_ground,
 )
+from scenescale.scene import ANKLE_LEFT, ANKLE_RIGHT, person_height, posed_ankles
+from scenescale.synth import joint_template
 
 
 def test_template_shape_and_symmetry():
