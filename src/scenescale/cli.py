@@ -29,7 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import (
@@ -45,7 +45,14 @@ from .errors import (
 from .metrics import evaluate_scenes
 from .objective import MODES, ObjectiveConfig
 from .optimizer import OptimConfig, lift_translations, optimize, optimize_baseline
-from .planefit import RansacConfig, anchor_plane, fit_rms, ransac_plane, unproject_ground
+from .planefit import (
+    DepthObservation,
+    RansacConfig,
+    anchor_plane,
+    fit_rms,
+    ransac_plane,
+    unproject_ground,
+)
 from .sceneio import (
     dumps_canonical,
     load_depth_observation,
@@ -76,9 +83,11 @@ def cmd_fit_plane(args: argparse.Namespace) -> int:
     scene = lift_translations(load_scene(args.scene), reset=False)
     obs = load_depth_observation(args.depth, args.mask)
     if args.metric_scale is not None:
-        obs = replace(obs, metric_scale=args.metric_scale)
+        obs = DepthObservation.from_ground(
+            obs.image_size, obs.ground_index, obs.ground_depth, args.metric_scale
+        )
     points = unproject_ground(obs, scene.camera)
-    del obs  # nothing below reads the raster: free it before RANSAC
+    del obs  # its samples are half a cloud: free them before RANSAC's workspaces
     cfg = RansacConfig(
         iterations=args.iterations,
         inlier_threshold=args.threshold,
@@ -103,11 +112,16 @@ def cmd_fit_plane(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    given = {key: value for key, value in (("lam", args.lam), ("mode", args.mode))
+             if value is not None}
+    if args.depths is not None and given:
+        raise SchemaError("--mode and --lambda do not apply to --depths, "
+                          "whose baseline fits reprojection only")
     scene = lift_translations(load_scene(args.scene), reset=args.reset)
     cfg = OptimConfig(
         learning_rate=args.lr,
         iterations=args.iterations,
-        objective=ObjectiveConfig(lam=args.lam, mode=args.mode),
+        objective=ObjectiveConfig(**given),
     )
     if args.depths is not None:
         report = optimize_baseline(scene, _float_list(args.depths, "--depths"), cfg)
@@ -267,10 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write per-iteration loss CSV here")
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--iterations", type=int, default=600)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--mode", choices=MODES, default="full")
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--mode", choices=MODES)
     p.add_argument(
-        "--depths", help="comma-separated per-person depths: run the depth-pinned baseline"
+        "--depths", help="comma-separated per-person depths: run the depth-pinned "
+        "baseline (not with --mode or --lambda)"
     )
     p.add_argument("--reset", action="store_true", help="reset scales to 1 and re-lift translations")
     p.set_defaults(func=cmd_optimize)

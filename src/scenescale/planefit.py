@@ -5,10 +5,11 @@ plane by RANSAC over 3-point hypotheses, refine the winner on its inliers
 by least squares, then re-anchor the plane at the reference person's ankle
 so the feet constraint measures distances from a point with trusted depth.
 
-Memory: the unprojection writes the (M, 3) cloud in place and makes no other
-M-by-3 array; RANSAC scores through one block-sized buffer and refits in one
-(M, 3) workspace with one (M,) distance buffer, and never writes to the
-caller's cloud.
+Memory: a DepthObservation keeps only its M ground samples (a flat index
+and a depth value each), never the (H, W) grids.  The unprojection writes
+the (M, 3) cloud in place and makes no other M-by-3 array; RANSAC scores
+through one block-sized buffer and refits in one (M, 3) workspace with one
+(M,) distance buffer, and never writes to the caller's cloud.
 """
 
 from __future__ import annotations
@@ -24,30 +25,52 @@ from .objective import ObjectiveConfig, loss_and_gradients
 from .scene import GroundPlane, Scene, posed_ankles
 
 
-@dataclass
 class DepthObservation:
-    """Relative depth grid + ground mask; metric_scale converts to meters."""
+    """The ground samples of a relative depth map; metric_scale converts to meters.
 
-    depth: np.ndarray        # (H, W) relative units; float32 kept, else float64
-    ground_mask: np.ndarray  # (H, W) bool, True = ground
-    metric_scale: float = 6.0
+    Built from an (H, W) depth grid and a ground mask of the same shape
+    (nonzero = ground), it keeps only what unprojection reads: the image size
+    (W, H), the ground pixels' row-major flat indices, increasing, and their
+    depth values (float32 kept, any other dtype as float64).  The grids are
+    not kept, so pixels off the mask are never read and may hold anything.
+    """
 
-    def __post_init__(self):
-        depth = np.asarray(self.depth)
-        self.depth = depth if depth.dtype == np.float32 else depth.astype(np.float64, copy=False)
-        self.ground_mask = np.asarray(self.ground_mask).astype(bool, copy=False)
-        if self.depth.ndim != 2:
-            raise SchemaError(f"depth must be 2-D, got shape {self.depth.shape}")
-        if self.ground_mask.shape != self.depth.shape:
-            raise SchemaError(
-                f"mask shape {self.ground_mask.shape} != depth shape {self.depth.shape}"
-            )
-        self.metric_scale = float(self.metric_scale)
-        if not (math.isfinite(self.metric_scale) and self.metric_scale > 0):
-            raise SchemaError(f"metric_scale must be finite and > 0, got {self.metric_scale}")
-        masked = self.depth[self.ground_mask]
-        if masked.size and (not np.all(np.isfinite(masked)) or np.any(masked <= 0)):
+    def __init__(self, depth, ground_mask, metric_scale: float = 6.0):
+        depth = np.asarray(depth)
+        if depth.ndim != 2:
+            raise SchemaError(f"depth must be 2-D, got shape {depth.shape}")
+        mask = np.asarray(ground_mask)
+        if mask.shape != depth.shape:
+            raise SchemaError(f"mask shape {mask.shape} != depth shape {depth.shape}")
+        index = np.flatnonzero(mask.astype(bool, copy=False))  # bools: nonzero's fast path
+        self._keep(depth.shape[::-1], index, np.take(depth, index), metric_scale)
+
+    @classmethod
+    def from_ground(cls, image_size, ground_index, ground_depth, metric_scale=6.0):
+        """The observation of a (W, H) grid whose ground pixels are ground_index
+        (row-major flat indices, increasing, as np.flatnonzero gives them) with
+        depth values ground_depth; the constructor's checks apply."""
+        obs = cls.__new__(cls)
+        obs._keep(image_size, ground_index, ground_depth, metric_scale)
+        return obs
+
+    def _keep(self, image_size, index, values, metric_scale) -> None:
+        metric_scale = float(metric_scale)
+        if not (math.isfinite(metric_scale) and metric_scale > 0):
+            raise SchemaError(f"metric_scale must be finite and > 0, got {metric_scale}")
+        index, values = np.asarray(index), np.asarray(values)
+        if values.dtype != np.float32:
+            values = values.astype(np.float64, copy=False)
+        if values.shape != index.shape:
+            raise SchemaError(f"{values.size} depth values for {index.size} ground pixels")
+        # min is nan if any value is, so this is "all finite and > 0" without temporaries
+        if values.size and not (values.min() > 0 and math.isfinite(values.max())):
             raise SchemaError("masked depth values must be finite and > 0")
+        w, h = image_size
+        self.image_size = (int(w), int(h))
+        self.ground_index = index        # (M,) row-major flat pixel indices, increasing
+        self.ground_depth = values       # (M,) relative units
+        self.metric_scale = metric_scale
 
 
 @dataclass
@@ -71,20 +94,21 @@ class RansacConfig:
 
 
 def unproject_ground(obs: DepthObservation, cam: CameraModel) -> np.ndarray:
-    """Masked pixels to camera-frame points, (M, 3), row-major pixel order.
+    """Ground samples to camera-frame points, (M, 3), row-major pixel order.
 
     The points are float64 whatever the depth's dtype; a float32 depth is
     widened exactly before the metric scale multiplies it.  z, then x and y
     are written straight into the columns of the result: the row and column
-    indices land there as exact floats, then (i - c) * z / f runs in place.
+    of each flat index land there as exact floats, then (i - c) * z / f runs
+    in place.
     """
-    flat = np.flatnonzero(obs.ground_mask)
+    flat = obs.ground_index
     if flat.size < 3:
         raise InsufficientGroundError(f"need >= 3 ground pixels, mask has {flat.size}")
     points = np.empty((flat.size, 3))
     x, y, z = points.T
-    np.multiply(obs.depth.ravel()[flat], obs.metric_scale, out=z, dtype=np.float64)
-    np.divmod(flat, obs.depth.shape[1], out=(y, x))
+    np.multiply(obs.ground_depth, obs.metric_scale, out=z, dtype=np.float64)
+    np.divmod(flat, obs.image_size[0], out=(y, x))
     for col, c in zip((x, y), cam.principal_point):
         np.subtract(col, c, out=col)
         np.multiply(col, z, out=col)
@@ -228,9 +252,12 @@ def ransac_plane(
 
 
 def fit_rms(plane: GroundPlane, points: np.ndarray, inliers: np.ndarray) -> float:
-    """RMS point-to-plane distance of the inlier set."""
-    d = plane.signed_distance(points[inliers])
-    return float(np.sqrt(np.mean(d * d)))
+    """RMS point-to-plane distance of the inlier set, from one gathered copy."""
+    sel = np.asarray(points, dtype=float)[inliers]
+    sel -= plane.point
+    d = sel @ plane.normal
+    np.multiply(d, d, out=d)
+    return float(np.sqrt(np.mean(d)))
 
 
 def select_reference_person(scene: Scene) -> int:

@@ -4,7 +4,10 @@ Scenes are JSON documents (camera, persons, optional plane).  Depth maps
 are raw row-major little-endian float32 payloads with a JSON sidecar at
 "<depth_path>.json" declaring width, height, metric scale, and byte order;
 ground masks are raw uint8 grids of the same shape (nonzero = ground).
-Both payloads are read in place, each into the one array that keeps it.
+A loaded observation keeps only the ground samples: the mask payload is read
+block by block for the ground pixels' indices, then the depth payload block
+by block for their values, through one 1 MB buffer, so neither grid is ever
+in memory whole.  Writing puts 0 at every pixel off the mask.
 
 Writers emit canonical JSON (sorted keys, two-space indent, repr floats)
 so identical inputs always produce byte-identical files.
@@ -228,17 +231,22 @@ def save_depth_observation(
     obs: DepthObservation, depth_path: str | Path, mask_path: str | Path
 ) -> None:
     depth_path = Path(depth_path)
-    h, w = obs.depth.shape
-    depth_path.write_bytes(obs.depth.astype("<f4", copy=False).tobytes(order="C"))
+    w, h = obs.image_size
+    depth = np.zeros(h * w, dtype="<f4")
+    depth[obs.ground_index] = obs.ground_depth
+    depth_path.write_bytes(depth)
+    del depth  # one grid at a time
     sidecar = {
-        "width": int(w),
-        "height": int(h),
+        "width": w,
+        "height": h,
         "metric_scale": float(obs.metric_scale),
         "byte_order": "little",
         "dtype": "float32",
     }
     Path(str(depth_path) + ".json").write_text(dumps_canonical(sidecar))
-    Path(mask_path).write_bytes(obs.ground_mask.astype(np.uint8).tobytes(order="C"))
+    mask = np.zeros(h * w, dtype=np.uint8)
+    mask[obs.ground_index] = 1
+    Path(mask_path).write_bytes(mask)
 
 
 def load_depth_observation(depth_path: str | Path, mask_path: str | Path) -> DepthObservation:
@@ -261,24 +269,43 @@ def load_depth_observation(depth_path: str | Path, mask_path: str | Path) -> Dep
         raise SchemaError(f"{sidecar_path}: width and height must be >= 1, got {w}x{h}")
     if sidecar.get("byte_order", "little") != "little":
         raise SchemaError(f"{sidecar_path}: only little-endian payloads supported")
-    depth = _read_raster(depth_path, h, w, "<f4", f"for {w}x{h} float32")
-    mask = _read_raster(Path(mask_path), h, w, np.uint8, "uint8")
-    # nonzero = ground, turned into bool in the same buffer
-    return DepthObservation(depth, np.not_equal(mask, 0, out=mask.view(bool)), metric_scale)
+    # the mask's blocks give the ground pixels, then the depth's their values
+    buffer = np.empty(4 * _BLOCK_PIXELS, dtype=np.uint8)
+    index = np.concatenate([
+        start + np.flatnonzero(np.not_equal(block, 0, out=block.view(bool)))
+        for start, block in _read_blocks(Path(mask_path), h * w, np.uint8, "uint8", buffer)
+    ])
+    values = np.empty(index.size, dtype="<f4")
+    what = f"for {w}x{h} float32"
+    for start, block in _read_blocks(depth_path, h * w, "<f4", what, buffer):
+        lo, hi = np.searchsorted(index, (start, start + block.size))
+        np.take(block, index[lo:hi] - start, out=values[lo:hi])
+    return DepthObservation.from_ground((w, h), index, values, metric_scale)
 
 
-def _read_raster(path: Path, h: int, w: int, dtype, what: str) -> np.ndarray:
-    """Read a raw (h, w) payload straight into the one array that keeps it.
+_BLOCK_PIXELS = 1 << 18  # pixels read at a time: 1 MB of float32 depth
 
-    No memory-mapping and no bytes copy; a file that shrinks between
-    ``fstat`` and the read fails the same size check.
+
+def _read_blocks(path: Path, pixels: int, dtype, what: str, buffer: np.ndarray):
+    """Yield (first pixel, block) over a raw payload of `pixels` items of
+    dtype, read block by block into buffer.
+
+    No frame-sized array and no memory-mapping.  The size is checked before
+    the first read, and a file that shrinks while it is read fails the same
+    check.
     """
-    nbytes = h * w * np.dtype(dtype).itemsize
+    itemsize = np.dtype(dtype).itemsize
+    nbytes = pixels * itemsize
     with path.open("rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size == nbytes:
-            raster = np.empty((h, w), dtype=dtype)
-            size = f.readinto(raster)
+            size = 0
+            for start in range(0, pixels, _BLOCK_PIXELS):
+                block = buffer[: min(_BLOCK_PIXELS, pixels - start) * itemsize].view(dtype)
+                got = f.readinto(block)
+                size += got
+                if got != block.nbytes:
+                    break
+                yield start, block
     if size != nbytes:
         raise SchemaError(f"{path}: payload is {size} bytes, expected {nbytes} {what}")
-    return raster

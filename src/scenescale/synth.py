@@ -9,9 +9,9 @@ it to keep the projection fixed.  The perturbed scene is what an upstream
 single-person estimator would hand us; the unperturbed scene is the oracle
 the acceptance tests compare against.
 
-Also rasterizes a plane-only depth map (with optional outlier corruption)
-and a strided ground mask, so the plane-fitting path can run end to end on
-the same scenes.
+Also renders a plane-only depth map (with optional outlier corruption) at
+the pixels of a strided ground mask, so the plane-fitting path can run end
+to end on the same scenes.
 """
 
 from __future__ import annotations
@@ -228,11 +228,11 @@ def generate_scene(cfg: SynthConfig) -> tuple[Scene, Scene, DepthObservation]:
 
     gt_scene = Scene(gt_persons, camera, GroundPlane(normal, p0))
     observed = Scene(observed_persons, camera, GroundPlane(normal, p0))
-    obs = _rasterize_ground(cfg, camera, normal, p0, gt_persons, outlier_rng)
+    obs = _ground_samples(cfg, camera, normal, p0, gt_persons, outlier_rng)
     return gt_scene, observed, obs
 
 
-def _rasterize_ground(
+def _ground_samples(
     cfg: SynthConfig,
     camera: CameraModel,
     normal: np.ndarray,
@@ -240,24 +240,19 @@ def _rasterize_ground(
     persons: list[Person],
     rng: np.random.Generator,
 ) -> DepthObservation:
+    """The plane's depth at the ground pixels: the stride grid minus a margin
+    around each person, where the plane lies between 0.3 and 40 m.
+
+    Only those pixels are computed, each in the arithmetic a full (H, W)
+    map would use, so no frame-sized float array is made.
+    """
     width, height_px = camera.image_size
     cx, cy = camera.principal_point
     rx = (np.arange(width) - cx) / camera.focal
     ry = (np.arange(height_px) - cy) / camera.focal
 
-    # ray (rx, ry, 1) meets the plane at depth z = (p0.n) / (r.n)
-    denom = normal[0] * rx[None, :] + normal[1] * ry[:, None] + normal[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = (p0 @ normal) / denom
-    hit = np.isfinite(z) & (z > 0.3) & (z < 40.0)
-    z = np.where(hit, z, 0.0)
-
-    mask = hit.copy()
-    stride = cfg.mask_stride
-    if stride > 1:
-        keep = np.zeros_like(mask)
-        keep[::stride, ::stride] = True
-        mask &= keep
+    mask = np.zeros((height_px, width), dtype=bool)
+    mask[::cfg.mask_stride, ::cfg.mask_stride] = True
     for person in persons:
         px = project(posed_joints(person), camera)
         u0 = max(int(px[:, 0].min()) - 25, 0)
@@ -265,14 +260,23 @@ def _rasterize_ground(
         v0 = max(int(px[:, 1].min()) - 25, 0)
         v1 = min(int(px[:, 1].max()) + 25, height_px)
         mask[v0:v1, u0:u1] = False
+    flat = np.flatnonzero(mask)
+    rows, cols = np.divmod(flat, width)
+
+    # ray (rx, ry, 1) meets the plane at depth z = (p0.n) / (r.n)
+    denom = normal[0] * rx[cols] + normal[1] * ry[rows] + normal[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (p0 @ normal) / denom
+    hit = np.isfinite(z) & (z > 0.3) & (z < 40.0)
+    flat, z = flat[hit], z[hit]
 
     if cfg.outlier_fraction > 0:
-        flat = np.flatnonzero(mask)
         n_out = int(round(cfg.outlier_fraction * flat.size))
         if n_out:
             chosen = rng.choice(flat.size, size=n_out, replace=False)
-            rows, cols = np.unravel_index(flat[chosen], mask.shape)
             offset = rng.uniform(0.3, 3.0, n_out) * rng.choice([-1.0, 1.0], n_out)
-            z[rows, cols] = np.maximum(z[rows, cols] + offset, 0.3)
+            z[chosen] = np.maximum(z[chosen] + offset, 0.3)
 
-    return DepthObservation(z / cfg.metric_scale, mask, cfg.metric_scale)
+    return DepthObservation.from_ground(
+        (width, height_px), flat, z / cfg.metric_scale, cfg.metric_scale
+    )

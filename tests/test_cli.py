@@ -502,6 +502,30 @@ def test_exit_code_table(monkeypatch, capsys, error, code):
     assert f"\n  {code}  " in cli.__doc__  # the module docstring documents the code
 
 
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        ((), 0),
+        (("--mode", "plane_only"), 2),
+        (("--lambda", "900"), 2),
+        (("--mode", "full"), 2),
+        (("--mode", "plane_only", "--lambda", "900"), 2),
+    ],
+    ids=lambda v: "-".join(v) or "alone" if isinstance(v, tuple) else str(v),
+)
+def test_optimize_depths_exit_code_table(fitted_scene, tmp_path, flags, code):
+    """The depth-pinned baseline fits reprojection only, so an objective flag
+    next to --depths is refused rather than silently ignored."""
+    out = tmp_path / "o.json"
+    res = run_cli("optimize", fitted_scene, "--out", out, "--iterations", "5",
+                  "--depths", "4,5.5,6.25", *flags)
+    assert res.returncode == code, res.stderr
+    if code:
+        assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+        assert "--depths" in res.stderr
+    assert out.exists() == (code == 0)
+
+
 def test_public_surface_is_pinned():
     """A new export or CLI option is a deliberate edit of this list."""
     assert sorted(scenescale.__all__) == [
@@ -541,18 +565,19 @@ def test_in_place_rewrite_leaves_no_temp_file(synth_dir, tmp_path):
 def test_fit_plane_memory_stays_near_the_raster(tmp_path, capsys):
     """fit-plane's traced peak on a 1080p frame: the raster plus 3 point clouds.
 
-    The loader reads each payload into the one array that keeps it, the
-    raster is freed once the cloud exists, and RANSAC refits in one (M, 3)
-    workspace; the fit once peaked at the raster plus ~3.6 clouds.
-    tracemalloc sees numpy's arrays but not LAPACK's or OpenBLAS's
-    workspaces, so the figure does not depend on the BLAS build.
+    The loader reads both payloads through one 1 MB buffer, keeping only the
+    ground samples, and RANSAC refits in one (M, 3) workspace; the fit once
+    peaked at the raster plus ~3.6 clouds.  tracemalloc sees numpy's
+    arrays but not LAPACK's or OpenBLAS's workspaces, so the figure does not
+    depend on the BLAS build.
     """
     _, observed, obs = generate_scene(
         SynthConfig(n_persons=2, outlier_fraction=0.3, rng_seed=5)
     )
-    assert obs.depth.shape == (1080, 1920)
-    raster = obs.depth.size * (4 + 1)  # float32 depth + uint8 mask
-    cloud = int(np.count_nonzero(obs.ground_mask)) * 3 * 8
+    w, h = obs.image_size
+    assert (w, h) == (1920, 1080)
+    raster = w * h * (4 + 1)  # float32 depth + uint8 mask
+    cloud = obs.ground_index.size * 3 * 8
     depth, mask, scene = tmp_path / "d.f32", tmp_path / "m.u8", tmp_path / "s.json"
     save_depth_observation(obs, depth, mask)
     save_scene(observed, scene)

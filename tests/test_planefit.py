@@ -117,15 +117,36 @@ def test_depth_observation_validation():
 
 def test_depth_observation_dtypes():
     mask = np.ones((3, 4), dtype=bool)
-    f32 = np.ones((3, 4), dtype=np.float32)
-    f64 = np.ones((3, 4))
-    assert DepthObservation(f32, mask).depth is f32
-    assert DepthObservation(f64, mask).depth is f64
-    assert DepthObservation(f32, mask).ground_mask is mask
-    as_bool = DepthObservation(f32, np.eye(3, 4, dtype=np.uint8) * 7).ground_mask
-    assert as_bool.dtype == bool and np.array_equal(as_bool, np.eye(3, 4, dtype=bool))
-    widened = DepthObservation(np.ones((3, 4), dtype=np.int32), mask).depth
-    assert widened.dtype == np.float64 and np.array_equal(widened, f64)
+    f32 = np.arange(1, 13, dtype=np.float32).reshape(3, 4)
+    f64 = np.arange(1, 13, dtype=np.float64).reshape(3, 4)
+    one = DepthObservation(f32, mask)
+    assert one.image_size == (4, 3)
+    assert one.ground_depth.dtype == np.float32 and np.array_equal(one.ground_depth, f32.ravel())
+    assert DepthObservation(f64, mask).ground_depth.dtype == np.float64
+    as_bool = DepthObservation(f32, np.eye(3, 4, dtype=np.uint8) * 7)
+    assert np.array_equal(as_bool.ground_index, np.flatnonzero(np.eye(3, 4)))
+    assert np.array_equal(as_bool.ground_depth, f32[np.eye(3, 4, dtype=bool)])
+    widened = DepthObservation(f64.astype(np.int32), mask).ground_depth
+    assert widened.dtype == np.float64 and np.array_equal(widened, f64.ravel())
+
+
+def test_depth_observation_from_ground_is_the_same_observation():
+    rng = np.random.default_rng(4)
+    depth = rng.uniform(0.3, 2.0, (9, 13)).astype(np.float32)
+    mask = rng.uniform(size=(9, 13)) < 0.4
+    obs = DepthObservation(depth, mask, metric_scale=3.0)
+    again = DepthObservation.from_ground(
+        obs.image_size, obs.ground_index, obs.ground_depth, obs.metric_scale
+    )
+    cam = CameraModel(50.0, (13, 9))
+    assert np.array_equal(unproject_ground(again, cam), unproject_ground(obs, cam))
+    for bad in (np.nan, 0.0, -2.0):
+        with pytest.raises(SchemaError, match="metric_scale"):
+            DepthObservation.from_ground(obs.image_size, obs.ground_index, obs.ground_depth, bad)
+    with pytest.raises(SchemaError, match="finite and > 0"):
+        DepthObservation.from_ground((13, 9), obs.ground_index, -obs.ground_depth)
+    with pytest.raises(SchemaError, match="ground pixels"):
+        DepthObservation.from_ground((13, 9), obs.ground_index, obs.ground_depth[1:])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
@@ -134,10 +155,47 @@ def test_depth_observation_float32_masked_values_checked(value):
     mask = np.zeros((4, 4), dtype=bool)
     mask[1:, 1:] = True
     depth[0, 0] = value  # unmasked, so allowed
-    assert DepthObservation(depth, mask).depth.dtype == np.float32
+    assert DepthObservation(depth, mask).ground_depth.dtype == np.float32
     depth[2, 3] = value
     with pytest.raises(SchemaError, match="finite and > 0"):
         DepthObservation(depth, mask)
+
+
+def raster_unproject(depth, mask, metric_scale, cam):
+    """Literal copy of unproject_ground from when DepthObservation kept the
+    (H, W) grids; the sample form must give the same points bit for bit."""
+    depth = np.asarray(depth)
+    depth = depth if depth.dtype == np.float32 else depth.astype(np.float64, copy=False)
+    mask = np.asarray(mask).astype(bool, copy=False)
+    flat = np.flatnonzero(mask)
+    points = np.empty((flat.size, 3))
+    x, y, z = points.T
+    np.multiply(depth.ravel()[flat], metric_scale, out=z, dtype=np.float64)
+    np.divmod(flat, depth.shape[1], out=(y, x))
+    for col, c in zip((x, y), cam.principal_point):
+        np.subtract(col, c, out=col)
+        np.multiply(col, z, out=col)
+        np.divide(col, cam.focal, out=col)
+    return points
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unproject_matches_the_raster_oracle(dtype, seed):
+    rng = np.random.default_rng(seed)
+    h, w = 37, 53
+    depth = rng.uniform(0.2, 3.0, (h, w)).astype(dtype)
+    mask = (rng.uniform(size=(h, w)) < 0.3).astype(np.uint8) * 7
+    # the first and last row and column all touch the mask
+    mask[0, 0] = mask[0, -1] = mask[-1, 0] = mask[-1, -1] = 7
+    mask[0, 5] = mask[h // 2, 0] = mask[-1, 9] = mask[h // 3, -1] = 7
+    off = np.flatnonzero(mask == 0)[0]
+    depth.ravel()[off] = np.nan  # off the mask, so accepted and never read
+    cam = CameraModel(61.5, (w, h), principal_point=(26.25, 18.75))
+    obs = DepthObservation(depth=depth, ground_mask=mask, metric_scale=5.7)
+    pts = unproject_ground(obs, cam)
+    oracle = raster_unproject(depth, mask, 5.7, cam)
+    assert pts.shape == oracle.shape and pts.tobytes() == oracle.tobytes()
 
 
 # --- ransac ---
@@ -239,13 +297,13 @@ def test_fit_leaves_inputs_untouched():
     the refits centre in a workspace, never in the caller's cloud."""
     cfg = SynthConfig(n_persons=2, outlier_fraction=0.3, mask_stride=9, rng_seed=3)
     _, observed, obs = generate_scene(cfg)
-    depth, mask = obs.depth.tobytes(), obs.ground_mask.tobytes()
+    index, depth = obs.ground_index.tobytes(), obs.ground_depth.tobytes()
     pts = unproject_ground(obs, observed.camera)
     before = pts.tobytes()
     plane, inliers = ransac_plane(pts, RansacConfig(rng_seed=1))
     fit_rms(plane, pts, inliers)
     assert pts.tobytes() == before
-    assert obs.depth.tobytes() == depth and obs.ground_mask.tobytes() == mask
+    assert obs.ground_index.tobytes() == index and obs.ground_depth.tobytes() == depth
     # a non-contiguous float64 view of the cloud is read, not written, too
     wide = np.zeros((pts.shape[0], 4))
     wide[:, 1:] = pts
@@ -261,6 +319,12 @@ def test_fit_rms():
     assert fit_rms(plane, pts, inliers) == pytest.approx(0.0, abs=1e-12)
     noisy = pts + np.array([0.0, 0.02, 0.0])
     assert fit_rms(plane, noisy, inliers) == pytest.approx(0.02, abs=1e-12)
+    # bit for bit the literal formula, on a tilted noisy cloud
+    rng = np.random.default_rng(3)
+    cloud = pts @ np.linalg.qr(rng.normal(size=(3, 3)))[0] + rng.normal(0, 0.01, pts.shape)
+    plane, inl = ransac_plane(cloud, RansacConfig(rng_seed=2))
+    p, n = plane.point, plane.normal
+    assert fit_rms(plane, cloud, inl) == float(np.sqrt(np.mean(((cloud[inl] - p) @ n) ** 2)))
 
 
 # --- ransac against the one-by-one consensus loop ---

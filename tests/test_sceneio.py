@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from scenescale import (
     save_scene,
     unproject_ground,
 )
+from scenescale import sceneio
 from scenescale.geometry import WeakPerspectiveCam
 from scenescale.sceneio import dumps_canonical, scene_from_dict, scene_to_dict
 
@@ -216,31 +219,40 @@ def test_depth_round_trip(tmp_path):
     dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
     save_depth_observation(obs, dpath, mpath)
     loaded = load_depth_observation(dpath, mpath)
-    assert np.allclose(loaded.depth, obs.depth, atol=1e-7)  # f32 storage
-    assert np.array_equal(loaded.ground_mask, obs.ground_mask)
+    assert loaded.image_size == obs.image_size
+    assert np.array_equal(loaded.ground_index, obs.ground_index)
+    assert np.allclose(loaded.ground_depth, obs.ground_depth, atol=1e-7)  # f32 storage
     assert loaded.metric_scale == obs.metric_scale
     sidecar = json.loads((tmp_path / "d.f32.json").read_text())
     assert sidecar["dtype"] == "float32"
     assert sidecar["byte_order"] == "little"
+    assert (sidecar["width"], sidecar["height"]) == obs.image_size
     assert dpath.stat().st_size == sidecar["width"] * sidecar["height"] * 4
+    # the payloads are full grids: the samples on the mask, 0 everywhere else
+    depth, mask = np.fromfile(dpath, "<f4"), np.fromfile(mpath, np.uint8)
+    assert np.array_equal(np.flatnonzero(mask), obs.ground_index)
+    assert set(np.unique(mask)) == {0, 1}
+    assert np.array_equal(depth[obs.ground_index], obs.ground_depth.astype(np.float32))
+    depth[obs.ground_index] = 0
+    assert not depth.any()
 
 
 def test_loaded_depth_is_one_writable_float32_array(tmp_path):
     _, _, obs = generate_scene(SynthConfig(n_persons=2, rng_seed=0))
     dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
     save_depth_observation(obs, dpath, mpath)
-    depth = load_depth_observation(dpath, mpath).depth
-    h, w = obs.depth.shape
-    assert depth.dtype == np.float32 and depth.shape == (h, w)
-    assert depth.nbytes == 4 * h * w
+    depth = load_depth_observation(dpath, mpath).ground_depth
+    m = obs.ground_index.size
+    assert depth.dtype == np.float32 and depth.shape == (m,)
+    assert depth.nbytes == 4 * m
     assert depth.flags.writeable and depth.flags.c_contiguous and depth.flags.owndata
-    assert np.array_equal(depth, obs.depth.astype(np.float32))
+    assert np.array_equal(depth, obs.ground_depth.astype(np.float32))
     save_depth_observation(load_depth_observation(dpath, mpath), tmp_path / "again.f32", mpath)
     assert (tmp_path / "again.f32").read_bytes() == dpath.read_bytes()
 
 
-def test_loaded_mask_is_one_bool_array(tmp_path):
-    """Mask bytes 0, 1, 2 and 255 load as payload != 0, one byte a pixel."""
+def test_loaded_mask_keeps_its_nonzero_pixels(tmp_path):
+    """Mask bytes 0, 1, 2 and 255 load as the flat indices of payload != 0."""
     h, w = 5, 7
     payload = np.random.default_rng(0).choice(
         np.array([0, 1, 2, 255], dtype=np.uint8), size=(h, w)
@@ -250,11 +262,36 @@ def test_loaded_mask_is_one_bool_array(tmp_path):
     dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
     save_depth_observation(obs, dpath, mpath)
     mpath.write_bytes(payload.tobytes())
-    mask = load_depth_observation(dpath, mpath).ground_mask
-    assert mask.dtype == bool and mask.shape == (h, w) and mask.nbytes == h * w
-    assert np.array_equal(mask, payload != 0)
-    assert mask.view(np.uint8).max() == 1  # canonical bools, not raw bytes
-    assert mask.flags.writeable and mask.flags.c_contiguous
+    index = load_depth_observation(dpath, mpath).ground_index
+    rows, cols = np.nonzero(payload)
+    assert np.array_equal(index, rows * w + cols)
+    assert index.dtype == np.intp
+
+
+def test_loaded_frame_keeps_only_its_ground_samples(tmp_path):
+    """A loaded 1080p frame holds M * (8 + 4) bytes of arrays, not its grids.
+
+    The indices are intp and the samples float32; the (H, W) grids, 10.4 MB
+    for depth and mask, are dropped once the samples exist, which tracemalloc
+    sees as the memory still held after the load.
+    """
+    _, _, obs = generate_scene(SynthConfig(n_persons=2, outlier_fraction=0.3, rng_seed=5))
+    assert obs.image_size == (1920, 1080)
+    dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
+    save_depth_observation(obs, dpath, mpath)
+    m = obs.ground_index.size
+    del obs
+    slack = 4096
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_depth_observation(dpath, mpath)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    arrays = [v for v in vars(loaded).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) == m * (8 + 4)
+    assert held <= m * (8 + 4) + slack, f"held {held / 1e6:.2f} MB for M = {m}"
 
 
 def test_sidecar_whole_float_sizes_load(tmp_path):
@@ -264,27 +301,29 @@ def test_sidecar_whole_float_sizes_load(tmp_path):
     sidecar = tmp_path / "d.f32.json"
     doc = json.loads(sidecar.read_text())
     sidecar.write_text(json.dumps({**doc, "width": float(doc["width"])}))
-    assert load_depth_observation(dpath, mpath).depth.shape == obs.depth.shape
+    assert load_depth_observation(dpath, mpath).image_size == obs.image_size
 
 
 def test_unproject_loaded_float32_equals_float64(tmp_path):
     _, observed, obs = generate_scene(
         SynthConfig(n_persons=2, outlier_fraction=0.3, rng_seed=5)
     )
-    assert obs.depth.shape == (1080, 1920)
+    assert obs.image_size == (1920, 1080)
     dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
     save_depth_observation(obs, dpath, mpath)
     loaded = load_depth_observation(dpath, mpath)
-    widened = DepthObservation(
-        loaded.depth.astype(np.float64), loaded.ground_mask, loaded.metric_scale
-    )
+    # float64 grids read from the written payloads
+    w, h = obs.image_size
+    depth = np.fromfile(dpath, "<f4").reshape(h, w).astype(np.float64)
+    mask = np.fromfile(mpath, np.uint8).reshape(h, w) != 0
+    widened = DepthObservation(depth, mask, loaded.metric_scale)
     cam = observed.camera
     pts = unproject_ground(loaded, cam)
     assert pts.dtype == np.float64
     assert np.array_equal(pts, unproject_ground(widened, cam))
     # the 2-D index formula the flat indices replace, on the float64 map
-    rows, cols = np.nonzero(widened.ground_mask)
-    z = widened.depth[rows, cols] * widened.metric_scale
+    rows, cols = np.nonzero(mask)
+    z = depth[rows, cols] * loaded.metric_scale
     cx, cy = cam.principal_point
     expected = np.column_stack([(cols - cx) * z / cam.focal, (rows - cy) * z / cam.focal, z])
     assert np.array_equal(pts, expected)
@@ -294,8 +333,37 @@ def test_depth_payload_size_checked(tmp_path):
     _, _, obs = generate_scene(SynthConfig(n_persons=1, rng_seed=1))
     dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
     save_depth_observation(obs, dpath, mpath)
-    dpath.write_bytes(dpath.read_bytes()[:-4])
+    whole = dpath.read_bytes()
+    dpath.write_bytes(whole[:-4])
     with pytest.raises(SchemaError, match="size|bytes"):
+        load_depth_observation(dpath, mpath)
+    # a mask of the wrong size, and a sidecar claiming a 4 TB frame: refused
+    # by the size checks, with no frame-sized allocation
+    dpath.write_bytes(whole)
+    mask = mpath.read_bytes()
+    mpath.write_bytes(mask[:-1])
+    with pytest.raises(SchemaError, match="m.u8: payload is"):
+        load_depth_observation(dpath, mpath)
+    mpath.write_bytes(mask)
+    sidecar = tmp_path / "d.f32.json"
+    doc = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**doc, "width": 10**6, "height": 10**6}))
+    with pytest.raises(SchemaError, match="m.u8: payload is 2073600 bytes, expected 10+ uint8"):
+        load_depth_observation(dpath, mpath)
+
+
+def test_payload_that_shrinks_while_read_is_refused(tmp_path, monkeypatch):
+    """fstat saw the full size, but the file ends early: the block reads
+    come up short and the load fails with the size message."""
+    _, _, obs = generate_scene(SynthConfig(n_persons=1, rng_seed=1))
+    dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
+    save_depth_observation(obs, dpath, mpath)
+    full = dpath.stat().st_size
+    dpath.write_bytes(dpath.read_bytes()[: full // 2])
+    real = sceneio.os.fstat
+    monkeypatch.setattr(sceneio.os, "fstat", lambda fd: SimpleNamespace(
+        st_size=full if real(fd).st_size == full // 2 else real(fd).st_size))
+    with pytest.raises(SchemaError, match=f"d.f32: payload is {full // 2} bytes, expected {full}"):
         load_depth_observation(dpath, mpath)
 
 

@@ -11,7 +11,9 @@ from scenescale import (
     ransac_plane,
     unproject_ground,
 )
-from scenescale.scene import ANKLE_LEFT, ANKLE_RIGHT, person_height, posed_ankles
+from scenescale import synth
+from scenescale.geometry import project
+from scenescale.scene import ANKLE_LEFT, ANKLE_RIGHT, person_height, posed_ankles, posed_joints
 from scenescale.synth import joint_template
 
 
@@ -86,11 +88,71 @@ def test_outlier_fraction_corrupts_depth():
     dirty_cfg = SynthConfig(n_persons=2, rng_seed=6, outlier_fraction=0.3)
     gt, _, clean = generate_scene(clean_cfg)
     _, _, dirty = generate_scene(dirty_cfg)
-    assert clean.ground_mask.sum() == dirty.ground_mask.sum()
+    assert np.array_equal(clean.ground_index, dirty.ground_index)
     pts = unproject_ground(dirty, gt.camera)
     dists = np.abs(gt.plane.signed_distance(pts))
     frac_off = (dists > 0.05).mean()
     assert 0.2 < frac_off < 0.4
+
+
+def raster_ground(cfg, camera, normal, p0, persons, rng):
+    """Literal copy of the full-frame rasterization the ground samples replaced:
+    an (H, W) depth map and ground mask."""
+    width, height_px = camera.image_size
+    cx, cy = camera.principal_point
+    rx = (np.arange(width) - cx) / camera.focal
+    ry = (np.arange(height_px) - cy) / camera.focal
+    denom = normal[0] * rx[None, :] + normal[1] * ry[:, None] + normal[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (p0 @ normal) / denom
+    hit = np.isfinite(z) & (z > 0.3) & (z < 40.0)
+    z = np.where(hit, z, 0.0)
+    mask = hit.copy()
+    stride = cfg.mask_stride
+    if stride > 1:
+        keep = np.zeros_like(mask)
+        keep[::stride, ::stride] = True
+        mask &= keep
+    for person in persons:
+        px = project(posed_joints(person), camera)
+        u0 = max(int(px[:, 0].min()) - 25, 0)
+        u1 = min(int(px[:, 0].max()) + 25, width)
+        v0 = max(int(px[:, 1].min()) - 25, 0)
+        v1 = min(int(px[:, 1].max()) + 25, height_px)
+        mask[v0:v1, u0:u1] = False
+    if cfg.outlier_fraction > 0:
+        flat = np.flatnonzero(mask)
+        n_out = int(round(cfg.outlier_fraction * flat.size))
+        if n_out:
+            chosen = rng.choice(flat.size, size=n_out, replace=False)
+            rows, cols = np.unravel_index(flat[chosen], mask.shape)
+            offset = rng.uniform(0.3, 3.0, n_out) * rng.choice([-1.0, 1.0], n_out)
+            z[rows, cols] = np.maximum(z[rows, cols] + offset, 0.3)
+    return z / cfg.metric_scale, mask
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(n_persons=2, rng_seed=3, outlier_fraction=0.3),
+    SynthConfig(n_persons=12, rng_seed=4, outlier_fraction=0.15, mask_stride=12,
+                depth_range=(3.5, 12.0), plane_tilt_deg=9.0),
+    SynthConfig(n_persons=2, rng_seed=5, outlier_fraction=0.2, mask_stride=1,
+                image_size=(320, 240), camera_focal=300.0, plane_tilt_deg=0.0),
+], ids=["stride3", "stride12", "stride1"])
+def test_ground_samples_match_the_raster_oracle(monkeypatch, cfg):
+    """The samples are the full-frame map's values at its mask, bit for bit."""
+    seen = {}
+
+    def spy(*args):
+        seen["args"] = args[:-1]
+        return real(*args)
+
+    real = synth._ground_samples
+    monkeypatch.setattr(synth, "_ground_samples", spy)
+    _, _, obs = generate_scene(cfg)
+    depth, mask = raster_ground(*seen["args"], np.random.default_rng((cfg.rng_seed, 31)))
+    assert obs.image_size == mask.shape[::-1]
+    assert np.array_equal(obs.ground_index, np.flatnonzero(mask))
+    assert obs.ground_depth.tobytes() == depth[mask].tobytes()
 
 
 def test_keypoint_noise_perturbs_only_keypoints():
@@ -117,8 +179,9 @@ def test_generation_deterministic():
     for pa, pb in zip(a[1].persons, b[1].persons):
         assert np.array_equal(pa.ref_keypoints, pb.ref_keypoints)
         assert np.array_equal(pa.translation, pb.translation)
-    assert np.array_equal(a[2].depth, b[2].depth)
-    assert np.array_equal(a[2].ground_mask, b[2].ground_mask)
+    assert a[2].image_size == b[2].image_size
+    assert np.array_equal(a[2].ground_index, b[2].ground_index)
+    assert np.array_equal(a[2].ground_depth, b[2].ground_depth)
 
 
 def test_keypoints_inside_frame():
