@@ -55,6 +55,21 @@ def whole_number(value, name: str) -> int:
     raise SchemaError(f"{name} must be a whole number, got {value!r}")
 
 
+def real_number(value, name: str) -> float:
+    """value as a float if it is a number (7, 7.5, an int too large for a
+    float excepted), else SchemaError.
+
+    Booleans and numeric strings are refused: true is not 1.0 and "1000" is
+    not 1000.  Finiteness and range are left to the caller.
+    """
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise SchemaError(f"{name} must be a number, got {value!r}")
+
+
 def check_int(value, name: str, minimum: int) -> None:
     """Raise SchemaError unless value is an integer >= minimum (bool and 7.0 refused).
 

@@ -4,12 +4,16 @@ Pipeline: unproject masked ground pixels to a metric point cloud, fit a
 plane by RANSAC over 3-point hypotheses, refine the winner on its inliers
 by least squares, then re-anchor the plane at the reference person's ankle
 so the feet constraint measures distances from a point with trusted depth.
+RANSAC stops scoring a hypothesis as soon as its count provably cannot
+win, so it picks the same winner as scoring every hypothesis in full, with
+less work.
 
 Memory: a DepthObservation keeps only its M ground samples (a flat index
 and a depth value each), never the (H, W) grids.  The unprojection writes
 the (M, 3) cloud in place and makes no other M-by-3 array; RANSAC scores
-through one block-sized buffer and refits in one (M, 3) workspace with one
-(M,) distance buffer, and never writes to the caller's cloud.
+through one block-sized buffer, holds the cloud reordered for scoring in
+one (M, 3) workspace that the refits reuse with one (M,) distance buffer,
+and never writes to the caller's cloud.
 """
 
 from __future__ import annotations
@@ -120,46 +124,83 @@ def _lsq_plane(
     points: np.ndarray, inliers: np.ndarray, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares plane through points[inliers]: centroid + smallest-singular
-    direction.  The inliers are gathered and centred in the (M, 3) workspace."""
+    direction.  The inliers are gathered and centred in the (M, 3) workspace.
+
+    From 5 rows up the SVD is taken of the 3x3 R of a QR factorization.  That
+    is the path LAPACK's gesdd takes itself for 5 or more rows of 3 columns,
+    so vh is the same, without the (M, 3) U that gesdd would build and that is
+    discarded here.  With 3 or 4 rows gesdd takes another path, which differs
+    from QR-first in the last bits, so those go to the SVD as they are.
+    """
     sel = np.compress(inliers, points, axis=0, out=work[: np.count_nonzero(inliers)])
     centroid = sel.mean(axis=0)
     sel -= centroid
+    if len(sel) >= 5:
+        sel = np.linalg.qr(sel, mode="r")
     _, _, vh = np.linalg.svd(sel, full_matrices=False)
     return vh[-1], centroid
 
 
-_BLOCK = 1 << 17  # distances per scoring block, sized to stay in cache
+_BLOCK = 1 << 16  # distances per scoring block: 512 KB, sized to stay in cache
 
 
-def _consensus_counts(points: np.ndarray, samples: np.ndarray, threshold: float) -> np.ndarray:
-    """Inlier count of the plane through each 3-point sample; -1 if collinear.
+def _consensus_counts(
+    scan: np.ndarray, corners: np.ndarray, threshold: float, beat: int
+) -> np.ndarray:
+    """Inlier count of the plane through each 3-point sample, or -1 where the
+    sample is collinear or its count provably cannot win.
 
-    Each block of the (M, 3) cloud is copied into a reused (step, 4) buffer
-    whose last column is ones, so one product gives every point's signed
-    distance to a batch of planes (n, -n.p0).
+    corners is (h, 3, 3): the three points of each sample.  scan is the cloud
+    in any row order, as counts do not depend on it.  beat is the best count
+    of earlier batches; the batch's winner, as ransac_plane picks it, is its
+    first-seen maximum, and only if that exceeds beat.
+
+    Each block of scan is copied into a reused (rows, 4) buffer whose last
+    column is ones, so one product gives every point's signed distance to
+    the planes (n, -n.p0) still in play.  After each block a hypothesis stays
+    only while partial + rows_left >= max(beat + 1, max partial); the others
+    leave the product and get -1.  This never changes the winner:
+    - a dropped hypothesis ends with at most partial + rows_left, so its
+      count is <= beat, or below the final count of the hypothesis holding
+      the max partial; either way it could never have replaced the winner;
+    - the first-seen maximum, with final count F, is never dropped while
+      F > beat: its partial + rows_left >= F >= beat + 1, and F is at least
+      every other final count, hence at least every partial.
+    So the counts returned are exact wherever they are not -1, and where any
+    exceeds beat, their first-seen argmax is the unpruned one.
     """
-    p0, p1, p2 = points[samples].transpose(1, 0, 2)
+    p0, p1, p2 = corners.transpose(1, 0, 2)
     a, b = p1 - p0, p2 - p0
     normals = np.cross(a, b)
     norms = np.linalg.norm(normals, axis=1)
     ok = norms > 1e-9 * np.maximum(1.0, np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-    normals /= np.where(ok, norms, 1.0)[:, None]
-    planes = np.vstack([normals.T, -np.einsum("ij,ij->i", normals, p0)])
-    h = len(samples)
+    alive = np.flatnonzero(ok)  # collinear samples are never scored
+    normals = normals[alive] / norms[alive, None]
+    planes = np.vstack([normals.T, -np.einsum("ij,ij->i", normals, p0[alive])])
+    m, h = scan.shape[0], len(corners)
     step = max(1, min(_BLOCK // h, 65535))  # a block's counts fit uint16
-    rows = min(step, points.shape[0])
-    block1, dist, inl = np.empty((rows, 4)), np.empty((rows, h)), np.empty((rows, h), dtype=bool)
+    rows = min(step, m)
+    block1, dist, inl = np.empty((rows, 4)), np.empty(rows * h), np.empty(rows * h, dtype=bool)
     block1[:, 3] = 1.0
-    total = np.zeros(h, dtype=np.intp)
-    for start in range(0, points.shape[0], step):
-        block = points[start:start + step]
-        b, d, i = block1[: len(block)], dist[: len(block)], inl[: len(block)]
-        b[:, :3] = block
+    total = np.zeros(alive.size, dtype=np.intp)
+    for start in range(0, m, step):
+        if not alive.size:
+            break
+        b = block1[: min(step, m - start)]
+        b[:, :3] = scan[start:start + step]
+        n = len(b) * alive.size
+        d, i = dist[:n].reshape(len(b), -1), inl[:n].reshape(len(b), -1)
         np.matmul(b, planes, out=d)
         np.abs(d, out=d)
         np.less_equal(d, threshold, out=i)
         total += np.add.reduce(i.view(np.uint8), axis=0, dtype=np.uint16)
-    return np.where(ok, total, -1)
+        rows_left = m - start - len(b)
+        keep = total + rows_left >= max(beat + 1, total.max())
+        if not keep.all():
+            planes, total, alive = planes[:, keep], total[keep], alive[keep]
+    counts = np.full(h, -1, dtype=np.intp)
+    counts[alive] = total
+    return counts
 
 
 def ransac_plane(
@@ -167,19 +208,26 @@ def ransac_plane(
 ) -> tuple[GroundPlane, np.ndarray]:
     """Robust plane fit; returns the plane and the final inlier indices.
 
-    All cfg.iterations 3-point hypotheses are drawn from one rng_seed stream
-    and scored; the only early stop is when a hypothesis takes every point,
-    since no later one can beat it.  Consensus keeps the first-seen best
-    hypothesis (strict >), so results are reproducible for a fixed rng_seed.
-    The winner's inliers are recomputed from its three points, refined by
-    least squares, inliers are recomputed against the refined plane, and one
-    more refinement pass runs on that set.  The normal is flipped, if
-    needed, so the camera origin lies on the positive side of the plane.
+    cfg.iterations 3-point hypotheses are drawn from one rng_seed stream and
+    bounded: each is scored until its count is known, or until it provably
+    cannot beat the best so far (see _consensus_counts).  The only early
+    stop of the draws is when a hypothesis takes every point, since no later
+    one can beat it.  Consensus keeps the first-seen best hypothesis (strict
+    >), so results are reproducible for a fixed rng_seed, and they are the
+    same as scoring every hypothesis in full.  Once a leader exists and
+    hypotheses remain, the cloud is scanned with the leader's outliers
+    first: a hypothesis that agrees with the leader gains little there and
+    drops out after those rows.  The winner's inliers are recomputed from
+    its three points, refined by least squares, inliers are recomputed
+    against the refined plane, and one more refinement pass runs on that
+    set.  The normal is flipped, if needed, so the camera origin lies on the
+    positive side of the plane.
 
     Beyond the cloud, the only M-sized arrays are one (M, 3) workspace and
-    one (M,) distance buffer, shared by the winner's recount and both refits,
-    and the inlier masks; scoring copies one block at a time.  points itself
-    is never written.
+    one (M,) distance buffer, and the inlier masks.  The workspace holds the
+    reordered cloud while hypotheses are scored, then serves the winner's
+    recount and both refits with the distance buffer; scoring copies one
+    block at a time.  points itself is never written.
     """
     if cfg is None:
         cfg = RansacConfig()
@@ -190,25 +238,6 @@ def ransac_plane(
     if m < 3:
         raise InsufficientGroundError(f"need >= 3 points, got {m}")
 
-    # Hypotheses are scored in batches of 1, 8, 64, ... in draw order; the
-    # first-seen maximum wins within and across batches, as in a one-by-one
-    # loop, and no batch starts once one hypothesis has taken every point.
-    rng = np.random.default_rng(cfg.rng_seed)
-    best_count = 0
-    best_sample: np.ndarray | None = None
-    drawn, batch = 0, 1
-    while drawn < cfg.iterations and best_count < m:
-        samples = np.array([
-            rng.choice(m, size=3, replace=False)
-            for _ in range(min(batch, cfg.iterations - drawn))
-        ])
-        counts = _consensus_counts(points, samples, cfg.inlier_threshold)
-        k = int(np.argmax(counts))
-        if counts[k] > best_count:
-            best_count, best_sample = int(counts[k]), samples[k]
-        drawn += len(samples)
-        batch *= 8
-
     work, dist = np.empty((m, 3)), np.empty(m)
 
     def within(point: np.ndarray, normal: np.ndarray) -> np.ndarray:
@@ -218,14 +247,38 @@ def ransac_plane(
         np.abs(dist, out=dist)
         return np.less_equal(dist, cfg.inlier_threshold)
 
-    # the winner's inliers in the one-by-one loop's own arithmetic, so the
-    # plane does not depend on the rounding of the block scoring
+    # Hypotheses are scored in batches of 1, 8, 64, ... in draw order; the
+    # first-seen maximum wins within and across batches, as in a one-by-one
+    # loop, and no batch starts once one hypothesis has taken every point.
+    rng = np.random.default_rng(cfg.rng_seed)
+    best_count = 0
     best_inliers: np.ndarray | None = None
-    if best_sample is not None:
-        p0, p1, p2 = points[best_sample]
-        normal = np.cross(p1 - p0, p2 - p0)
-        normal = normal / np.linalg.norm(normal)
-        best_inliers = within(p0, normal)
+    scan = points
+    drawn, batch = 0, 1
+    while drawn < cfg.iterations and best_count < m:
+        samples = np.array([
+            rng.choice(m, size=3, replace=False)
+            for _ in range(min(batch, cfg.iterations - drawn))
+        ])
+        counts = _consensus_counts(scan, points[samples], cfg.inlier_threshold, best_count)
+        drawn += len(samples)
+        batch *= 8
+        k = int(np.argmax(counts))
+        if counts[k] > best_count:
+            best_count = int(counts[k])
+            # the leader's inliers in the one-by-one loop's own arithmetic, so
+            # the plane does not depend on the rounding of the block scoring
+            p0, p1, p2 = points[samples[k]]
+            normal = np.cross(p1 - p0, p2 - p0)
+            best_inliers = within(p0, normal / np.linalg.norm(normal))
+            if drawn < cfg.iterations and best_count < m:
+                # within() has just overwritten work: refill it with the
+                # leader's outliers first, then its inliers, for the next batch
+                outside = m - np.count_nonzero(best_inliers)
+                np.compress(best_inliers, points, axis=0, out=work[outside:])
+                np.compress(~best_inliers, points, axis=0, out=work[:outside])
+                scan = work
+    if best_inliers is not None:
         best_count = int(np.count_nonzero(best_inliers))
 
     if best_inliers is None or best_count < max(3, int(np.ceil(cfg.min_inlier_fraction * m))):

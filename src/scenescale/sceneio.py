@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, whole_number
+from .errors import SchemaError, real_number, whole_number
 from .geometry import CameraModel, WeakPerspectiveCam
 from .planefit import DepthObservation
 from .scene import GroundPlane, Person, Scene
@@ -43,10 +43,17 @@ def _tolist(arr: np.ndarray | None):
 
 
 def _asarray(value, shape: tuple[int, ...] | None, where: str) -> np.ndarray:
+    """value as a float array; every entry must be a number (real_number)."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where}: not a numeric array ({exc})") from None
+    entries = [value]  # numpy reads true and "5" as numbers; the file may not
+    for _ in range(arr.ndim):
+        entries = [v for row in entries for v in row]
+    for v in entries:
+        if type(v) is not float:  # the common case, checked inline
+            real_number(v, where)
     if shape is not None and arr.shape != shape:
         raise SchemaError(f"{where}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -106,7 +113,7 @@ def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
         raise SchemaError(f"{where}.camera: need an object with 'focal'")
     try:
         camera = CameraModel(
-            focal=float(cam_doc["focal"]),
+            focal=real_number(cam_doc["focal"], "focal"),
             image_size=tuple(cam_doc.get("image_size", (1920, 1080))),
             principal_point=(
                 _asarray(cam_doc["principal_point"], (2,), f"{where}.camera.principal_point")
@@ -145,9 +152,9 @@ def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
             wc = entry["weak_cam"]
             try:
                 weak_cam = WeakPerspectiveCam(
-                    sigma=float(wc["sigma"]),
-                    tx=float(wc.get("tx", 0.0)),
-                    ty=float(wc.get("ty", 0.0)),
+                    sigma=real_number(wc["sigma"], "sigma"),
+                    tx=real_number(wc.get("tx", 0.0), "tx"),
+                    ty=real_number(wc.get("ty", 0.0), "ty"),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"{ctx}.weak_cam: {exc}") from None
@@ -163,7 +170,7 @@ def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
                     if translation is not None
                     else None
                 ),
-                scale=float(entry.get("scale", 1.0)),
+                scale=real_number(entry.get("scale", 1.0), "scale"),
                 ref_keypoints=(
                     _asarray(entry["ref_keypoints"], (k, 2), f"{ctx}.ref_keypoints")
                     if entry.get("ref_keypoints") is not None
@@ -259,10 +266,7 @@ def load_depth_observation(depth_path: str | Path, mask_path: str | Path) -> Dep
     for key in ("width", "height", "metric_scale"):
         if key not in sidecar:
             raise SchemaError(f"{sidecar_path}: missing '{key}'")
-    try:
-        metric_scale = float(sidecar["metric_scale"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{sidecar_path}: {exc}") from None
+    metric_scale = real_number(sidecar["metric_scale"], f"{sidecar_path}: metric_scale")
     w = whole_number(sidecar["width"], f"{sidecar_path}: width")
     h = whole_number(sidecar["height"], f"{sidecar_path}: height")
     if w < 1 or h < 1:

@@ -396,12 +396,21 @@ BAD_FIELDS = [
     ("scene", {"persons.1.weak_cam": {"sigma": NAN}}, "persons[1]"),
     ("scene", {"camera.focal": NAN}, "camera"),
     ("scene", {"camera.image_size": [1920.5, 1080]}, "image_size"),
+    ("scene", {"camera.focal": True}, "focal"),
+    ("scene", {"camera.focal": "1000"}, "focal"),
+    ("scene", {"persons.1.scale": "1.5"}, "scale"),
+    ("scene", {"persons.1.scale": True}, "scale"),
+    ("scene", {"persons.1.confidences": [True] * 24}, "confidences"),
+    ("scene", {"persons.1.translation": [True, False, "5"]}, "translation"),
+    ("scene", {"persons.1.weak_cam": {"sigma": "2"}}, "sigma"),
+    ("scene", {"plane.normal": [0, "1", 0]}, "plane.normal"),
     ("sidecar", {"metric_scale": "abc"}, "depth.f32.json"),
     ("sidecar", {"width": "abc"}, "depth.f32.json"),
     ("sidecar", {"height": None}, "depth.f32.json"),
     ("sidecar", {"width": -1920, "height": -1080}, "depth.f32.json"),
     ("sidecar", {"width": 1920.5}, "width"),
     ("sidecar", {"height": 1080.5}, "height"),
+    ("sidecar", {"metric_scale": True}, "metric_scale"),
     ("synth config", {"n_persons": 2.5}, "n_persons"),
     ("synth config", {"mask_stride": 2.5}, "mask_stride"),
     ("synth config", {"rng_seed": 1.5}, "rng_seed"),

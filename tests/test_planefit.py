@@ -431,13 +431,43 @@ def test_ransac_matches_oracle_special_clouds(cloud):
     assert_matches_oracle(cloud, RansacConfig(rng_seed=5))
 
 
+def oracle_counts(points, corners, threshold):
+    """Literal copy of _consensus_counts before it bounded hypotheses, given
+    each sample's three points: the full inlier count of every non-collinear
+    sample, -1 for collinear ones."""
+    p0, p1, p2 = corners.transpose(1, 0, 2)
+    a, b = p1 - p0, p2 - p0
+    normals = np.cross(a, b)
+    norms = np.linalg.norm(normals, axis=1)
+    ok = norms > 1e-9 * np.maximum(1.0, np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+    normals /= np.where(ok, norms, 1.0)[:, None]
+    planes = np.vstack([normals.T, -np.einsum("ij,ij->i", normals, p0)])
+    h = len(corners)
+    step = max(1, min((1 << 17) // h, 65535))
+    rows = min(step, points.shape[0])
+    block1, dist, inl = np.empty((rows, 4)), np.empty((rows, h)), np.empty((rows, h), dtype=bool)
+    block1[:, 3] = 1.0
+    total = np.zeros(h, dtype=np.intp)
+    for start in range(0, points.shape[0], step):
+        block = points[start:start + step]
+        b, d, i = block1[: len(block)], dist[: len(block)], inl[: len(block)]
+        b[:, :3] = block
+        np.matmul(b, planes, out=d)
+        np.abs(d, out=d)
+        np.less_equal(d, threshold, out=i)
+        total += np.add.reduce(i.view(np.uint8), axis=0, dtype=np.uint16)
+    return np.where(ok, total, -1)
+
+
 def count_scored(monkeypatch):
+    """Record (corners, returned counts) of every batch ransac_plane scores."""
     scored = []
     real = planefit._consensus_counts
 
-    def spy(points, samples, threshold):
-        scored.append(len(samples))
-        return real(points, samples, threshold)
+    def spy(scan, corners, threshold, beat):
+        counts = real(scan, corners, threshold, beat)
+        scored.append((corners, counts))
+        return counts
 
     monkeypatch.setattr(planefit, "_consensus_counts", spy)
     return scored
@@ -448,14 +478,89 @@ def test_ransac_stops_once_one_hypothesis_takes_every_point(monkeypatch):
     pts = grid_on_y0()
     _, inliers = ransac_plane(pts, RansacConfig(rng_seed=0))
     assert inliers.size == pts.shape[0]
-    assert scored == [1]
+    assert [len(corners) for corners, _ in scored] == [1]
 
 
 def test_ransac_scores_every_hypothesis_without_full_consensus(monkeypatch):
+    """All 300 hypotheses are drawn, and each gets its full count or -1; some
+    non-collinear one gets -1, dropped once it could no longer win."""
     scored = count_scored(monkeypatch)
     _, pts = next(criterion_5_clouds())
     ransac_plane(pts, RansacConfig(iterations=300, rng_seed=0))
-    assert sum(scored) == 300
+    assert sum(len(corners) for corners, _ in scored) == 300
+    counts = np.concatenate([c for _, c in scored])
+    full = np.concatenate([oracle_counts(pts, corners, 0.05) for corners, _ in scored])
+    assert np.all((counts == full) | (counts == -1))
+    assert np.any((counts == -1) & (full >= 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(3, 2000),
+    h=st.integers(1, 80),
+    beat=st.integers(-1, 2000),
+    block=st.sampled_from([planefit._BLOCK, 512, 7]),
+)
+def test_consensus_counts_are_exact_or_provably_losing(seed, m, h, beat, block):
+    """Over any row order and any beat, each count is the full count or -1;
+    -1 only where the full count is <= beat or below the batch maximum; and
+    where the maximum exceeds beat, its first-seen argmax is unchanged."""
+    rng = np.random.default_rng(seed)
+    on_plane = grid_on_y0(n_side=30)[rng.choice(900, size=m - m // 3)]
+    pts = np.vstack([on_plane + rng.normal(0, 0.02, on_plane.shape),
+                     rng.uniform(-5, 5, (m // 3, 3))])
+    pts[rng.uniform(size=m) < 0.05] = pts[0]  # repeated points make collinear samples
+    samples = np.array([rng.choice(m, size=3, replace=False) for _ in range(h)])
+    full = oracle_counts(pts, pts[samples], 0.05)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planefit, "_BLOCK", block)  # small blocks: many pruning checks
+        counts = planefit._consensus_counts(pts[rng.permutation(m)], pts[samples], 0.05, beat)
+    kept = counts != -1
+    assert np.array_equal(counts[kept], full[kept])
+    assert np.all((full[~kept] <= beat) | (full[~kept] < full.max()))
+    if full.max() > beat:
+        assert np.argmax(counts) == np.argmax(full)
+
+
+def plain_svd_plane(points, inliers):
+    """_lsq_plane before the QR-first refit: a thin SVD of the centred set."""
+    sel = points[inliers]
+    centroid = sel.mean(axis=0)
+    _, _, vh = np.linalg.svd(sel - centroid, full_matrices=False)
+    return vh[-1], centroid
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.one_of(st.integers(3, 12), st.integers(13, 5000)),
+    rank=st.sampled_from([0, 1, 2, 3]),
+)
+def test_lsq_plane_matches_plain_svd(seed, m, rank):
+    """QR-first gives the plain SVD's bits from 5 rows up, rank-deficient sets
+    included, and 3 or 4 rows take the plain SVD itself (QR-first differs
+    there on most random clouds)."""
+    rng = np.random.default_rng(seed)
+    basis = rng.normal(size=(rank, 3)) if rank else np.zeros((1, 3))
+    pts = rng.normal(size=(m, max(rank, 1))) @ basis + rng.uniform(-5, 5, 3)
+    inliers = rng.uniform(size=m) < 0.8
+    inliers[:3] = True
+    normal, centroid = planefit._lsq_plane(pts, inliers, np.empty((m, 3)))
+    expected_normal, expected_centroid = plain_svd_plane(pts, inliers)
+    assert normal.tobytes() == expected_normal.tobytes()
+    assert centroid.tobytes() == expected_centroid.tobytes()
+
+
+def test_lsq_plane_matches_plain_svd_on_a_frame():
+    cfg = SynthConfig(n_persons=2, outlier_fraction=0.3, mask_stride=3, rng_seed=5)
+    _, observed, obs = generate_scene(cfg)
+    pts = unproject_ground(obs, observed.camera)
+    inliers = np.abs(observed.plane.signed_distance(pts)) < 0.05
+    normal, centroid = planefit._lsq_plane(pts, inliers, np.empty_like(pts))
+    expected_normal, expected_centroid = plain_svd_plane(pts, inliers)
+    assert normal.tobytes() == expected_normal.tobytes()
+    assert centroid.tobytes() == expected_centroid.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

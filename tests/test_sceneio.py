@@ -150,6 +150,23 @@ def test_dict_validation_paths():
         scene_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "path, named",
+    [(("camera", "focal"), "focal"), (("persons", 0, "scale"), "scale"),
+     (("persons", 0, "translation", 2), "translation")],
+)
+def test_numbers_too_large_for_a_float_are_refused(path, named):
+    """JSON reads a long integer literal as an int that no float holds."""
+    doc = json.loads(json.dumps(scene_to_dict(generate_scene(SynthConfig(n_persons=1))[1])))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = 10**400
+    with pytest.raises(SchemaError, match=named):
+        scene_from_dict(doc)
+
+
 def test_person_needs_translation_or_weak_cam():
     doc = {
         "camera": {"focal": 1000.0, "image_size": [100, 100]},
