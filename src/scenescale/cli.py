@@ -219,18 +219,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     n_scenes = doc.pop("n_scenes", 1)
     if args.n_scenes is not None:
         n_scenes = args.n_scenes
-    if args.n_persons is not None:
-        doc["n_persons"] = args.n_persons
-    if args.seed is not None:
-        doc["rng_seed"] = args.seed
-    if args.tilt is not None:
-        doc["plane_tilt_deg"] = args.tilt
-    if args.noise_px is not None:
-        doc["keypoint_noise_px"] = args.noise_px
-    if args.factors is not None:
-        doc["ambiguity_factors"] = _float_list(args.factors, "--factors")
-    if args.outlier_fraction is not None:
-        doc["outlier_fraction"] = args.outlier_fraction
+    factors = None if args.factors is None else _float_list(args.factors, "--factors")
+    for key, flag in (("n_persons", args.n_persons), ("rng_seed", args.seed),
+                      ("plane_tilt_deg", args.tilt), ("keypoint_noise_px", args.noise_px),
+                      ("ambiguity_factors", factors), ("outlier_fraction", args.outlier_fraction)):
+        if flag is not None:
+            doc[key] = flag
     check_int(n_scenes, "n_scenes", 1)
     try:
         base = SynthConfig(**doc)
@@ -238,10 +232,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise SchemaError(f"synth config: {exc}") from None
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(n_scenes):
         cfg = SynthConfig(**{**doc, "rng_seed": base.rng_seed + i})
         gt, observed, obs = generate_scene(cfg)
+        out_dir.mkdir(parents=True, exist_ok=True)  # not before a scene is ready
         save_scene(observed, out_dir / f"scene_{i:03d}.json")
         save_scene(gt, out_dir / f"gt_{i:03d}.json")
         save_depth_observation(
@@ -263,24 +257,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    ransac, optim = RansacConfig(), OptimConfig()
     p = sub.add_parser("fit-plane", help="fit and anchor a ground plane from a depth map")
     p.add_argument("depth", help="raw float32 depth file (sidecar at <depth>.json)")
     p.add_argument("mask", help="raw uint8 ground mask, nonzero = ground")
     p.add_argument("scene", help="scene JSON to read and update")
     p.add_argument("--out", help="write here instead of updating the scene in place")
-    p.add_argument("--iterations", type=int, default=500)
-    p.add_argument("--threshold", type=float, default=0.05, help="inlier distance, meters")
-    p.add_argument("--min-inlier-fraction", type=float, default=0.3)
+    p.add_argument("--iterations", type=int, default=ransac.iterations)
+    p.add_argument("--threshold", type=float, default=ransac.inlier_threshold,
+                   help="inlier distance, meters")
+    p.add_argument("--min-inlier-fraction", type=float, default=ransac.min_inlier_fraction)
     p.add_argument("--metric-scale", type=float, default=None, help="override depth sidecar")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ransac.rng_seed)
     p.set_defaults(func=cmd_fit_plane)
 
     p = sub.add_parser("optimize", help="refine per-person translation and scale")
     p.add_argument("scene", help="scene JSON to read and update")
     p.add_argument("--out", help="write here instead of updating the scene in place")
     p.add_argument("--trace", help="write per-iteration loss CSV here")
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--iterations", type=int, default=600)
+    p.add_argument("--lr", type=float, default=optim.learning_rate)
+    p.add_argument("--iterations", type=int, default=optim.iterations)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--mode", choices=MODES)
     p.add_argument(
@@ -314,16 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SceneScaleError as exc:
-        for klass, code in _EXIT_CODES:
-            if isinstance(exc, klass):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
+    except (SceneScaleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((code for klass, code in _EXIT_CODES if isinstance(exc, klass)), 2)
 
 
 if __name__ == "__main__":

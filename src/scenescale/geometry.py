@@ -13,12 +13,12 @@ crop-normalized translations must be converted to the full image first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, InvalidCameraError, whole_number
+from .errors import (BehindCameraError, InvalidCameraError, positive_number, real_number,
+                     whole_number)
 
 
 @dataclass
@@ -34,7 +34,7 @@ class CameraModel:
     principal_point: np.ndarray | None = None
 
     def __post_init__(self):
-        self.focal = float(self.focal)
+        self.focal = positive_number(self.focal, "focal", InvalidCameraError)
         try:
             w, h = self.image_size
         except (TypeError, ValueError):
@@ -42,10 +42,8 @@ class CameraModel:
                 f"image_size must be (width, height), got {self.image_size!r}"
             ) from None
         self.image_size = (whole_number(w, "image_size"), whole_number(h, "image_size"))
-        if not (math.isfinite(self.focal) and self.focal > 0):
-            raise InvalidCameraError(f"focal must be finite and > 0, got {self.focal}")
         if self.image_size[0] <= 0 or self.image_size[1] <= 0:
-            raise InvalidCameraError(f"image size must be positive, got {self.image_size}")
+            raise InvalidCameraError(f"image_size must be positive, got {self.image_size}")
         if self.principal_point is None:
             self.principal_point = np.array(
                 [self.image_size[0] / 2.0, self.image_size[1] / 2.0]
@@ -63,11 +61,9 @@ class WeakPerspectiveCam:
     ty: float = 0.0
 
     def __post_init__(self):
-        self.sigma = float(self.sigma)
-        self.tx = float(self.tx)
-        self.ty = float(self.ty)
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidCameraError(f"sigma must be finite and > 0, got {self.sigma}")
+        self.sigma = positive_number(self.sigma, "sigma", InvalidCameraError)
+        self.tx = real_number(self.tx, "tx", InvalidCameraError)
+        self.ty = real_number(self.ty, "ty", InvalidCameraError)
 
 
 def weak_to_perspective(wp: WeakPerspectiveCam, cam: CameraModel) -> np.ndarray:
@@ -77,8 +73,6 @@ def weak_to_perspective(wp: WeakPerspectiveCam, cam: CameraModel) -> np.ndarray:
     components pass through unchanged (camera-frame meters, see module
     docstring).
     """
-    if wp.sigma <= 0:
-        raise InvalidCameraError(f"sigma must be > 0, got {wp.sigma}")
     return np.array([wp.tx, wp.ty, cam.focal / wp.sigma])
 
 

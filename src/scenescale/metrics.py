@@ -17,7 +17,6 @@ the estimate also ties.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -58,15 +57,12 @@ def _check_frames(est: list[Scene], gt: list[Scene]) -> None:
 
 def _order_correct(est_vals: np.ndarray, gt_vals: np.ndarray) -> int:
     """Correctly ordered pairs of one frame's values (each pair once)."""
-    correct = 0
-    for i, j in combinations(range(len(gt_vals)), 2):
-        gd = gt_vals[i] - gt_vals[j]
-        ed = est_vals[i] - est_vals[j]
-        if abs(gd) <= TIE_EPSILON:
-            correct += abs(ed) < TIE_EPSILON
-        else:
-            correct += np.sign(ed) == np.sign(gd)
-    return int(correct)
+    i, j = np.triu_indices(len(gt_vals), k=1)
+    gd = gt_vals[i] - gt_vals[j]
+    ed = est_vals[i] - est_vals[j]
+    tie = np.abs(gd) <= TIE_EPSILON
+    correct = np.where(tie, np.abs(ed) < TIE_EPSILON, np.sign(ed) == np.sign(gd))
+    return int(np.count_nonzero(correct))
 
 
 def _translations_z(scene: Scene) -> np.ndarray:

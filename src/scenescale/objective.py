@@ -32,11 +32,11 @@ they could only add or subtract 0.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingPlaneError, SchemaError
+from .errors import MissingPlaneError, SchemaError, real_number
 from .geometry import CameraModel
 from .scene import Scene
 
@@ -63,8 +63,8 @@ class ObjectiveConfig:
     mode: str = "full"
 
     def __post_init__(self):
-        self.lam = float(self.lam)
-        if not (math.isfinite(self.lam) and self.lam >= 0):
+        self.lam = real_number(self.lam, "lam")
+        if not 0 <= self.lam < math.inf:
             raise SchemaError(f"lam must be finite and >= 0, got {self.lam}")
         if self.mode not in MODES:
             raise SchemaError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -75,15 +75,12 @@ class LossBreakdown:
     reprojection: float
     plane: float
     total: float
-    per_person: list[tuple[float, float]] = field(default_factory=list)
 
     @classmethod
     def from_terms(cls, rep: np.ndarray, plane: np.ndarray, lam: float) -> "LossBreakdown":
         """Sum per-person terms (N,) into a breakdown, person by person."""
-        rep_list, plane_list = rep.tolist(), plane.tolist()
-        rep_sum, plane_sum = sum(rep_list), sum(plane_list)
-        per_person = list(zip(rep_list, plane_list))
-        return cls(rep_sum, plane_sum, rep_sum + lam * plane_sum, per_person)
+        rep_sum, plane_sum = sum(rep.tolist()), sum(plane.tolist())
+        return cls(rep_sum, plane_sum, rep_sum + lam * plane_sum)
 
 
 @dataclass(eq=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NonFiniteLossError, SchemaError, check_int
+from .errors import NonFiniteLossError, SchemaError, check_int, positive_number
 from .geometry import weak_to_perspective
 from .objective import LossBreakdown, ObjectiveConfig, _evaluate_theta, _pack_scene
 from .scene import Scene
@@ -38,8 +38,7 @@ class OptimConfig:
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise SchemaError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        self.learning_rate = positive_number(self.learning_rate, "learning_rate")
         check_int(self.iterations, "iterations", 1)
 
 
@@ -75,8 +74,7 @@ def lift_translations(scene: Scene, reset: bool) -> Scene:
 
 def optimize(scene: Scene, cfg: OptimConfig | None = None) -> OptimReport:
     """Jointly refine all (t, s) by ADAM on the configured objective."""
-    if cfg is None:
-        cfg = OptimConfig()
+    cfg = cfg or OptimConfig()
     return _run_adam(scene.copy(), cfg)
 
 
@@ -87,17 +85,14 @@ def optimize_baseline(
 
     Only the reprojection term drives the update; z never moves.
     """
-    if cfg is None:
-        cfg = OptimConfig()
+    cfg = cfg or OptimConfig()
     work = scene.copy()
     if len(per_person_depth) != len(work.persons):
         raise SchemaError(
             f"got {len(per_person_depth)} depths for {len(work.persons)} persons"
         )
     for i, (person, depth) in enumerate(zip(work.persons, per_person_depth)):
-        depth = float(depth)
-        if not (math.isfinite(depth) and depth > 0):
-            raise SchemaError(f"depth for person {i} must be finite and > 0, got {depth}")
+        depth = positive_number(depth, f"depth for person {i}")
         if person.translation is None:
             raise SchemaError(f"person {i} has no translation (call lift_translations first)")
         person.translation[2] = depth

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientGroundError, LowConsensusError, SchemaError, check_int
+from .errors import (InsufficientGroundError, LowConsensusError, SchemaError, check_int,
+                     positive_number, real_number)
 from .geometry import CameraModel
-from .objective import ObjectiveConfig, loss_and_gradients
+from .objective import ObjectiveConfig, _evaluate_theta, _pack_scene
 from .scene import GroundPlane, Scene, posed_ankles
 
 
@@ -59,17 +60,19 @@ class DepthObservation:
         return obs
 
     def _keep(self, image_size, index, values, metric_scale) -> None:
-        metric_scale = float(metric_scale)
-        if not (math.isfinite(metric_scale) and metric_scale > 0):
-            raise SchemaError(f"metric_scale must be finite and > 0, got {metric_scale}")
+        metric_scale = positive_number(metric_scale, "metric_scale")
         index, values = np.asarray(index), np.asarray(values)
         if values.dtype != np.float32:
             values = values.astype(np.float64, copy=False)
         if values.shape != index.shape:
             raise SchemaError(f"{values.size} depth values for {index.size} ground pixels")
-        # min is nan if any value is, so this is "all finite and > 0" without temporaries
-        if values.size and not (values.min() > 0 and math.isfinite(values.max())):
-            raise SchemaError("masked depth values must be finite and > 0")
+        if values.size:
+            top = float(values.max())
+            # min is nan if any value is, so this is "all finite and > 0" without temporaries
+            if not (values.min() > 0 and math.isfinite(top)):
+                raise SchemaError("masked depth values must be finite and > 0")
+            if not math.isfinite(top * metric_scale):
+                raise SchemaError(f"metric_scale {metric_scale} takes depth {top} beyond a float")
         w, h = image_size
         self.image_size = (int(w), int(h))
         self.ground_index = index        # (M,) row-major flat pixel indices, increasing
@@ -86,10 +89,8 @@ class RansacConfig:
 
     def __post_init__(self):
         check_int(self.iterations, "iterations", 1)
-        if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
-            raise SchemaError(
-                f"inlier_threshold must be finite and > 0, got {self.inlier_threshold}"
-            )
+        self.inlier_threshold = positive_number(self.inlier_threshold, "inlier_threshold")
+        self.min_inlier_fraction = real_number(self.min_inlier_fraction, "min_inlier_fraction")
         if not 0 <= self.min_inlier_fraction <= 1:
             raise SchemaError(
                 f"min_inlier_fraction must be in [0, 1], got {self.min_inlier_fraction}"
@@ -229,8 +230,7 @@ def ransac_plane(
     recount and both refits with the distance buffer; scoring copies one
     block at a time.  points itself is never written.
     """
-    if cfg is None:
-        cfg = RansacConfig()
+    cfg = cfg or RansacConfig()
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise SchemaError(f"points must be (M, 3), got {points.shape}")
@@ -319,8 +319,8 @@ def select_reference_person(scene: Scene) -> int:
     Ties break toward the lowest index (np.argmin picks the first minimum).
     """
     cfg = ObjectiveConfig(mode="reprojection_only")
-    breakdown, _, _ = loss_and_gradients(scene, cfg)
-    return int(np.argmin([rep for rep, _ in breakdown.per_person]))
+    rep, _, _ = _evaluate_theta(*_pack_scene(scene, cfg), cfg)
+    return int(np.argmin(rep))
 
 
 def anchor_plane(plane: GroundPlane, scene: Scene) -> GroundPlane:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import SchemaError, whole_number
+from .errors import SchemaError, positive_number, whole_number
 from .geometry import CameraModel, WeakPerspectiveCam
 
 # Default joint indices (SMPL 24-joint order).
@@ -79,9 +79,7 @@ class Person:
             raise SchemaError("rotation is not orthonormal within 1e-6")
         if self.translation is not None:
             self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-        self.scale = float(self.scale)
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise SchemaError(f"scale must be finite and > 0, got {self.scale}")
+        self.scale = positive_number(self.scale, "scale")
         if self.ref_keypoints is not None:
             self.ref_keypoints = np.asarray(self.ref_keypoints, dtype=float)
             if self.ref_keypoints.shape != (k, 2):

@@ -16,6 +16,7 @@ so identical inputs always produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -113,7 +114,7 @@ def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
         raise SchemaError(f"{where}.camera: need an object with 'focal'")
     try:
         camera = CameraModel(
-            focal=real_number(cam_doc["focal"], "focal"),
+            focal=cam_doc["focal"],
             image_size=tuple(cam_doc.get("image_size", (1920, 1080))),
             principal_point=(
                 _asarray(cam_doc["principal_point"], (2,), f"{where}.camera.principal_point")
@@ -151,11 +152,7 @@ def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
         if entry.get("weak_cam") is not None:
             wc = entry["weak_cam"]
             try:
-                weak_cam = WeakPerspectiveCam(
-                    sigma=real_number(wc["sigma"], "sigma"),
-                    tx=real_number(wc.get("tx", 0.0), "tx"),
-                    ty=real_number(wc.get("ty", 0.0), "ty"),
-                )
+                weak_cam = WeakPerspectiveCam(wc["sigma"], wc.get("tx", 0.0), wc.get("ty", 0.0))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"{ctx}.weak_cam: {exc}") from None
         translation = entry.get("translation")
@@ -170,7 +167,7 @@ def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
                     if translation is not None
                     else None
                 ),
-                scale=real_number(entry.get("scale", 1.0), "scale"),
+                scale=entry.get("scale", 1.0),
                 ref_keypoints=(
                     _asarray(entry["ref_keypoints"], (k, 2), f"{ctx}.ref_keypoints")
                     if entry.get("ref_keypoints") is not None
@@ -241,6 +238,11 @@ def save_depth_observation(
     w, h = obs.image_size
     depth = np.zeros(h * w, dtype="<f4")
     depth[obs.ground_index] = obs.ground_depth
+    stored = depth[obs.ground_index]
+    # what the loader refuses is not written: a value float32 rounds to 0 or inf
+    if stored.size and not (stored.min() > 0 and math.isfinite(stored.max())):
+        raise SchemaError(f"{depth_path}: depth values at metric_scale {obs.metric_scale} "
+                          "leave float32's range")
     depth_path.write_bytes(depth)
     del depth  # one grid at a time
     sidecar = {
@@ -266,25 +268,28 @@ def load_depth_observation(depth_path: str | Path, mask_path: str | Path) -> Dep
     for key in ("width", "height", "metric_scale"):
         if key not in sidecar:
             raise SchemaError(f"{sidecar_path}: missing '{key}'")
-    metric_scale = real_number(sidecar["metric_scale"], f"{sidecar_path}: metric_scale")
     w = whole_number(sidecar["width"], f"{sidecar_path}: width")
     h = whole_number(sidecar["height"], f"{sidecar_path}: height")
     if w < 1 or h < 1:
         raise SchemaError(f"{sidecar_path}: width and height must be >= 1, got {w}x{h}")
-    if sidecar.get("byte_order", "little") != "little":
-        raise SchemaError(f"{sidecar_path}: only little-endian payloads supported")
+    for key, only in (("byte_order", "little"), ("dtype", "float32")):
+        if sidecar.get(key, only) != only:
+            raise SchemaError(f"{sidecar_path}: {key} must be {only!r}, got {sidecar[key]!r}")
     # the mask's blocks give the ground pixels, then the depth's their values
+    size = f"for the sidecar's width x height, {w}x{h}"
     buffer = np.empty(4 * _BLOCK_PIXELS, dtype=np.uint8)
     index = np.concatenate([
         start + np.flatnonzero(np.not_equal(block, 0, out=block.view(bool)))
-        for start, block in _read_blocks(Path(mask_path), h * w, np.uint8, "uint8", buffer)
+        for start, block in _read_blocks(Path(mask_path), h * w, np.uint8, f"uint8 {size}", buffer)
     ])
     values = np.empty(index.size, dtype="<f4")
-    what = f"for {w}x{h} float32"
-    for start, block in _read_blocks(depth_path, h * w, "<f4", what, buffer):
+    for start, block in _read_blocks(depth_path, h * w, "<f4", f"float32 {size}", buffer):
         lo, hi = np.searchsorted(index, (start, start + block.size))
         np.take(block, index[lo:hi] - start, out=values[lo:hi])
-    return DepthObservation.from_ground((w, h), index, values, metric_scale)
+    try:
+        return DepthObservation.from_ground((w, h), index, values, sidecar["metric_scale"])
+    except SchemaError as exc:
+        raise SchemaError(f"{sidecar_path}: {exc}") from None
 
 
 _BLOCK_PIXELS = 1 << 18  # pixels read at a time: 1 MB of float32 depth

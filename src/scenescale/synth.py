@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, PlacementError, SchemaError, check_int
+from .errors import (BehindCameraError, PlacementError, SchemaError, check_int,
+                     positive_number, real_number)
 from .geometry import CameraModel, project
 from .planefit import DepthObservation
 from .scene import GroundPlane, Person, Scene, posed_joints
@@ -74,17 +75,13 @@ def joint_template(height: float) -> np.ndarray:
     return _TEMPLATE * (height / _CHAIN_MEASURE)
 
 
-def _numbers(value, name: str, count: int | None = None) -> tuple[float, ...]:
-    """value as a tuple of floats, of length count if given, else SchemaError."""
-    try:
-        if isinstance(value, str):  # "12" would read as (1.0, 2.0)
-            raise TypeError
-        numbers = tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{name} must be a list of numbers, got {value!r}") from None
-    if count is not None and len(numbers) != count:
-        raise SchemaError(f"{name} must have {count} entries, got {value!r}")
-    return numbers
+# The depth map is rendered where the ground lies between these depths,
+# meters, and no person stands beyond the far one.
+_NEAR, _FAR = 0.3, 40.0
+
+# A synthetic frame holds at most this many pixels (8K UHD is 33.2 million):
+# its ground mask is one byte a pixel and its ground samples ~50 bytes each.
+_MAX_PIXELS = 1 << 25
 
 
 @dataclass
@@ -104,36 +101,39 @@ class SynthConfig:
     mask_stride: int = 3               # ground-mask pixel stride
 
     def __post_init__(self):
-        check_int(self.n_persons, "n_persons", 1)
-        check_int(self.mask_stride, "mask_stride", 1)
-        check_int(self.rng_seed, "rng_seed", 0)
+        for name, minimum in (("n_persons", 1), ("mask_stride", 1), ("rng_seed", 0)):
+            check_int(getattr(self, name), name, minimum)
+        for name in ("camera_focal", "camera_height", "metric_scale"):
+            setattr(self, name, positive_number(getattr(self, name), name))
         self.image_size = CameraModel(self.camera_focal, self.image_size).image_size
-        for name in ("height_range", "depth_range"):
-            lo, hi = _numbers(getattr(self, name), name, 2)
-            setattr(self, name, (lo, hi))
-            if not 0 < lo <= hi:
-                raise SchemaError(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
+        if self.image_size[0] * self.image_size[1] > _MAX_PIXELS:
+            raise SchemaError(f"image_size {self.image_size} holds over {_MAX_PIXELS} pixels")
+        for name, count in (("height_range", 2), ("depth_range", 2),
+                            ("ambiguity_factors", self.n_persons)):
+            value = getattr(self, name)
+            if value is None and name == "ambiguity_factors":
+                continue  # all 1.0
+            try:
+                numbers = tuple(positive_number(v, f"an entry of {name}") for v in value)
+            except TypeError:  # not a list
+                numbers = ()
+            if len(numbers) != count:
+                raise SchemaError(f"{name} must be a list of {count} numbers, got {value!r}")
+            setattr(self, name, numbers)
+        for name, top in (("height_range", math.inf), ("depth_range", _FAR)):
+            lo, hi = getattr(self, name)
+            if not lo <= hi <= top:
+                raise SchemaError(f"{name} must satisfy lo <= hi <= {top}, got {(lo, hi)}")
+        self.plane_tilt_deg = real_number(self.plane_tilt_deg, "plane_tilt_deg")
         if not 0 <= self.plane_tilt_deg <= 45:
             raise SchemaError(f"plane_tilt_deg must be in [0, 45], got {self.plane_tilt_deg}")
-        if not (math.isfinite(self.keypoint_noise_px) and self.keypoint_noise_px >= 0):
+        self.keypoint_noise_px = real_number(self.keypoint_noise_px, "keypoint_noise_px")
+        if not 0 <= self.keypoint_noise_px < math.inf:
             raise SchemaError(
-                f"keypoint_noise_px must be finite and >= 0, got {self.keypoint_noise_px}"
-            )
-        if self.ambiguity_factors is not None:
-            self.ambiguity_factors = _numbers(self.ambiguity_factors, "ambiguity_factors")
-            if len(self.ambiguity_factors) != self.n_persons:
-                raise SchemaError(
-                    f"{len(self.ambiguity_factors)} ambiguity factors for "
-                    f"{self.n_persons} persons"
-                )
-            if not all(math.isfinite(f) and f > 0 for f in self.ambiguity_factors):
-                raise SchemaError("ambiguity factors must be finite and > 0")
+                f"keypoint_noise_px must be finite and >= 0, got {self.keypoint_noise_px}")
+        self.outlier_fraction = real_number(self.outlier_fraction, "outlier_fraction")
         if not 0 <= self.outlier_fraction < 1:
-            raise SchemaError("outlier_fraction must be in [0, 1)")
-        if not (math.isfinite(self.camera_height) and self.camera_height > 0):
-            raise SchemaError("camera_height must be finite and > 0")
-        if not (math.isfinite(self.metric_scale) and self.metric_scale > 0):
-            raise SchemaError("metric_scale must be finite and > 0")
+            raise SchemaError(f"outlier_fraction must be in [0, 1), got {self.outlier_fraction}")
 
 
 def _plane_frame(tilt_rad: float, camera_height: float):
@@ -212,18 +212,24 @@ def generate_scene(cfg: SynthConfig) -> tuple[Scene, Scene, DepthObservation]:
                 f"(depth_range={cfg.depth_range}, image={camera.image_size})"
             )
         if cfg.keypoint_noise_px > 0:
-            person.ref_keypoints = person.ref_keypoints + (
-                cfg.keypoint_noise_px
-                * noise_rng.standard_normal(person.ref_keypoints.shape)
-            )
+            with np.errstate(over="ignore"):  # an overflow is refused below
+                person.ref_keypoints = person.ref_keypoints + (
+                    cfg.keypoint_noise_px
+                    * noise_rng.standard_normal(person.ref_keypoints.shape)
+                )
+            if not np.isfinite(person.ref_keypoints).all():
+                raise SchemaError(f"keypoint_noise_px takes person {i}'s keypoints beyond a float")
         gt_persons.append(person)
 
     factors = cfg.ambiguity_factors or tuple(1.0 for _ in range(cfg.n_persons))
     observed_persons = []
-    for person, k in zip(gt_persons, factors):
+    for i, (person, k) in enumerate(zip(gt_persons, factors)):
         twin = person.copy()
-        twin.translation = k * twin.translation
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            twin.translation = k * twin.translation
         twin.scale = k * twin.scale
+        if not np.isfinite(twin.translation).all():
+            raise SchemaError(f"ambiguity_factors entry {k} takes person {i} beyond a float")
         observed_persons.append(twin)
 
     gt_scene = Scene(gt_persons, camera, GroundPlane(normal, p0))
@@ -241,7 +247,7 @@ def _ground_samples(
     rng: np.random.Generator,
 ) -> DepthObservation:
     """The plane's depth at the ground pixels: the stride grid minus a margin
-    around each person, where the plane lies between 0.3 and 40 m.
+    around each person, where the plane lies between _NEAR and _FAR.
 
     Only those pixels are computed, each in the arithmetic a full (H, W)
     map would use, so no frame-sized float array is made.
@@ -267,7 +273,7 @@ def _ground_samples(
     denom = normal[0] * rx[cols] + normal[1] * ry[rows] + normal[2]
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (p0 @ normal) / denom
-    hit = np.isfinite(z) & (z > 0.3) & (z < 40.0)
+    hit = np.isfinite(z) & (z > _NEAR) & (z < _FAR)
     flat, z = flat[hit], z[hit]
 
     if cfg.outlier_fraction > 0:

@@ -5,9 +5,12 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import scenescale
 from conftest import plane_term
@@ -17,6 +20,7 @@ from scenescale import (
     SynthConfig,
     cli,
     generate_scene,
+    load_depth_observation,
     load_scene,
     save_depth_observation,
     save_scene,
@@ -424,7 +428,36 @@ BAD_FIELDS = [
     ("synth config", {"ambiguity_factors": 3}, "ambiguity_factors"),
     ("synth config", {"metric_scale": -1}, "metric_scale"),
     ("synth config", {"camera_focal": "abc"}, "synth config"),
+    ("synth config", {"camera_focal": True}, "camera_focal"),
+    ("synth config", {"camera_focal": "1000"}, "camera_focal"),
+    ("synth config", {"plane_tilt_deg": True}, "plane_tilt_deg"),
+    ("synth config", {"plane_tilt_deg": "5"}, "plane_tilt_deg"),
+    ("synth config", {"keypoint_noise_px": True}, "keypoint_noise_px"),
+    ("synth config", {"keypoint_noise_px": "1.5"}, "keypoint_noise_px"),
+    ("synth config", {"outlier_fraction": False}, "outlier_fraction"),
+    ("synth config", {"camera_height": True}, "camera_height"),
+    ("synth config", {"metric_scale": True}, "metric_scale"),
+    ("synth config", {"metric_scale": "6"}, "metric_scale"),
+    ("synth config", {"height_range": [True, 2]}, "height_range"),
+    ("synth config", {"depth_range": ["4", "6"]}, "depth_range"),
+    ("synth config", {"ambiguity_factors": [True, 1, 1]}, "ambiguity_factors"),
+    ("sidecar", {"dtype": "int32"}, "dtype"),
+    ("sidecar", {"dtype": ["x"]}, "dtype"),
+    ("sidecar", {"metric_scale": 1e308}, "metric_scale"),
+    ("synth config", {"image_size": [1e308, 1e308]}, "image_size"),
+    ("synth config", {"keypoint_noise_px": 1e308}, "keypoint_noise_px"),
+    ("synth config", {"ambiguity_factors": [1e308, 1e308, 1e308]}, "ambiguity_factors"),
+    ("synth config", {"depth_range": [1e308, 1e308]}, "depth_range"),
 ]
+
+
+def run_main(capsys, *args):
+    """cli.main in-process with warnings as errors: (exit code, stderr)."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([str(a) for a in args])
+    return code, capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -433,7 +466,9 @@ BAD_FIELDS = [
     ids=[f"{kind}-{'-'.join(f'{k}={v}' for k, v in edits.items())}"
          for kind, edits, _ in BAD_FIELDS],
 )
-def test_bad_input_file_field_exits_two(synth_dir, fitted_scene, tmp_path, kind, edits, named):
+def test_bad_input_file_field_exits_two(
+    synth_dir, fitted_scene, tmp_path, capsys, kind, edits, named
+):
     """A bad field in a scene file, depth sidecar or synth config: exit 2, one line."""
     depth, mask = tmp_path / "depth.f32", tmp_path / "mask.u8"
     depth.write_bytes((synth_dir / "depth_000.f32").read_bytes())
@@ -458,11 +493,113 @@ def test_bad_input_file_field_exits_two(synth_dir, fitted_scene, tmp_path, kind,
         "sidecar": ["fit-plane", depth, mask, synth_dir / "scene_000.json", "--out", out],
         "synth config": ["synth", "--out", out, "--config", edited],
     }[kind]
-    res = run_cli(*args)
-    assert res.returncode == 2
-    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
-    assert named in res.stderr
+    code, err = run_main(capsys, *args)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert named in err
     assert not out.exists()
+
+
+# Junk for one field of a valid document: booleans, numeric strings, nan, +-inf,
+# 1e308, an integer too long for a float, lists, objects and null.
+JUNK_SCALARS = [True, False, "1000", "1.5", NAN, float("inf"), -float("inf"), 1e308, 10**400, None]
+JUNK = st.one_of(
+    st.sampled_from(JUNK_SCALARS),
+    st.lists(st.sampled_from(JUNK_SCALARS), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "width"]), st.sampled_from(JUNK_SCALARS), max_size=2),
+)
+
+
+def every_junk_scalar(test):
+    """Run test on each junk scalar, and on the one junk pair whose entries are
+    both valid numbers, on top of the examples hypothesis draws."""
+    for value in [*JUNK_SCALARS, [1e308, 1e308]]:
+        test = example(value=value)(test)
+    return test
+
+
+# A small valid synth config that sets every field, so each can be mutated.
+SYNTH_DOC = {
+    "n_persons": 2, "height_range": [1.5, 1.9], "depth_range": [3.5, 7.0],
+    "plane_tilt_deg": 5.0, "keypoint_noise_px": 0.5, "ambiguity_factors": [1.0, 1.2],
+    "outlier_fraction": 0.1, "rng_seed": 3, "camera_focal": 500.0, "image_size": [480, 320],
+    "camera_height": 1.55, "metric_scale": 6.0, "mask_stride": 4, "n_scenes": 1,
+}
+
+
+def assert_closed_outcome(code, err, field, loads_back):
+    """Exit 0 with output that loads back, or exit 2 with one error line naming
+    the field.  Exit 8 (no placement) is the documented outcome of a synth
+    config whose numbers are valid but whose persons do not fit the frame."""
+    if code == 0:
+        assert err == ""
+        loads_back()
+        return
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, (field, err)
+    assert code in (2, 8), (field, code, err)
+    if code == 2:
+        assert field in err, (field, err)
+
+
+def synth_loads_back(out):
+    scenes = sorted(out.glob("scene_*.json")) + sorted(out.glob("gt_*.json"))
+    assert len(scenes) == 2
+    for scene in scenes:
+        load_scene(scene)
+    load_depth_observation(out / "depth_000.f32", out / "mask_000.u8")
+
+
+def test_fuzz_base_synth_config_is_valid(tmp_path, capsys):
+    config, out = tmp_path / "c.json", tmp_path / "out"
+    config.write_text(json.dumps(SYNTH_DOC))
+    assert run_main(capsys, "synth", "--out", out, "--config", config) == (0, "")
+    synth_loads_back(out)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=JUNK)
+@every_junk_scalar
+def test_fuzz_synth_config_field(tmp_path_factory, capsys, value):
+    """value in each field of a synth config in turn: a closed outcome, never a
+    traceback."""
+    for field in sorted(SYNTH_DOC):
+        work = tmp_path_factory.mktemp("fuzz-synth")
+        config, out = work / "c.json", work / "out"
+        config.write_text(json.dumps({**SYNTH_DOC, field: value}))
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e308 arithmetic, before exit 8
+            code, err = run_main(capsys, "synth", "--out", out, "--config", config)
+        assert_closed_outcome(code, err, field, lambda: synth_loads_back(out))
+
+
+@pytest.fixture(scope="module")
+def small_frame(tmp_path_factory):
+    """A 480x320 frame as files: depth, sidecar, mask and scene."""
+    work = tmp_path_factory.mktemp("small-frame")
+    cfg = {k: v for k, v in SYNTH_DOC.items() if k != "n_scenes"}
+    _, observed, obs = generate_scene(SynthConfig(**cfg))
+    save_depth_observation(obs, work / "depth.f32", work / "mask.u8")
+    save_scene(observed, work / "scene.json")
+    return work
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=JUNK)
+@every_junk_scalar
+def test_fuzz_sidecar_field(small_frame, tmp_path_factory, capsys, value):
+    """value in each field of a depth sidecar in turn: a closed outcome, never
+    a traceback."""
+    sidecar = json.loads((small_frame / "depth.f32.json").read_text())
+    for field in sorted(sidecar):
+        work = tmp_path_factory.mktemp("fuzz-sidecar")
+        for name in ("depth.f32", "mask.u8"):
+            (work / name).symlink_to(small_frame / name)
+        (work / "depth.f32.json").write_text(json.dumps({**sidecar, field: value}))
+        out = work / "out.json"
+        code, err = run_main(capsys, "fit-plane", work / "depth.f32", work / "mask.u8",
+                             small_frame / "scene.json", "--out", out)
+        assert_closed_outcome(code, err, field, lambda: load_scene(out))
 
 
 def test_missing_input_file_exits_two(synth_dir, tmp_path):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from scenescale import (
     SchemaError,
     evaluate_scenes,
 )
-from scenescale.metrics import pair_sum_discrepancy
+from scenescale.metrics import TIE_EPSILON, _order_correct, pair_sum_discrepancy
 from scenescale.synth import joint_template
 
 CAM = CameraModel(1000.0, (1920, 1080))
@@ -202,3 +204,32 @@ def test_metrics_relabeling_invariant(perm_seed):
     assert after.d_ord == before.d_ord
     assert after.h_ord == before.h_ord
     assert after.d_norm == pytest.approx(before.d_norm, rel=1e-12)
+
+
+def loop_order_correct(est_vals, gt_vals):
+    """The pair-by-pair loop _order_correct replaced, kept as its reference."""
+    correct = 0
+    for i, j in combinations(range(len(gt_vals)), 2):
+        gd = gt_vals[i] - gt_vals[j]
+        ed = est_vals[i] - est_vals[j]
+        if abs(gd) <= TIE_EPSILON:
+            correct += abs(ed) < TIE_EPSILON
+        else:
+            correct += np.sign(ed) == np.sign(gd)
+    return int(correct)
+
+
+# values that tie, sit on either side of TIE_EPSILON, or are not numbers
+_ORDER_VALUES = st.one_of(
+    st.sampled_from([0.0, TIE_EPSILON, -TIE_EPSILON, TIE_EPSILON / 2, 1.0, 2.0, np.nan, np.inf]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 20).flatmap(
+    lambda n: st.tuples(*(st.lists(_ORDER_VALUES, min_size=n, max_size=n),) * 2)))
+def test_order_correct_matches_the_pair_loop(pair):
+    est, gt = (np.array(v, dtype=float) for v in pair)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert _order_correct(est, gt) == loop_order_correct(est, gt)

@@ -15,10 +15,16 @@ from scenescale import (
     loss_and_gradients,
 )
 from scenescale.geometry import project
-from scenescale.objective import Z_EPSILON
+from scenescale.objective import Z_EPSILON, _evaluate_theta, _pack_scene
 from scenescale.scene import posed_joints
 
 CAM = CameraModel(1000.0, (1920, 1080))
+
+
+def per_person_terms(scene, cfg):
+    """Each person's reprojection and plane term, (N,) each, as copies."""
+    rep, plane, _ = _evaluate_theta(*_pack_scene(scene, cfg), cfg)
+    return rep.copy(), plane.copy()
 
 
 def exact_scene(n_persons=2, n_joints=24, seed=0):
@@ -193,7 +199,10 @@ def test_total_breakdown_consistency():
         breakdown.reprojection + 7.0 * breakdown.plane, rel=1e-12
     )
     assert breakdown.total >= 0.0
-    assert len(breakdown.per_person) == 3
+    rep, plane = per_person_terms(scene, cfg)
+    assert rep.shape == plane.shape == (3,)
+    assert breakdown.reprojection == sum(rep.tolist())
+    assert breakdown.plane == sum(plane.tolist())
 
 
 def test_config_validation():
@@ -320,8 +329,11 @@ def test_loss_and_gradients_single_pass_agrees():
     pln, pln_t, pln_s = loss_and_gradients(scene, ObjectiveConfig(4.0, mode="plane_only"))
     assert breakdown.reprojection == rep.reprojection
     assert breakdown.plane == pln.plane
-    pairs = zip(rep.per_person, pln.per_person)
-    assert breakdown.per_person == [(r, p) for (r, _), (_, p) in pairs]
+    full_rep, full_plane = per_person_terms(scene, ObjectiveConfig(lam=4.0))
+    rep_only, _ = per_person_terms(scene, ObjectiveConfig(4.0, mode="reprojection_only"))
+    _, plane_only = per_person_terms(scene, ObjectiveConfig(4.0, mode="plane_only"))
+    assert np.array_equal(full_rep, rep_only)
+    assert np.array_equal(full_plane, plane_only)
     assert np.array_equal(grad_t, rep_t + pln_t)
     assert np.array_equal(grad_s, rep_s + pln_s)
 
@@ -335,13 +347,14 @@ def test_reprojection_invariant_along_ambiguity_ray(seed, k):
     scene = random_scene(np.random.default_rng(seed), n_persons=3)
     cfg = ObjectiveConfig(mode="reprojection_only")
     base = loss_and_gradients(scene, cfg)[0]
+    base_rep, _ = per_person_terms(scene, cfg)
     for person in scene.persons:
         person.translation = k * person.translation
         person.scale = k * person.scale
     moved = loss_and_gradients(scene, cfg)[0]
     assert moved.reprojection == pytest.approx(base.reprojection, rel=1e-9)
-    for (rep_b, _), (rep_m, _) in zip(base.per_person, moved.per_person):
-        assert rep_m == pytest.approx(rep_b, rel=1e-9)
+    moved_rep, _ = per_person_terms(scene, cfg)
+    assert moved_rep == pytest.approx(base_rep, rel=1e-9)
 
 
 def test_ragged_joint_counts_match_one_person_scenes():
@@ -349,10 +362,12 @@ def test_ragged_joint_counts_match_one_person_scenes():
     for seed in range(5):
         scene = ragged_scene(seed, behind=seed % 2 == 1)
         breakdown, grad_t, grad_s = loss_and_gradients(scene, cfg)
+        terms = per_person_terms(scene, cfg)
         for i, person in enumerate(scene.persons):
             alone = Scene([person], scene.camera, plane=scene.plane)
             one, one_t, one_s = loss_and_gradients(alone, cfg)
-            assert breakdown.per_person[i] == pytest.approx(one.per_person[0], rel=1e-12)
+            for term, single in zip(terms, per_person_terms(alone, cfg)):
+                assert term[i] == pytest.approx(single[0], rel=1e-12)
             assert np.allclose(grad_t[i], one_t[0], rtol=1e-12, atol=1e-12)
             assert grad_s[i] == pytest.approx(one_s[0], rel=1e-12, abs=1e-12)
         singles = [loss_and_gradients(Scene([p], scene.camera, plane=scene.plane), cfg)[0]
