@@ -54,6 +54,7 @@ from .planefit import (
     unproject_ground,
 )
 from .sceneio import (
+    check_storable,
     dumps_canonical,
     load_depth_observation,
     load_scene,
@@ -235,6 +236,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for i in range(n_scenes):
         cfg = SynthConfig(**{**doc, "rng_seed": base.rng_seed + i})
         gt, observed, obs = generate_scene(cfg)
+        check_storable(obs, out_dir / f"depth_{i:03d}.f32")  # before any file of the scene
         out_dir.mkdir(parents=True, exist_ok=True)  # not before a scene is ready
         save_scene(observed, out_dir / f"scene_{i:03d}.json")
         save_scene(gt, out_dir / f"gt_{i:03d}.json")

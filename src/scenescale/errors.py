@@ -4,9 +4,17 @@ The CLI maps each class to a distinct exit code (see ``scenescale.cli``),
 so errors raised by library code should pick the most specific class.
 
 Every number from outside the program (a file, a flag, a constructor
-argument) passes real_number, positive_number, whole_number or check_int in
-the constructor that takes it.  All four refuse booleans, strings and ints
-too large for a float; a field's own range is a comparison after the check.
+argument) is judged in the constructor that takes it, by one of five
+functions here:
+
+  real_number      a number, as a float (range left to the caller);
+  positive_number  a finite number > 0;
+  whole_number     a whole number, as an int (7.0 kept, 7.9 refused);
+  check_int        an integer count or seed (7.0 refused);
+  real_array       an array of finite numbers, of a given shape.
+
+All five refuse booleans, strings and ints too large for a float; a field's
+own range is a comparison after the check.
 """
 
 import math
@@ -85,6 +93,33 @@ def whole_number(value, name: str) -> int:
     except SchemaError:
         pass
     raise SchemaError(f"{name} must be a whole number, got {value!r}")
+
+
+def real_array(value, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """value as a float array (np.asarray: a float64 array is not copied) if
+    it has the given shape (any if None) and every entry is a finite number,
+    else SchemaError.
+
+    A numeric ndarray is taken as it is.  Anything else (the nested lists of a
+    file) has each entry judged by real_number, because numpy reads true and
+    "5" as numbers.
+    """
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{name} must be an array of numbers ({exc})") from None
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+        entries = [value]
+        for _ in range(arr.ndim):
+            entries = [v for row in entries for v in row]
+        for v in entries:
+            if type(v) is not float:  # the common case, checked inline
+                real_number(v, name)
+    if shape is not None and arr.shape != shape:
+        raise SchemaError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{name} must hold finite numbers only")
+    return arr
 
 
 def check_int(value, name: str, minimum: int) -> None:

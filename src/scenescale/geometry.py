@@ -13,12 +13,13 @@ crop-normalized translations must be converted to the full image first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BehindCameraError, InvalidCameraError, positive_number, real_number,
-                     whole_number)
+from .errors import (BehindCameraError, InvalidCameraError, positive_number, real_array,
+                     real_number, whole_number)
 
 
 @dataclass
@@ -49,7 +50,7 @@ class CameraModel:
                 [self.image_size[0] / 2.0, self.image_size[1] / 2.0]
             )
         else:
-            self.principal_point = np.asarray(self.principal_point, dtype=float).reshape(2)
+            self.principal_point = real_array(self.principal_point, "principal_point", (2,))
 
 
 @dataclass
@@ -62,8 +63,11 @@ class WeakPerspectiveCam:
 
     def __post_init__(self):
         self.sigma = positive_number(self.sigma, "sigma", InvalidCameraError)
-        self.tx = real_number(self.tx, "tx", InvalidCameraError)
-        self.ty = real_number(self.ty, "ty", InvalidCameraError)
+        for name in ("tx", "ty"):
+            value = real_number(getattr(self, name), name, InvalidCameraError)
+            if not math.isfinite(value):
+                raise InvalidCameraError(f"{name} must be finite, got {value}")
+            setattr(self, name, value)
 
 
 def weak_to_perspective(wp: WeakPerspectiveCam, cam: CameraModel) -> np.ndarray:

@@ -147,7 +147,7 @@ def _pack_scene(scene: Scene, cfg: ObjectiveConfig) -> tuple[PackedScene, np.nda
         ankles[i] = rotated[i, [person.ankle_left_idx, person.ankle_right_idx]]
         if uses_rep:
             if person.ref_keypoints is None:
-                raise SchemaError(f"person {i} has no reference keypoints")
+                raise SchemaError(f"person {i} has no ref_keypoints")
             keypoints[i, :kj] = person.ref_keypoints
             confidences[i, :kj] = person.confidences
     normal, offset = None, 0.0

@@ -119,32 +119,34 @@ def _run_adam(work: Scene, cfg: OptimConfig, freeze_z: bool = False) -> OptimRep
     denom = np.empty_like(theta)
     trace = np.empty((cfg.iterations + 1, 3))
 
-    for it in range(cfg.iterations + 1):
-        rep, plane, g = _evaluate_theta(packed, theta, obj)
-        # person by person, as LossBreakdown.from_terms sums them
-        rep_sum, plane_sum = sum(rep.tolist()), sum(plane.tolist())
-        total = rep_sum + obj.lam * plane_sum
-        trace[it] = rep_sum, plane_sum, total
-        if it == cfg.iterations:
-            break
-        if not math.isfinite(total):
-            raise NonFiniteLossError(
-                f"non-finite loss at iteration {it}: "
-                f"reprojection={rep_sum}, plane={plane_sum}"
-            )
+    # huge finite inputs overflow to inf or nan: the finite check on the loss refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(cfg.iterations + 1):
+            rep, plane, g = _evaluate_theta(packed, theta, obj)
+            # person by person, as LossBreakdown.from_terms sums them
+            rep_sum, plane_sum = sum(rep.tolist()), sum(plane.tolist())
+            total = rep_sum + obj.lam * plane_sum
+            trace[it] = rep_sum, plane_sum, total
+            if it == cfg.iterations:
+                break
+            if not math.isfinite(total):
+                raise NonFiniteLossError(
+                    f"non-finite loss at iteration {it}: "
+                    f"reprojection={rep_sum}, plane={plane_sum}"
+                )
 
-        if freeze_z:
-            g[2 : 3 * n : 3] = 0.0
-        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
-        np.multiply(m, b1, out=m)
-        m += np.multiply(g, 1 - b1, out=step)
-        np.multiply(v, b2, out=v)
-        v += np.multiply(np.multiply(g, 1 - b2, out=step), g, out=step)
-        # theta -= lr * m_hat / (sqrt(v_hat) + eps), at ADAM step it + 1
-        np.multiply(np.divide(m, 1 - b1 ** (it + 1), out=step), lr, out=step)
-        np.add(np.sqrt(np.divide(v, 1 - b2 ** (it + 1), out=denom), out=denom), eps, out=denom)
-        theta -= np.divide(step, denom, out=step)
-        np.maximum(scales, SCALE_MIN, out=scales)
+            if freeze_z:
+                g[2 : 3 * n : 3] = 0.0
+            # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+            np.multiply(m, b1, out=m)
+            m += np.multiply(g, 1 - b1, out=step)
+            np.multiply(v, b2, out=v)
+            v += np.multiply(np.multiply(g, 1 - b2, out=step), g, out=step)
+            # theta -= lr * m_hat / (sqrt(v_hat) + eps), at ADAM step it + 1
+            np.multiply(np.divide(m, 1 - b1 ** (it + 1), out=step), lr, out=step)
+            np.add(np.sqrt(np.divide(v, 1 - b2 ** (it + 1), out=denom), out=denom), eps, out=denom)
+            theta -= np.divide(step, denom, out=step)
+            np.maximum(scales, SCALE_MIN, out=scales)
 
     for i, person in enumerate(work.persons):
         person.translation = theta[3 * i : 3 * i + 3].copy()

@@ -12,11 +12,12 @@ head at 15); scene files may override the indices for other conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError, positive_number, whole_number
+from .errors import SchemaError, positive_number, real_array, whole_number
 from .geometry import CameraModel, WeakPerspectiveCam
 
 # Default joint indices (SMPL 24-joint order).
@@ -35,12 +36,13 @@ class GroundPlane:
     point: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float).reshape(3)
-        norm = float(np.linalg.norm(n))
-        if not np.isfinite(norm) or norm < 1e-12:
-            raise SchemaError(f"plane normal must be nonzero, got {self.normal}")
+        n = real_array(self.normal, "plane.normal", (3,))
+        with np.errstate(over="ignore"):  # a huge entry gives norm inf: refused
+            norm = float(np.linalg.norm(n))
+        if not 1e-12 <= norm < np.inf:
+            raise SchemaError(f"plane.normal must be nonzero with a finite norm, got {n}")
         self.normal = n / norm
-        self.point = np.asarray(self.point, dtype=float).reshape(3)
+        self.point = real_array(self.point, "plane.point", (3,))
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
         """Signed point-to-plane distance, (...,3) -> (...)."""
@@ -68,28 +70,24 @@ class Person:
     foot_chain: tuple[int, ...] = FOOT_CHAIN
 
     def __post_init__(self):
-        self.joints = np.asarray(self.joints, dtype=float)
+        self.joints = real_array(self.joints, "joints")
         if self.joints.ndim != 2 or self.joints.shape[1] != 3 or self.joints.shape[0] < 2:
             raise SchemaError(f"joints must be (K>=2, 3), got shape {self.joints.shape}")
         k = self.joints.shape[0]
-        self.rotation = np.asarray(self.rotation, dtype=float)
-        if self.rotation.shape != (3, 3):
-            raise SchemaError(f"rotation must be 3x3, got {self.rotation.shape}")
-        if np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3))) > 1e-6:
+        self.rotation = real_array(self.rotation, "rotation", (3, 3))
+        with np.errstate(over="ignore"):  # a huge entry overflows to inf: refused
+            off = np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3)))
+        if off > 1e-6:
             raise SchemaError("rotation is not orthonormal within 1e-6")
         if self.translation is not None:
-            self.translation = np.asarray(self.translation, dtype=float).reshape(3)
+            self.translation = real_array(self.translation, "translation", (3,))
         self.scale = positive_number(self.scale, "scale")
         if self.ref_keypoints is not None:
-            self.ref_keypoints = np.asarray(self.ref_keypoints, dtype=float)
-            if self.ref_keypoints.shape != (k, 2):
-                raise SchemaError(
-                    f"ref_keypoints must be ({k}, 2), got {self.ref_keypoints.shape}"
-                )
+            self.ref_keypoints = real_array(self.ref_keypoints, "ref_keypoints", (k, 2))
         if self.confidences is None:
             self.confidences = np.ones(k)
         else:
-            self.confidences = np.asarray(self.confidences, dtype=float).reshape(k)
+            self.confidences = real_array(self.confidences, "confidences", (k,))
             if np.any(self.confidences < 0) or np.any(self.confidences > 1):
                 raise SchemaError("confidences must lie in [0, 1]")
         for name in ("ankle_left_idx", "ankle_right_idx", "head_idx"):
@@ -99,7 +97,10 @@ class Person:
                 raise SchemaError(f"{name}={idx} out of range for K={k}")
         if self.ankle_left_idx == self.ankle_right_idx:
             raise SchemaError("ankle indices must be distinct")
-        self.foot_chain = tuple(whole_number(i, "foot_chain") for i in self.foot_chain)
+        try:
+            self.foot_chain = tuple(whole_number(i, "foot_chain") for i in self.foot_chain)
+        except TypeError:  # not a list
+            raise SchemaError(f"foot_chain must be a list, got {self.foot_chain!r}") from None
         for idx in self.foot_chain:
             if not 0 <= idx < k:
                 raise SchemaError(f"foot_chain index {idx} out of range for K={k}")
@@ -109,14 +110,8 @@ class Person:
         return self.joints.shape[0]
 
     def copy(self) -> "Person":
-        return replace(
-            self,
-            joints=self.joints.copy(),
-            rotation=self.rotation.copy(),
-            translation=None if self.translation is None else self.translation.copy(),
-            ref_keypoints=None if self.ref_keypoints is None else self.ref_keypoints.copy(),
-            confidences=self.confidences.copy(),
-        )
+        """A deep copy; the person was judged when built, so it is not judged again."""
+        return copy.deepcopy(self)
 
 
 @dataclass

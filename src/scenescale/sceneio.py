@@ -22,44 +22,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, real_number, whole_number
+from .errors import SchemaError, whole_number
 from .geometry import CameraModel, WeakPerspectiveCam
 from .planefit import DepthObservation
-from .scene import GroundPlane, Person, Scene
+from .scene import ANKLE_LEFT, ANKLE_RIGHT, FOOT_CHAIN, HEAD, GroundPlane, Person, Scene
 
 JOINT_CONVENTIONS = {
     "smpl24": {
-        "ankle_left_idx": 7,
-        "ankle_right_idx": 8,
-        "head_idx": 15,
-        "foot_chain": (12, 1, 4, 7),
+        "ankle_left_idx": ANKLE_LEFT,
+        "ankle_right_idx": ANKLE_RIGHT,
+        "head_idx": HEAD,
+        "foot_chain": FOOT_CHAIN,
     },
 }
+
+# what a person entry may set, passed as it is to Person
+_PERSON_FIELDS = ("joints", "rotation", "translation", "scale", "ref_keypoints", "confidences",
+                  "ankle_left_idx", "ankle_right_idx", "head_idx", "foot_chain")
 
 
 def _tolist(arr: np.ndarray | None):
     if arr is None:
         return None
     return np.asarray(arr, dtype=float).tolist()
-
-
-def _asarray(value, shape: tuple[int, ...] | None, where: str) -> np.ndarray:
-    """value as a float array; every entry must be a number (real_number)."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{where}: not a numeric array ({exc})") from None
-    entries = [value]  # numpy reads true and "5" as numbers; the file may not
-    for _ in range(arr.ndim):
-        entries = [v for row in entries for v in row]
-    for v in entries:
-        if type(v) is not float:  # the common case, checked inline
-            real_number(v, where)
-    if shape is not None and arr.shape != shape:
-        raise SchemaError(f"{where}: expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f"{where}: non-finite values")
-    return arr
 
 
 def scene_to_dict(scene: Scene, plane_info: dict | None = None) -> dict:
@@ -104,6 +89,12 @@ def scene_to_dict(scene: Scene, plane_info: dict | None = None) -> dict:
 
 
 def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
+    """The scene a parsed scene file describes.
+
+    Only the structure is checked here.  Each value goes as it is to the
+    constructor that judges it (see scenescale.errors), and a refusal is
+    raised again with the location of the bad field.
+    """
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: document must be an object")
     for key in ("camera", "persons"):
@@ -113,15 +104,8 @@ def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
     if not isinstance(cam_doc, dict) or "focal" not in cam_doc:
         raise SchemaError(f"{where}.camera: need an object with 'focal'")
     try:
-        camera = CameraModel(
-            focal=cam_doc["focal"],
-            image_size=tuple(cam_doc.get("image_size", (1920, 1080))),
-            principal_point=(
-                _asarray(cam_doc["principal_point"], (2,), f"{where}.camera.principal_point")
-                if cam_doc.get("principal_point") is not None
-                else None
-            ),
-        )
+        camera = CameraModel(**{key: cam_doc[key] for key in
+                                ("focal", "image_size", "principal_point") if key in cam_doc})
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}.camera: {exc}") from None
 
@@ -132,22 +116,12 @@ def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
         ctx = f"{where}.persons[{i}]"
         if not isinstance(entry, dict):
             raise SchemaError(f"{ctx}: must be an object")
-        joints = _asarray(entry.get("joints"), None, f"{ctx}.joints")
-        if joints.ndim != 2 or joints.shape[1] != 3:
-            raise SchemaError(f"{ctx}.joints: expected (K, 3), got {joints.shape}")
-        k = joints.shape[0]
-        indices = dict(JOINT_CONVENTIONS["smpl24"])
         convention = entry.get("joint_convention")
-        if convention is not None:
-            if convention not in JOINT_CONVENTIONS:
-                raise SchemaError(
-                    f"{ctx}: unknown joint_convention {convention!r}; "
-                    f"known: {sorted(JOINT_CONVENTIONS)}"
-                )
-            indices = dict(JOINT_CONVENTIONS[convention])
-        for key in ("ankle_left_idx", "ankle_right_idx", "head_idx", "foot_chain"):
-            if key in entry:
-                indices[key] = entry[key]
+        if convention is None:
+            convention = "smpl24"
+        if not isinstance(convention, str) or convention not in JOINT_CONVENTIONS:
+            raise SchemaError(f"{ctx}: joint_convention must be one of "
+                              f"{sorted(JOINT_CONVENTIONS)}, got {convention!r}")
         weak_cam = None
         if entry.get("weak_cam") is not None:
             wc = entry["weak_cam"]
@@ -155,48 +129,24 @@ def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
                 weak_cam = WeakPerspectiveCam(wc["sigma"], wc.get("tx", 0.0), wc.get("ty", 0.0))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"{ctx}.weak_cam: {exc}") from None
-        translation = entry.get("translation")
-        if translation is None and weak_cam is None:
+        if entry.get("translation") is None and weak_cam is None:
             raise SchemaError(f"{ctx}: need 'translation' or 'weak_cam'")
+        fields = {key: entry[key] for key in _PERSON_FIELDS if key in entry}
         try:
-            person = Person(
-                joints=joints,
-                rotation=_asarray(entry.get("rotation"), (3, 3), f"{ctx}.rotation"),
-                translation=(
-                    _asarray(translation, (3,), f"{ctx}.translation")
-                    if translation is not None
-                    else None
-                ),
-                scale=entry.get("scale", 1.0),
-                ref_keypoints=(
-                    _asarray(entry["ref_keypoints"], (k, 2), f"{ctx}.ref_keypoints")
-                    if entry.get("ref_keypoints") is not None
-                    else None
-                ),
-                confidences=(
-                    _asarray(entry["confidences"], (k,), f"{ctx}.confidences")
-                    if entry.get("confidences") is not None
-                    else None
-                ),
-                weak_cam=weak_cam,
-                ankle_left_idx=indices["ankle_left_idx"],
-                ankle_right_idx=indices["ankle_right_idx"],
-                head_idx=indices["head_idx"],
-                foot_chain=tuple(indices["foot_chain"]),
-            )
+            persons.append(Person(**{**JOINT_CONVENTIONS[convention], **fields},
+                                  weak_cam=weak_cam))
         except (TypeError, ValueError) as exc:  # SchemaError is a ValueError
             raise SchemaError(f"{ctx}: {exc}") from None
-        persons.append(person)
 
     plane = None
     if doc.get("plane") is not None:
         pd = doc["plane"]
         if not isinstance(pd, dict) or "normal" not in pd or "point" not in pd:
             raise SchemaError(f"{where}.plane: need 'normal' and 'point'")
-        plane = GroundPlane(
-            _asarray(pd["normal"], (3,), f"{where}.plane.normal"),
-            _asarray(pd["point"], (3,), f"{where}.plane.point"),
-        )
+        try:
+            plane = GroundPlane(pd["normal"], pd["point"])
+        except SchemaError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
     return Scene(persons, camera, plane)
 
 
@@ -231,18 +181,24 @@ def load_scene(path: str | Path) -> Scene:
     return scene_from_dict(doc, where=str(path))
 
 
+def check_storable(obs: DepthObservation, depth_path: str | Path) -> None:
+    """SchemaError unless every ground depth of obs stays > 0 and finite in
+    float32, the type of the depth file: what the loader refuses is not written."""
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf: refused
+        stored = obs.ground_depth.astype("<f4")
+    if stored.size and not (stored.min() > 0 and math.isfinite(stored.max())):
+        raise SchemaError(f"{depth_path}: depth values at metric_scale {obs.metric_scale} "
+                          "leave float32's range")
+
+
 def save_depth_observation(
     obs: DepthObservation, depth_path: str | Path, mask_path: str | Path
 ) -> None:
     depth_path = Path(depth_path)
+    check_storable(obs, depth_path)
     w, h = obs.image_size
     depth = np.zeros(h * w, dtype="<f4")
     depth[obs.ground_index] = obs.ground_depth
-    stored = depth[obs.ground_index]
-    # what the loader refuses is not written: a value float32 rounds to 0 or inf
-    if stored.size and not (stored.min() > 0 and math.isfinite(stored.max())):
-        raise SchemaError(f"{depth_path}: depth values at metric_scale {obs.metric_scale} "
-                          "leave float32's range")
     depth_path.write_bytes(depth)
     del depth  # one grid at a time
     sidecar = {

@@ -448,7 +448,21 @@ BAD_FIELDS = [
     ("synth config", {"keypoint_noise_px": 1e308}, "keypoint_noise_px"),
     ("synth config", {"ambiguity_factors": [1e308, 1e308, 1e308]}, "ambiguity_factors"),
     ("synth config", {"depth_range": [1e308, 1e308]}, "depth_range"),
+    ("scene", {"persons.1.joint_convention": []}, "joint_convention"),
+    ("scene", {"persons.1.joint_convention": {}}, "joint_convention"),
+    ("scene", {"persons.1.weak_cam": {"sigma": 1, "tx": NAN}}, "tx"),
+    ("synth config", {"metric_scale": 1e308}, "metric_scale"),
 ]
+
+
+def set_field(doc, dotted, value):
+    """doc with the field at a dotted path ("persons.1.scale") set to value."""
+    *parents, last = [int(k) if k.isdigit() else k for k in dotted.split(".")]
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
 
 
 def run_main(capsys, *args):
@@ -480,11 +494,7 @@ def test_bad_input_file_field_exits_two(
     }[kind]
     doc = json.loads(source.read_text()) if source else {}
     for dotted, value in edits.items():
-        *parents, last = [int(k) if k.isdigit() else k for k in dotted.split(".")]
-        target = doc
-        for key in parents:
-            target = target[key]
-        target[last] = value
+        set_field(doc, dotted, value)
     edited = tmp_path / ("depth.f32.json" if kind == "sidecar" else "edited.json")
     edited.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -527,16 +537,18 @@ SYNTH_DOC = {
 }
 
 
-def assert_closed_outcome(code, err, field, loads_back):
+def assert_closed_outcome(code, err, field, loads_back, documented=(8,)):
     """Exit 0 with output that loads back, or exit 2 with one error line naming
-    the field.  Exit 8 (no placement) is the documented outcome of a synth
-    config whose numbers are valid but whose persons do not fit the frame."""
+    the field, or a documented other code with one error line.  For a synth
+    config that is 8 (no placement): its numbers are valid but its persons do
+    not fit the frame.  For a scene it is 5 (no plane) or 7 (non-finite loss):
+    its numbers are valid but overflow the objective."""
     if code == 0:
         assert err == ""
         loads_back()
         return
     assert err.startswith("error: ") and len(err.splitlines()) == 1, (field, err)
-    assert code in (2, 8), (field, code, err)
+    assert code in (2, *documented), (field, code, err)
     if code == 2:
         assert field in err, (field, err)
 
@@ -600,6 +612,67 @@ def test_fuzz_sidecar_field(small_frame, tmp_path_factory, capsys, value):
         code, err = run_main(capsys, "fit-plane", work / "depth.f32", work / "mask.u8",
                              small_frame / "scene.json", "--out", out)
         assert_closed_outcome(code, err, field, lambda: load_scene(out))
+
+
+# Every field a fitted scene file has for person 0, the camera and the plane,
+# plus a weak-perspective camera and the joint convention, which it may have.
+SCENE_FIELDS = [
+    "camera", "camera.focal", "camera.image_size", "camera.principal_point",
+    "plane", "plane.normal", "plane.point",
+    *(f"persons.0.{key}" for key in (
+        "joints", "rotation", "translation", "scale", "ref_keypoints", "confidences",
+        "ankle_left_idx", "ankle_right_idx", "head_idx", "foot_chain", "joint_convention",
+        "weak_cam", "weak_cam.sigma", "weak_cam.tx", "weak_cam.ty")),
+]
+
+
+@pytest.fixture(scope="module")
+def scene_doc(fitted_scene):
+    """The fitted scene as a document, person 0 with a weak-perspective camera."""
+    doc = json.loads(fitted_scene.read_text())
+    focal, (tx, ty, tz) = doc["camera"]["focal"], doc["persons"][0]["translation"]
+    doc["persons"][0]["weak_cam"] = {"sigma": focal / tz, "tx": tx, "ty": ty}
+    return doc
+
+
+def test_fuzz_base_scene_is_valid(scene_doc, tmp_path, capsys):
+    scene, out = tmp_path / "s.json", tmp_path / "out.json"
+    scene.write_text(json.dumps(scene_doc))
+    code, err = run_main(capsys, "optimize", scene, "--out", out, "--iterations", "2")
+    assert (code, err) == (0, "")
+    assert load_scene(out).persons[0].weak_cam is not None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=JUNK)
+@every_junk_scalar
+def test_fuzz_scene_field(scene_doc, tmp_path_factory, capsys, value):
+    """value in each field of a fitted scene in turn: a closed outcome, never a
+    traceback or a warning."""
+    work = tmp_path_factory.mktemp("fuzz-scene")
+    scene, out = work / "s.json", work / "out.json"
+    for field in SCENE_FIELDS:
+        out.unlink(missing_ok=True)
+        scene.write_text(json.dumps(set_field(json.loads(json.dumps(scene_doc)), field, value)))
+        code, err = run_main(capsys, "optimize", scene, "--out", out, "--iterations", "2")
+        assert_closed_outcome(code, err, field.rsplit(".", 1)[-1], lambda: load_scene(out),
+                              documented=(5, 7))
+
+
+@pytest.mark.parametrize(
+    "field, code",
+    [("camera.focal", 7), ("persons.0.joints.3.1", 7), ("persons.0.rotation.0.0", 2),
+     ("plane.normal.1", 2)],
+)
+def test_huge_number_ends_in_one_error_line(scene_doc, tmp_path, capsys, field, code):
+    """A finite 1e308 that overflows a computation: its exit code and one
+    error line, with no numpy warning before it (run_main raises warnings)."""
+    scene = tmp_path / "s.json"
+    scene.write_text(json.dumps(set_field(json.loads(json.dumps(scene_doc)), field, 1e308)))
+    got, err = run_main(capsys, "optimize", scene, "--out", tmp_path / "out.json")
+    assert got == code
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_missing_input_file_exits_two(synth_dir, tmp_path):

@@ -4,16 +4,25 @@ import pytest
 from scenescale import (
     CameraModel,
     DepthObservation,
+    GroundPlane,
     InvalidCameraError,
     ObjectiveConfig,
     OptimConfig,
+    Person,
     RansacConfig,
     SchemaError,
     WeakPerspectiveCam,
 )
-from scenescale.errors import check_int, positive_number, real_number, whole_number
+from scenescale.errors import check_int, positive_number, real_array, real_number, whole_number
 
 GROUND = ((3, 2), np.arange(6), np.ones(6))
+NAN = float("nan")
+
+
+def person(**fields):
+    """A valid 24-joint person with the given fields replaced."""
+    return Person(**{"joints": np.zeros((24, 3)), "rotation": np.eye(3),
+                     "translation": [0.0, 0.0, 5.0], **fields})
 
 
 @pytest.mark.parametrize(
@@ -30,6 +39,28 @@ GROUND = ((3, 2), np.arange(6), np.ones(6))
          "metric_scale"),
         (lambda: DepthObservation.from_ground((3, 2), np.arange(6), np.full(6, 2.0), 1e308),
          SchemaError, "metric_scale"),  # unprojected depth beyond a float
+        (lambda: WeakPerspectiveCam(sigma=1.0, tx=NAN), InvalidCameraError,
+         "tx must be finite, got nan"),
+        (lambda: WeakPerspectiveCam(sigma=1.0, tx=float("inf")), InvalidCameraError,
+         "tx must be finite, got inf"),
+        (lambda: person(translation=[NAN, 0, 5], confidences=[NAN] * 24), SchemaError,
+         "translation must hold finite numbers"),
+        (lambda: person(confidences=[NAN] * 24), SchemaError, "confidences must hold finite"),
+        (lambda: person(joints=[["1", "2", "3"]] * 24, translation=[True, False, "5"]),
+         SchemaError, "joints must be a number, got '1'"),
+        (lambda: person(translation=[True, False, "5"]), SchemaError,
+         "translation must be a number, got True"),
+        (lambda: person(confidences=[True] * 24), SchemaError,
+         "confidences must be a number, got True"),
+        (lambda: person(rotation=np.eye(3)[:2]), SchemaError, "rotation must have shape"),
+        (lambda: person(ref_keypoints=np.zeros((23, 2))), SchemaError,
+         "ref_keypoints must have shape"),
+        (lambda: GroundPlane([0, "1", 0], [0, True, 0]), SchemaError,
+         "plane.normal must be a number, got '1'"),
+        (lambda: GroundPlane([0, 1, 0], [0, True, 0]), SchemaError,
+         "plane.point must be a number, got True"),
+        (lambda: CameraModel(principal_point=[NAN, "3"]), SchemaError,
+         "principal_point must be a number, got '3'"),
     ],
     ids=lambda v: v if isinstance(v, str) else "",
 )
@@ -62,3 +93,22 @@ def test_positive_number_and_its_error_type():
             positive_number(bad, "x", InvalidCameraError)
     assert real_number(-np.inf, "x") == -np.inf  # range is the caller's
     assert whole_number(7.0, "x") == 7 and check_int(2**60, "x", 0) is None
+
+
+@pytest.mark.parametrize(
+    "value", [[1.0, True], [1.0, "2"], [[1.0], [2.0, 3.0]], [1.0, NAN], [1.0, 10**400],
+              np.array([1.0, np.inf]), np.array([True, False]), {"a": 1.0}, "12", None],
+    ids=repr,
+)
+def test_real_array_refuses_junk(value):
+    with pytest.raises(SchemaError, match="field"):
+        real_array(value, "field")
+
+
+def test_real_array_keeps_bits_and_checks_shape():
+    arr = np.array([0.1, 2.0, 3.5])
+    assert real_array(arr, "x", (3,)) is arr  # a float64 array is not copied
+    assert real_array([1, np.int64(2), 0.1], "x").tolist() == [1.0, 2.0, 0.1]
+    assert real_array(np.arange(6).reshape(3, 2), "x", (3, 2)).dtype == float
+    with pytest.raises(SchemaError, match=r"x must have shape \(2,\), got \(3,\)"):
+        real_array(arr, "x", (2,))
