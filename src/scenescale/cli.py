@@ -81,7 +81,7 @@ def _float_list(text: str, where: str) -> list[float]:
 
 
 def cmd_fit_plane(args: argparse.Namespace) -> int:
-    scene = lift_translations(load_scene(args.scene), reset=False)
+    scene = load_scene(args.scene)
     obs = load_depth_observation(args.depth, args.mask)
     if args.metric_scale is not None:
         obs = DepthObservation.from_ground(
@@ -100,11 +100,7 @@ def cmd_fit_plane(args: argparse.Namespace) -> int:
     anchored = anchor_plane(plane, scene)
     scene.plane = anchored
     out = args.out or args.scene
-    save_scene(
-        scene,
-        out,
-        plane_info={"inlier_count": int(inliers.size), "fit_rms": rms},
-    )
+    save_scene(scene, out)
     print(f"points: {points.shape[0]}  inliers: {inliers.size}  rms: {rms:.6f} m")
     print(f"normal: [{anchored.normal[0]:.6f}, {anchored.normal[1]:.6f}, {anchored.normal[2]:.6f}]")
     print(f"anchor: [{anchored.point[0]:.6f}, {anchored.point[1]:.6f}, {anchored.point[2]:.6f}]")
@@ -118,7 +114,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.depths is not None and given:
         raise SchemaError("--mode and --lambda do not apply to --depths, "
                           "whose baseline fits reprojection only")
-    scene = lift_translations(load_scene(args.scene), reset=args.reset)
+    scene = load_scene(args.scene)
+    if args.reset:
+        scene = lift_translations(scene)
     cfg = OptimConfig(
         learning_rate=args.lr,
         iterations=args.iterations,
@@ -167,8 +165,8 @@ def _nan_to_none(value):
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if len(args.est) != len(args.gt):
         raise SchemaError(f"{len(args.est)} --est files vs {len(args.gt)} --gt files")
-    est_all = [lift_translations(load_scene(p), reset=False) for p in args.est]
-    gt_all = [lift_translations(load_scene(p), reset=False) for p in args.gt]
+    est_all = [load_scene(p) for p in args.est]
+    gt_all = [load_scene(p) for p in args.gt]
 
     est, gt, skipped = [], [], 0
     for i, (e, g) in enumerate(zip(est_all, gt_all)):

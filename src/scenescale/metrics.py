@@ -105,18 +105,23 @@ def evaluate_scenes(est: list[Scene], gt: list[Scene]) -> MetricsReport:
     """
     _check_frames(est, gt)
     per_frame = []
-    for e, g in zip(est, gt):
+    for f, (e, g) in enumerate(zip(est, gt)):
         n = len(g.persons)
         if n < 2:
             continue
-        per_frame.append(
-            FrameMetrics(
+        # 1e308-sized persons overflow a norm: refused below, not scored as nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            heights = _heights(e), _heights(g)
+            fm = FrameMetrics(
                 depth_correct=_order_correct(_translations_z(e), _translations_z(g)),
-                height_correct=_order_correct(_heights(e), _heights(g)),
+                height_correct=_order_correct(*heights),
                 pairs=n * (n - 1) // 2,
                 d_norm=pair_sum_discrepancy(_pairwise_dists(e), _pairwise_dists(g)),
             )
-        )
+        if not (np.isfinite(heights).all() and np.isfinite(fm.d_norm)):
+            raise SchemaError(f"frame {f}: a person's height or the distance between "
+                              "two persons is beyond a float")
+        per_frame.append(fm)
 
     pairs = sum(fm.pairs for fm in per_frame)
     nan = float("nan")

@@ -140,8 +140,6 @@ def _pack_scene(scene: Scene, cfg: ObjectiveConfig) -> tuple[PackedScene, np.nda
     confidences = np.zeros((n, k))
     ankles = np.empty((n, 2, 3))
     for i, person in enumerate(persons):
-        if person.translation is None:
-            raise SchemaError(f"person {i} has no translation (call lift_translations first)")
         kj = person.n_joints
         rotated[i, :kj] = person.joints @ person.rotation.T
         ankles[i] = rotated[i, [person.ankle_left_idx, person.ankle_right_idx]]

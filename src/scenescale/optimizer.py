@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NonFiniteLossError, SchemaError, check_int, positive_number
-from .geometry import weak_to_perspective
 from .objective import LossBreakdown, ObjectiveConfig, _evaluate_theta, _pack_scene
 from .scene import Scene
 
@@ -52,24 +51,17 @@ class OptimReport:
     converged_iteration: int            # iterations run, always cfg.iterations
 
 
-def lift_translations(scene: Scene, reset: bool) -> Scene:
-    """Copy of the scene with translations lifted from weak-perspective cameras.
-
-    reset=False lifts only missing translations and keeps every stored t and
-    s, so a scene file that was already optimized continues from its stored
-    state.  reset=True resets to the upstream starting point: s = 1, and t
-    lifted from the weak-perspective camera where there is one (an explicit
-    translation without a camera is kept).
+def lift_translations(scene: Scene) -> Scene:
+    """Copy of the scene reset to the upstream starting point: s = 1, and t
+    lifted again from the weak-perspective camera where there is one (an
+    explicit translation without a camera is kept).
     """
     out = scene.copy()
-    for i, person in enumerate(out.persons):
-        if person.weak_cam is not None and (reset or person.translation is None):
-            person.translation = weak_to_perspective(person.weak_cam, out.camera)
-        elif person.translation is None:
-            raise SchemaError(f"person {i} has neither a translation nor a weak-perspective camera")
-        if reset:
-            person.scale = 1.0
-    return out
+    for person in out.persons:
+        person.scale = 1.0
+        if person.weak_cam is not None:
+            person.translation = None  # the Scene lifts it
+    return Scene(out.persons, out.camera, out.plane)
 
 
 def optimize(scene: Scene, cfg: OptimConfig | None = None) -> OptimReport:
@@ -93,8 +85,6 @@ def optimize_baseline(
         )
     for i, (person, depth) in enumerate(zip(work.persons, per_person_depth)):
         depth = positive_number(depth, f"depth for person {i}")
-        if person.translation is None:
-            raise SchemaError(f"person {i} has no translation (call lift_translations first)")
         person.translation[2] = depth
     cfg = replace(cfg, objective=replace(cfg.objective, mode="reprojection_only"))
     return _run_adam(work, cfg, freeze_z=True)

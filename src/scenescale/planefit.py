@@ -317,10 +317,15 @@ def select_reference_person(scene: Scene) -> int:
     """Index of the person with lowest initial reprojection error.
 
     Ties break toward the lowest index (np.argmin picks the first minimum).
+    A person whose error is not finite (a 1e308 scale, say) is never chosen.
     """
     cfg = ObjectiveConfig(mode="reprojection_only")
-    rep, _, _ = _evaluate_theta(*_pack_scene(scene, cfg), cfg)
-    return int(np.argmin(rep))
+    with np.errstate(over="ignore", invalid="ignore"):  # such errors are skipped below
+        rep, _, _ = _evaluate_theta(*_pack_scene(scene, cfg), cfg)
+    finite = np.isfinite(rep)
+    if not finite.any():
+        raise SchemaError("no person has a finite reprojection error to anchor the plane at")
+    return int(np.argmin(np.where(finite, rep, np.inf)))
 
 
 def anchor_plane(plane: GroundPlane, scene: Scene) -> GroundPlane:

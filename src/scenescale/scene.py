@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SchemaError, positive_number, real_array, whole_number
-from .geometry import CameraModel, WeakPerspectiveCam
+from .geometry import CameraModel, WeakPerspectiveCam, weak_to_perspective
 
 # Default joint indices (SMPL 24-joint order).
 ANKLE_LEFT = 7
@@ -63,7 +63,7 @@ class Person:
     scale: float = 1.0
     ref_keypoints: np.ndarray | None = None   # (K, 2) pixels
     confidences: np.ndarray | None = None     # (K,) in [0, 1]
-    weak_cam: WeakPerspectiveCam | None = None  # upstream estimate, lifted on init
+    weak_cam: WeakPerspectiveCam | None = None  # upstream estimate, lifted by Scene
     ankle_left_idx: int = ANKLE_LEFT
     ankle_right_idx: int = ANKLE_RIGHT
     head_idx: int = HEAD
@@ -116,7 +116,11 @@ class Person:
 
 @dataclass
 class Scene:
-    """All persons in one frame plus the shared camera and optional plane."""
+    """All persons in one frame plus the shared camera and optional plane.
+
+    Every person of a scene has a translation: one without gets it lifted
+    from its weak-perspective camera here.
+    """
 
     persons: list[Person]
     camera: CameraModel = field(default_factory=CameraModel)
@@ -125,6 +129,13 @@ class Scene:
     def __post_init__(self):
         if len(self.persons) < 1:
             raise SchemaError("scene needs at least one person")
+        for i, person in enumerate(self.persons):
+            if person.translation is None:
+                if person.weak_cam is None:
+                    raise SchemaError(f"persons[{i}]: need 'translation' or 'weak_cam'")
+                person.translation = real_array(
+                    weak_to_perspective(person.weak_cam, self.camera),
+                    f"persons[{i}]: the translation lifted from weak_cam")
 
     def copy(self) -> "Scene":
         return Scene(
@@ -136,8 +147,6 @@ class Scene:
 
 def posed_joints(person: Person) -> np.ndarray:
     """All posed joints at once, (K, 3)."""
-    if person.translation is None:
-        raise SchemaError("person translation not set (call lift_translations first)")
     # scale applied after the rotation so this matches the optimizer's
     # internal split (rotated joints cached for the scale gradient)
     return person.scale * (person.joints @ person.rotation.T) + person.translation

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,67 +26,39 @@ import numpy as np
 from .errors import SchemaError, whole_number
 from .geometry import CameraModel, WeakPerspectiveCam
 from .planefit import DepthObservation
-from .scene import ANKLE_LEFT, ANKLE_RIGHT, FOOT_CHAIN, HEAD, GroundPlane, Person, Scene
+from .scene import GroundPlane, Person, Scene
 
-JOINT_CONVENTIONS = {
-    "smpl24": {
-        "ankle_left_idx": ANKLE_LEFT,
-        "ankle_right_idx": ANKLE_RIGHT,
-        "head_idx": HEAD,
-        "foot_chain": FOOT_CHAIN,
-    },
-}
-
-# what a person entry may set, passed as it is to Person
+# what a file may set, passed as it is to the constructor; the writer
+# writes these keys and no others
+_CAMERA_FIELDS = ("focal", "image_size", "principal_point")
 _PERSON_FIELDS = ("joints", "rotation", "translation", "scale", "ref_keypoints", "confidences",
                   "ankle_left_idx", "ankle_right_idx", "head_idx", "foot_chain")
+_PLANE_FIELDS = ("normal", "point")
 
 
-def _tolist(arr: np.ndarray | None):
-    if arr is None:
-        return None
-    return np.asarray(arr, dtype=float).tolist()
+def _plain(value):
+    """value as JSON holds it: an array as a list of floats, a tuple as a list."""
+    if isinstance(value, np.ndarray):
+        return np.asarray(value, dtype=float).tolist()
+    return list(value) if isinstance(value, tuple) else value
 
 
-def scene_to_dict(scene: Scene, plane_info: dict | None = None) -> dict:
+def _fields(obj, keys: tuple[str, ...]) -> dict:
+    return {key: _plain(getattr(obj, key)) for key in keys}
+
+
+def scene_to_dict(scene: Scene) -> dict:
     persons = []
     for p in scene.persons:
-        entry = {
-            "joints": _tolist(p.joints),
-            "rotation": _tolist(p.rotation),
-            "translation": _tolist(p.translation),
-            "scale": float(p.scale),
-            "ref_keypoints": _tolist(p.ref_keypoints),
-            "confidences": _tolist(p.confidences),
-            "ankle_left_idx": p.ankle_left_idx,
-            "ankle_right_idx": p.ankle_right_idx,
-            "head_idx": p.head_idx,
-            "foot_chain": list(p.foot_chain),
-        }
+        entry = _fields(p, _PERSON_FIELDS)
         if p.weak_cam is not None:
-            entry["weak_cam"] = {
-                "sigma": p.weak_cam.sigma,
-                "tx": p.weak_cam.tx,
-                "ty": p.weak_cam.ty,
-            }
+            entry["weak_cam"] = asdict(p.weak_cam)
         persons.append(entry)
-    doc = {
-        "camera": {
-            "focal": scene.camera.focal,
-            "principal_point": _tolist(scene.camera.principal_point),
-            "image_size": list(scene.camera.image_size),
-        },
+    return {
+        "camera": _fields(scene.camera, _CAMERA_FIELDS),
         "persons": persons,
-        "plane": None,
+        "plane": None if scene.plane is None else _fields(scene.plane, _PLANE_FIELDS),
     }
-    if scene.plane is not None:
-        doc["plane"] = {
-            "normal": _tolist(scene.plane.normal),
-            "point": _tolist(scene.plane.point),
-        }
-        if plane_info:
-            doc["plane"].update(plane_info)
-    return doc
 
 
 def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
@@ -104,8 +77,7 @@ def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
     if not isinstance(cam_doc, dict) or "focal" not in cam_doc:
         raise SchemaError(f"{where}.camera: need an object with 'focal'")
     try:
-        camera = CameraModel(**{key: cam_doc[key] for key in
-                                ("focal", "image_size", "principal_point") if key in cam_doc})
+        camera = CameraModel(**{key: cam_doc[key] for key in _CAMERA_FIELDS if key in cam_doc})
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}.camera: {exc}") from None
 
@@ -117,11 +89,8 @@ def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
         if not isinstance(entry, dict):
             raise SchemaError(f"{ctx}: must be an object")
         convention = entry.get("joint_convention")
-        if convention is None:
-            convention = "smpl24"
-        if not isinstance(convention, str) or convention not in JOINT_CONVENTIONS:
-            raise SchemaError(f"{ctx}: joint_convention must be one of "
-                              f"{sorted(JOINT_CONVENTIONS)}, got {convention!r}")
+        if convention not in (None, "smpl24"):  # smpl24: Person's default indices
+            raise SchemaError(f"{ctx}: joint_convention must be 'smpl24', got {convention!r}")
         weak_cam = None
         if entry.get("weak_cam") is not None:
             wc = entry["weak_cam"]
@@ -129,39 +98,39 @@ def scene_from_dict(doc: dict, where: str = "scene") -> Scene:
                 weak_cam = WeakPerspectiveCam(wc["sigma"], wc.get("tx", 0.0), wc.get("ty", 0.0))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"{ctx}.weak_cam: {exc}") from None
-        if entry.get("translation") is None and weak_cam is None:
-            raise SchemaError(f"{ctx}: need 'translation' or 'weak_cam'")
         fields = {key: entry[key] for key in _PERSON_FIELDS if key in entry}
         try:
-            persons.append(Person(**{**JOINT_CONVENTIONS[convention], **fields},
-                                  weak_cam=weak_cam))
+            persons.append(Person(**fields, weak_cam=weak_cam))
         except (TypeError, ValueError) as exc:  # SchemaError is a ValueError
             raise SchemaError(f"{ctx}: {exc}") from None
 
     plane = None
     if doc.get("plane") is not None:
         pd = doc["plane"]
-        if not isinstance(pd, dict) or "normal" not in pd or "point" not in pd:
+        if not isinstance(pd, dict) or not all(key in pd for key in _PLANE_FIELDS):
             raise SchemaError(f"{where}.plane: need 'normal' and 'point'")
         try:
-            plane = GroundPlane(pd["normal"], pd["point"])
+            plane = GroundPlane(**{key: pd[key] for key in _PLANE_FIELDS})
         except SchemaError as exc:
             raise SchemaError(f"{where}: {exc}") from None
-    return Scene(persons, camera, plane)
+    try:
+        return Scene(persons, camera, plane)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}.{exc}") from None
 
 
 def dumps_canonical(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def save_scene(scene: Scene, path: str | Path, plane_info: dict | None = None) -> None:
+def save_scene(scene: Scene, path: str | Path) -> None:
     """Write the scene atomically: a temp file beside path, then a rename.
 
     An interrupted write leaves the previous file intact, which matters
     because fit-plane and optimize rewrite their input scene by default.
     """
     path = Path(path)
-    text = dumps_canonical(scene_to_dict(scene, plane_info))
+    text = dumps_canonical(scene_to_dict(scene))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)

@@ -124,6 +124,10 @@ class SynthConfig:
             lo, hi = getattr(self, name)
             if not lo <= hi <= top:
                 raise SchemaError(f"{name} must satisfy lo <= hi <= {top}, got {(lo, hi)}")
+        # persons are drawn across the frame at their depth, up to _FAR
+        if not math.isfinite(max(self.image_size) * _FAR / self.camera_focal):
+            raise SchemaError(f"camera_focal {self.camera_focal} makes the frame at "
+                              f"{_FAR} m wider than a float")
         self.plane_tilt_deg = real_number(self.plane_tilt_deg, "plane_tilt_deg")
         if not 0 <= self.plane_tilt_deg <= 45:
             raise SchemaError(f"plane_tilt_deg must be in [0, 45], got {self.plane_tilt_deg}")
@@ -271,7 +275,7 @@ def _ground_samples(
 
     # ray (rx, ry, 1) meets the plane at depth z = (p0.n) / (r.n)
     denom = normal[0] * rx[cols] + normal[1] * ry[rows] + normal[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused by hit
         z = (p0 @ normal) / denom
     hit = np.isfinite(z) & (z > _NEAR) & (z < _FAR)
     flat, z = flat[hit], z[hit]
@@ -283,6 +287,9 @@ def _ground_samples(
             offset = rng.uniform(0.3, 3.0, n_out) * rng.choice([-1.0, 1.0], n_out)
             z[chosen] = np.maximum(z[chosen] + offset, 0.3)
 
-    return DepthObservation.from_ground(
-        (width, height_px), flat, z / cfg.metric_scale, cfg.metric_scale
-    )
+    with np.errstate(over="ignore"):  # refused below
+        z /= cfg.metric_scale
+    if z.size and not math.isfinite(z.max()):
+        raise SchemaError(f"metric_scale {cfg.metric_scale} takes the ground's depths "
+                          "beyond a float")
+    return DepthObservation.from_ground((width, height_px), flat, z, cfg.metric_scale)

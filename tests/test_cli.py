@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -25,6 +26,7 @@ from scenescale import (
     save_depth_observation,
     save_scene,
 )
+from scenescale.sceneio import scene_to_dict
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -107,9 +109,9 @@ def test_fit_plane_recovers_synthetic_normal(synth_dir, tmp_path):
     true = load_scene(synth_dir / "gt_000.json")
     cos = abs(est.plane.normal @ true.plane.normal)
     assert np.degrees(np.arccos(min(1.0, cos))) < 0.5
-    doc = json.loads(fitted.read_text())
-    assert doc["plane"]["inlier_count"] > 1000
-    assert doc["plane"]["fit_rms"] < 0.01
+    inliers, rms = re.search(r"inliers: (\d+)  rms: (\S+) m", res.stdout).groups()
+    assert int(inliers) > 1000
+    assert float(rms) < 0.01
 
 
 def test_fit_plane_deterministic(synth_dir, tmp_path):
@@ -452,6 +454,11 @@ BAD_FIELDS = [
     ("scene", {"persons.1.joint_convention": {}}, "joint_convention"),
     ("scene", {"persons.1.weak_cam": {"sigma": 1, "tx": NAN}}, "tx"),
     ("synth config", {"metric_scale": 1e308}, "metric_scale"),
+    ("scene", {"persons.1.translation": None}, "translation"),
+    ("scene", {"persons.1.translation": None, "persons.1.weak_cam": {"sigma": 1e-310}},
+     "weak_cam"),
+    ("synth config", {"camera_focal": 1e-308}, "camera_focal"),
+    ("synth config", {"metric_scale": 1e-308}, "metric_scale"),
 ]
 
 
@@ -673,6 +680,81 @@ def test_huge_number_ends_in_one_error_line(scene_doc, tmp_path, capsys, field, 
     got, err = run_main(capsys, "optimize", scene, "--out", tmp_path / "out.json")
     assert got == code
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, fields, code",
+    [("fit-plane", ["persons.0.scale"], 0),
+     ("fit-plane", ["persons.0.scale", "persons.1.scale", "persons.2.scale"], 2),
+     ("evaluate", ["persons.0.scale"], 2), ("evaluate", ["persons.0.translation.2"], 2)],
+    ids=["fit-plane-one-scale", "fit-plane-every-scale", "evaluate-scale", "evaluate-depth"],
+)
+def test_huge_number_in_fit_plane_and_evaluate(
+    synth_dir, scene_doc, tmp_path, capsys, command, fields, code
+):
+    """A finite 1e308 that overflows the reference-person choice or a metric:
+    exit 0 with nothing on stderr, or its exit code and one error line, with
+    no numpy warning (run_main raises warnings).  The reference person is one
+    whose reprojection error is finite, and with none the plane is not
+    anchored."""
+    doc = json.loads(json.dumps(scene_doc))
+    for field in fields:
+        set_field(doc, field, 1e308)
+    scene, out = tmp_path / "s.json", tmp_path / "out.json"
+    scene.write_text(json.dumps(doc))
+    args = {
+        "fit-plane": [synth_dir / "depth_000.f32", synth_dir / "mask_000.u8", scene,
+                      "--out", out],
+        "evaluate": ["--est", scene, "--gt", synth_dir / "gt_000.json", "--json", out],
+    }[command]
+    got, err = run_main(capsys, command, *args)
+    assert got == code
+    if code == 0:
+        assert err == ""
+        assert load_scene(out).persons[0].scale == 1e308
+    else:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+def test_tiny_tilt_synthesizes_without_warnings(tmp_path, capsys):
+    """A subnormal tilt puts the horizon's depth beyond a float: those pixels
+    are dropped like any other off the ground, with no numpy warning."""
+    config, out = tmp_path / "c.json", tmp_path / "out"
+    config.write_text(json.dumps({"plane_tilt_deg": 1e-308}))
+    assert run_main(capsys, "synth", "--out", out, "--config", config) == (0, "")
+    load_scene(out / "scene_000.json")
+
+
+def key_paths(value, prefix=""):
+    """The set of key paths of a JSON document (".persons[].weak_cam.sigma")."""
+    if isinstance(value, dict):
+        return {path for key, v in value.items() for path in key_paths(v, f"{prefix}.{key}")}
+    if isinstance(value, list):
+        return set().union(*(key_paths(v, f"{prefix}[]") for v in value)) or {prefix}
+    return {prefix}
+
+
+def test_written_scene_holds_only_what_the_reader_reads(synth_dir, scene_doc, tmp_path):
+    """Every key that fit-plane and optimize write is one the reader reads:
+    the keys of a written file are those of the loaded scene written again.
+    Keys only, because loading renormalises the plane normal, which may move
+    its last bit."""
+    with_weak_cam = tmp_path / "weak.json"
+    with_weak_cam.write_text(json.dumps(scene_doc))
+    fitted, optimized, reset = (tmp_path / name for name in ("f.json", "o.json", "r.json"))
+    for args in (
+        ["fit-plane", synth_dir / "depth_000.f32", synth_dir / "mask_000.u8",
+         synth_dir / "scene_000.json", "--out", fitted],
+        ["optimize", fitted, "--out", optimized, "--iterations", "5"],
+        ["optimize", with_weak_cam, "--out", reset, "--iterations", "5", "--reset"],
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 0, res.stderr
+    for path in (fitted, optimized, reset):
+        written = json.loads(path.read_text())
+        assert key_paths(written) == key_paths(scene_to_dict(load_scene(path))), path
+    assert ".persons[].weak_cam.sigma" in key_paths(json.loads(reset.read_text()))
 
 
 def test_missing_input_file_exits_two(synth_dir, tmp_path):

@@ -54,7 +54,7 @@ def weak_cam_person(sigma=1.0, tx=0.0, ty=0.0):
 
 def test_initialize_lifts_weak_camera():
     scene = Scene([weak_cam_person(sigma=1.0)], CAM)
-    out = lift_translations(scene, reset=True)
+    out = lift_translations(scene)
     assert np.allclose(out.persons[0].translation, [0.0, 0.0, 1000.0])
     assert out.persons[0].scale == 1.0
 
@@ -64,7 +64,7 @@ def test_initialize_keeps_explicit_translation():
     p.weak_cam = None
     p.translation = np.array([1.0, 2.0, 5.0])
     p.scale = 1.6
-    out = lift_translations(Scene([p], CAM), reset=True)
+    out = lift_translations(Scene([p], CAM))
     assert np.array_equal(out.persons[0].translation, [1.0, 2.0, 5.0])
     assert out.persons[0].scale == 1.0
 
@@ -74,36 +74,40 @@ def test_initialize_all_scales_one():
     scene = random_scene(rng, n_persons=3)
     for person in scene.persons:
         person.scale = float(rng.uniform(0.5, 2.0))
-    out = lift_translations(scene, reset=True)
+    out = lift_translations(scene)
     assert [p.scale for p in out.persons] == [1.0, 1.0, 1.0]
 
 
-def test_initialize_requires_some_translation_source():
+def test_scene_requires_some_translation_source():
     p = weak_cam_person()
     p.weak_cam = None
-    scene = Scene([p], CAM)
-    with pytest.raises(SchemaError):
-        lift_translations(scene, reset=True)
+    with pytest.raises(SchemaError, match=r"persons\[0\].*translation"):
+        Scene([p], CAM)
 
 
-def test_lift_without_reset_keeps_stored_state():
+def test_scene_lifts_only_missing_translations():
+    """A Scene lifts a weak-camera person and keeps an explicit t and s;
+    lift_translations lifts every weak camera again and resets s."""
     stored = weak_cam_person(sigma=2.0)
     stored.translation = np.array([1.0, 2.0, 5.0])
     stored.scale = 1.6
     scene = Scene([weak_cam_person(sigma=1.0), stored], CAM)
-    kept = lift_translations(scene, reset=False)
-    assert np.allclose(kept.persons[0].translation, [0.0, 0.0, 1000.0])
-    assert np.array_equal(kept.persons[1].translation, [1.0, 2.0, 5.0])
-    assert kept.persons[1].scale == 1.6
-    reset = lift_translations(scene, reset=True)
+    assert np.allclose(scene.persons[0].translation, [0.0, 0.0, 1000.0])
+    assert np.array_equal(scene.persons[1].translation, [1.0, 2.0, 5.0])
+    assert scene.persons[1].scale == 1.6
+    reset = lift_translations(scene)
     assert np.allclose(reset.persons[1].translation, [0.0, 0.0, 500.0])
     assert reset.persons[1].scale == 1.0
 
 
 def test_initialize_does_not_mutate_input():
-    scene = Scene([weak_cam_person(sigma=2.0, tx=0.5)], CAM)
-    lift_translations(scene, reset=True)
-    assert scene.persons[0].translation is None
+    stored = weak_cam_person(sigma=2.0, tx=0.5)
+    stored.translation = np.array([1.0, 2.0, 5.0])
+    stored.scale = 1.6
+    scene = Scene([stored], CAM)
+    lift_translations(scene)
+    assert np.array_equal(scene.persons[0].translation, [1.0, 2.0, 5.0])
+    assert scene.persons[0].scale == 1.6
 
 
 # --- optimize ---

@@ -219,16 +219,17 @@ def test_canonical_json_shape():
         dumps_canonical({"x": float("nan")})
 
 
-def test_plane_info_merged(tmp_path):
+def test_extra_plane_keys_still_load(tmp_path):
+    """Files written before the writer dropped fit-plane's diagnostics still load."""
     rng = np.random.default_rng(2)
     scene = random_scene(rng, n_persons=1)
+    doc = scene_to_dict(scene)
+    doc["plane"].update(inlier_count=42, fit_rms=0.003)
     path = tmp_path / "scene.json"
-    save_scene(scene, path, plane_info={"inlier_count": 42, "fit_rms": 0.003})
-    doc = json.loads(path.read_text())
-    assert doc["plane"]["inlier_count"] == 42
-    assert doc["plane"]["fit_rms"] == 0.003
-    loaded = load_scene(path)  # extra keys must not break parsing
+    path.write_text(json.dumps(doc))
+    loaded = load_scene(path)
     assert np.allclose(loaded.plane.normal, scene.plane.normal)
+    assert "inlier_count" not in scene_to_dict(loaded)["plane"]
 
 
 def test_depth_round_trip(tmp_path):
