@@ -38,6 +38,7 @@ class DepthObservation:
     (W, H), the ground pixels' row-major flat indices, increasing, and their
     depth values (float32 kept, any other dtype as float64).  The grids are
     not kept, so pixels off the mask are never read and may hold anything.
+    max_depth is the largest ground depth value, 0.0 with no ground pixel.
     """
 
     def __init__(self, depth, ground_mask, metric_scale: float = 6.0):
@@ -66,6 +67,7 @@ class DepthObservation:
             values = values.astype(np.float64, copy=False)
         if values.shape != index.shape:
             raise SchemaError(f"{values.size} depth values for {index.size} ground pixels")
+        top = 0.0
         if values.size:
             top = float(values.max())
             # min is nan if any value is, so this is "all finite and > 0" without temporaries
@@ -78,6 +80,7 @@ class DepthObservation:
         self.ground_index = index        # (M,) row-major flat pixel indices, increasing
         self.ground_depth = values       # (M,) relative units
         self.metric_scale = metric_scale
+        self.max_depth = top             # relative units, for unproject_ground's bound
 
 
 @dataclass
@@ -98,8 +101,20 @@ class RansacConfig:
         check_int(self.rng_seed, "rng_seed", 0)
 
 
+# Largest |coordinate| of a ground point that a plane fit takes.  The largest
+# value any step of the fit forms is the squared norm of the cross product of
+# two point differences in RANSAC: entries up to 8 x**2, so up to 192 x**4.
+# The refits, fit_rms and anchor_plane stay near x**2.  256 x**4 <= the float
+# max keeps every one finite: x <= ~2.9e76 m.
+_COORD_MAX = (np.finfo(float).max / 256) ** 0.25
+
+
 def unproject_ground(obs: DepthObservation, cam: CameraModel) -> np.ndarray:
     """Ground samples to camera-frame points, (M, 3), row-major pixel order.
+
+    Before any point is made, SchemaError if a coordinate could pass
+    _COORD_MAX: the bound is the largest metric depth times
+    max(1, max over the image corners of |pixel - principal point| / focal).
 
     The points are float64 whatever the depth's dtype; a float32 depth is
     widened exactly before the metric scale multiplies it.  z, then x and y
@@ -110,6 +125,16 @@ def unproject_ground(obs: DepthObservation, cam: CameraModel) -> np.ndarray:
     flat = obs.ground_index
     if flat.size < 3:
         raise InsufficientGroundError(f"need >= 3 ground pixels, mask has {flat.size}")
+    zmax = obs.max_depth * obs.metric_scale
+    if zmax > _COORD_MAX:
+        raise SchemaError(f"metric_scale {obs.metric_scale} puts ground depths up to "
+                          f"{zmax:.3g} m, beyond the {_COORD_MAX:.3g} m a plane fit takes")
+    (w, h), (cx, cy) = obs.image_size, map(float, cam.principal_point)  # floats overflow to inf
+    reach = zmax * (max(abs(cx), abs(w - 1 - cx), abs(cy), abs(h - 1 - cy)) / cam.focal)
+    if reach > _COORD_MAX:
+        raise SchemaError(f"camera focal {cam.focal} and principal point [{cx}, {cy}] put "
+                          f"ground points up to {reach:.3g} m off the optical axis, beyond "
+                          f"the {_COORD_MAX:.3g} m a plane fit takes")
     points = np.empty((flat.size, 3))
     x, y, z = points.T
     np.multiply(obs.ground_depth, obs.metric_scale, out=z, dtype=np.float64)

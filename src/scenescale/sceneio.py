@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, whole_number
+from .errors import SchemaError, positive_number, whole_number
 from .geometry import CameraModel, WeakPerspectiveCam
 from .planefit import DepthObservation
 from .scene import GroundPlane, Person, Scene
@@ -197,6 +197,7 @@ def load_depth_observation(depth_path: str | Path, mask_path: str | Path) -> Dep
     h = whole_number(sidecar["height"], f"{sidecar_path}: height")
     if w < 1 or h < 1:
         raise SchemaError(f"{sidecar_path}: width and height must be >= 1, got {w}x{h}")
+    metric_scale = positive_number(sidecar["metric_scale"], f"{sidecar_path}: metric_scale")
     for key, only in (("byte_order", "little"), ("dtype", "float32")):
         if sidecar.get(key, only) != only:
             raise SchemaError(f"{sidecar_path}: {key} must be {only!r}, got {sidecar[key]!r}")
@@ -212,9 +213,9 @@ def load_depth_observation(depth_path: str | Path, mask_path: str | Path) -> Dep
         lo, hi = np.searchsorted(index, (start, start + block.size))
         np.take(block, index[lo:hi] - start, out=values[lo:hi])
     try:
-        return DepthObservation.from_ground((w, h), index, values, sidecar["metric_scale"])
-    except SchemaError as exc:
-        raise SchemaError(f"{sidecar_path}: {exc}") from None
+        return DepthObservation.from_ground((w, h), index, values, metric_scale)
+    except SchemaError as exc:  # a depth value, or metric_scale taking one beyond a float
+        raise SchemaError(f"{depth_path}: {exc}") from None
 
 
 _BLOCK_PIXELS = 1 << 18  # pixels read at a time: 1 MB of float32 depth

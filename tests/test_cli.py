@@ -1,16 +1,16 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import re
-import subprocess
-import sys
 import tracemalloc
-import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scenescale
@@ -29,14 +29,26 @@ from scenescale import (
 from scenescale.sceneio import scene_to_dict
 
 
-def run_cli(*args, cwd=None, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "scenescale.cli", *map(str, args)],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=env,
-    )
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*args) -> CliRun:
+    """cli.main in-process on args: its exit code, stdout and stderr.
+
+    argparse's SystemExit becomes its code.  Warnings are errors (see
+    pyproject.toml) and an uncaught exception fails the test, where a
+    process would have turned it into exit 1.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code
+    return CliRun(code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -75,17 +87,15 @@ def test_synth_deterministic(tmp_path, synth_dir):
         assert (tmp_path / name).read_bytes() == (synth_dir / name).read_bytes()
 
 
-def test_synth_config_file_and_env_dir(tmp_path):
+def test_synth_config_file_and_env_dir(tmp_path, monkeypatch):
     cfg_dir = tmp_path / "configs"
     cfg_dir.mkdir()
     (cfg_dir / "tiny.json").write_text(
         json.dumps({"n_persons": 2, "rng_seed": 3, "plane_tilt_deg": 4.0})
     )
     out = tmp_path / "out"
-    import os
-
-    env = {**os.environ, "SCENESCALE_CONFIG_DIR": str(cfg_dir)}
-    res = run_cli("synth", "--out", out, "--config", "tiny.json", env=env)
+    monkeypatch.setenv("SCENESCALE_CONFIG_DIR", str(cfg_dir))
+    res = run_cli("synth", "--out", out, "--config", "tiny.json")
     assert res.returncode == 0, res.stderr
     assert (out / "scene_000.json").exists()
 
@@ -178,7 +188,8 @@ def test_optimize_emits_trace_and_improves(fitted_scene, tmp_path):
         "--lambda", "500",
     )
     assert res.returncode == 0, res.stderr
-    rows = list(csv.DictReader(trace.open()))
+    with trace.open() as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 601  # per-iteration rows plus the final state
     assert [int(r["iteration"]) for r in rows][:3] == [0, 1, 2]
     first, last = float(rows[0]["total"]), float(rows[-1]["total"])
@@ -459,6 +470,7 @@ BAD_FIELDS = [
      "weak_cam"),
     ("synth config", {"camera_focal": 1e-308}, "camera_focal"),
     ("synth config", {"metric_scale": 1e-308}, "metric_scale"),
+    *(("sidecar", {"metric_scale": m}, "metric_scale") for m in (1e200, 1e300, 1e80, 1e100)),
 ]
 
 
@@ -472,15 +484,6 @@ def set_field(doc, dotted, value):
     return doc
 
 
-def run_main(capsys, *args):
-    """cli.main in-process with warnings as errors: (exit code, stderr)."""
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = cli.main([str(a) for a in args])
-    return code, capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "kind, edits, named",
     BAD_FIELDS,
@@ -488,7 +491,7 @@ def run_main(capsys, *args):
          for kind, edits, _ in BAD_FIELDS],
 )
 def test_bad_input_file_field_exits_two(
-    synth_dir, fitted_scene, tmp_path, capsys, kind, edits, named
+    synth_dir, fitted_scene, tmp_path, kind, edits, named
 ):
     """A bad field in a scene file, depth sidecar or synth config: exit 2, one line."""
     depth, mask = tmp_path / "depth.f32", tmp_path / "mask.u8"
@@ -510,7 +513,7 @@ def test_bad_input_file_field_exits_two(
         "sidecar": ["fit-plane", depth, mask, synth_dir / "scene_000.json", "--out", out],
         "synth config": ["synth", "--out", out, "--config", edited],
     }[kind]
-    code, err = run_main(capsys, *args)
+    code, _, err = run_cli(*args)
     assert code == 2
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert named in err
@@ -568,18 +571,18 @@ def synth_loads_back(out):
     load_depth_observation(out / "depth_000.f32", out / "mask_000.u8")
 
 
-def test_fuzz_base_synth_config_is_valid(tmp_path, capsys):
+def test_fuzz_base_synth_config_is_valid(tmp_path):
     config, out = tmp_path / "c.json", tmp_path / "out"
     config.write_text(json.dumps(SYNTH_DOC))
-    assert run_main(capsys, "synth", "--out", out, "--config", config) == (0, "")
+    code, _, err = run_cli("synth", "--out", out, "--config", config)
+    assert (code, err) == (0, "")
     synth_loads_back(out)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(value=JUNK)
 @every_junk_scalar
-def test_fuzz_synth_config_field(tmp_path_factory, capsys, value):
+def test_fuzz_synth_config_field(tmp_path_factory, value):
     """value in each field of a synth config in turn: a closed outcome, never a
     traceback."""
     for field in sorted(SYNTH_DOC):
@@ -587,7 +590,7 @@ def test_fuzz_synth_config_field(tmp_path_factory, capsys, value):
         config, out = work / "c.json", work / "out"
         config.write_text(json.dumps({**SYNTH_DOC, field: value}))
         with np.errstate(over="ignore", invalid="ignore"):  # 1e308 arithmetic, before exit 8
-            code, err = run_main(capsys, "synth", "--out", out, "--config", config)
+            code, _, err = run_cli("synth", "--out", out, "--config", config)
         assert_closed_outcome(code, err, field, lambda: synth_loads_back(out))
 
 
@@ -602,11 +605,10 @@ def small_frame(tmp_path_factory):
     return work
 
 
-@settings(max_examples=40, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(value=JUNK)
 @every_junk_scalar
-def test_fuzz_sidecar_field(small_frame, tmp_path_factory, capsys, value):
+def test_fuzz_sidecar_field(small_frame, tmp_path_factory, value):
     """value in each field of a depth sidecar in turn: a closed outcome, never
     a traceback."""
     sidecar = json.loads((small_frame / "depth.f32.json").read_text())
@@ -616,8 +618,8 @@ def test_fuzz_sidecar_field(small_frame, tmp_path_factory, capsys, value):
             (work / name).symlink_to(small_frame / name)
         (work / "depth.f32.json").write_text(json.dumps({**sidecar, field: value}))
         out = work / "out.json"
-        code, err = run_main(capsys, "fit-plane", work / "depth.f32", work / "mask.u8",
-                             small_frame / "scene.json", "--out", out)
+        code, _, err = run_cli("fit-plane", work / "depth.f32", work / "mask.u8",
+                               small_frame / "scene.json", "--out", out)
         assert_closed_outcome(code, err, field, lambda: load_scene(out))
 
 
@@ -642,19 +644,18 @@ def scene_doc(fitted_scene):
     return doc
 
 
-def test_fuzz_base_scene_is_valid(scene_doc, tmp_path, capsys):
+def test_fuzz_base_scene_is_valid(scene_doc, tmp_path):
     scene, out = tmp_path / "s.json", tmp_path / "out.json"
     scene.write_text(json.dumps(scene_doc))
-    code, err = run_main(capsys, "optimize", scene, "--out", out, "--iterations", "2")
+    code, _, err = run_cli("optimize", scene, "--out", out, "--iterations", "2")
     assert (code, err) == (0, "")
     assert load_scene(out).persons[0].weak_cam is not None
 
 
-@settings(max_examples=20, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(value=JUNK)
 @every_junk_scalar
-def test_fuzz_scene_field(scene_doc, tmp_path_factory, capsys, value):
+def test_fuzz_scene_field(scene_doc, tmp_path_factory, value):
     """value in each field of a fitted scene in turn: a closed outcome, never a
     traceback or a warning."""
     work = tmp_path_factory.mktemp("fuzz-scene")
@@ -662,7 +663,7 @@ def test_fuzz_scene_field(scene_doc, tmp_path_factory, capsys, value):
     for field in SCENE_FIELDS:
         out.unlink(missing_ok=True)
         scene.write_text(json.dumps(set_field(json.loads(json.dumps(scene_doc)), field, value)))
-        code, err = run_main(capsys, "optimize", scene, "--out", out, "--iterations", "2")
+        code, _, err = run_cli("optimize", scene, "--out", out, "--iterations", "2")
         assert_closed_outcome(code, err, field.rsplit(".", 1)[-1], lambda: load_scene(out),
                               documented=(5, 7))
 
@@ -672,12 +673,12 @@ def test_fuzz_scene_field(scene_doc, tmp_path_factory, capsys, value):
     [("camera.focal", 7), ("persons.0.joints.3.1", 7), ("persons.0.rotation.0.0", 2),
      ("plane.normal.1", 2)],
 )
-def test_huge_number_ends_in_one_error_line(scene_doc, tmp_path, capsys, field, code):
+def test_huge_number_ends_in_one_error_line(scene_doc, tmp_path, field, code):
     """A finite 1e308 that overflows a computation: its exit code and one
-    error line, with no numpy warning before it (run_main raises warnings)."""
+    error line, with no numpy warning before it (warnings are errors)."""
     scene = tmp_path / "s.json"
     scene.write_text(json.dumps(set_field(json.loads(json.dumps(scene_doc)), field, 1e308)))
-    got, err = run_main(capsys, "optimize", scene, "--out", tmp_path / "out.json")
+    got, _, err = run_cli("optimize", scene, "--out", tmp_path / "out.json")
     assert got == code
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
@@ -690,11 +691,11 @@ def test_huge_number_ends_in_one_error_line(scene_doc, tmp_path, capsys, field, 
     ids=["fit-plane-one-scale", "fit-plane-every-scale", "evaluate-scale", "evaluate-depth"],
 )
 def test_huge_number_in_fit_plane_and_evaluate(
-    synth_dir, scene_doc, tmp_path, capsys, command, fields, code
+    synth_dir, scene_doc, tmp_path, command, fields, code
 ):
     """A finite 1e308 that overflows the reference-person choice or a metric:
     exit 0 with nothing on stderr, or its exit code and one error line, with
-    no numpy warning (run_main raises warnings).  The reference person is one
+    no numpy warning (warnings are errors).  The reference person is one
     whose reprojection error is finite, and with none the plane is not
     anchored."""
     doc = json.loads(json.dumps(scene_doc))
@@ -707,7 +708,7 @@ def test_huge_number_in_fit_plane_and_evaluate(
                       "--out", out],
         "evaluate": ["--est", scene, "--gt", synth_dir / "gt_000.json", "--json", out],
     }[command]
-    got, err = run_main(capsys, command, *args)
+    got, _, err = run_cli(command, *args)
     assert got == code
     if code == 0:
         assert err == ""
@@ -717,12 +718,106 @@ def test_huge_number_in_fit_plane_and_evaluate(
         assert not out.exists()
 
 
-def test_tiny_tilt_synthesizes_without_warnings(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "field, value",
+    [*(("camera.focal", f) for f in (1e-308, 5e-324, 1e-290, 1e-200, 1e-150, 1e-100)),
+     *(("camera.principal_point.0", c) for c in (1e308, -1e308, 1e200))],
+)
+def test_fit_plane_refuses_a_camera_beyond_its_bound(synth_dir, scene_doc, tmp_path, field, value):
+    """A finite camera that would put a ground point where RANSAC's products
+    overflow: exit 2 and one error line naming the camera, before any point
+    is made and with no numpy warning (warnings are errors).  BAD_FIELDS has
+    the same for a sidecar's metric_scale."""
+    scene, out = tmp_path / "s.json", tmp_path / "out.json"
+    scene.write_text(json.dumps(set_field(json.loads(json.dumps(scene_doc)), field, value)))
+    code, _, err = run_cli("fit-plane", synth_dir / "depth_000.f32", synth_dir / "mask_000.u8",
+                           scene, "--out", out)
+    assert code == 2
+    assert err.startswith("error: camera ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [NAN, float("inf"), 0.0, -1.0])
+def test_bad_depth_value_names_the_depth_payload(small_frame, tmp_path, value):
+    """A bad value at one ground pixel is blamed on the depth payload that
+    holds it, not on its sidecar."""
+    depth = tmp_path / "depth.f32"
+    values = np.fromfile(small_frame / "depth.f32", dtype="<f4")
+    values[np.flatnonzero(np.fromfile(small_frame / "mask.u8", dtype=np.uint8))[7]] = value
+    values.tofile(depth)
+    (tmp_path / "depth.f32.json").symlink_to(small_frame / "depth.f32.json")
+    code, _, err = run_cli("fit-plane", depth, small_frame / "mask.u8",
+                           small_frame / "scene.json", "--out", tmp_path / "out.json")
+    assert code == 2
+    assert err == f"error: {depth}: masked depth values must be finite and > 0\n"
+
+
+# Edits of a frame's payloads, (kind, value, position): a resized payload, a
+# junk depth at a ground pixel (1e-45 is float32's least subnormal), nan off
+# the mask, a mask value other than 1 at a ground pixel, and a filled mask.
+PAYLOAD_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["depth size", "mask size"]),
+              st.sampled_from([-5, -4, -1, 1, 4, 5]), st.just(0)),
+    st.tuples(st.just("ground depth"),
+              st.sampled_from([NAN, float("inf"), -float("inf"), 0.0, -2.5, 3e38, 1e-45]),
+              st.integers(0, 2**16)),
+    st.tuples(st.just("off-mask depth"), st.just(NAN), st.integers(0, 2**16)),
+    st.tuples(st.just("ground mask"), st.integers(2, 255), st.integers(0, 2**16)),
+    st.tuples(st.just("whole mask"), st.sampled_from([0, 1, 255]), st.just(0)),
+)
+
+
+def edited_payloads(depth, mask, edits):
+    """The depth and mask payload bytes of a frame after edits."""
+    depth, mask = depth.copy(), mask.copy()
+    ground, off = np.flatnonzero(mask), np.flatnonzero(mask == 0)
+    resize = {"depth size": 0, "mask size": 0}
+    for kind, value, at in edits:
+        if kind in resize:
+            resize[kind] += value
+        elif kind == "whole mask":
+            mask[:] = value
+        else:
+            target, pixels = {"ground depth": (depth, ground), "off-mask depth": (depth, off),
+                              "ground mask": (mask, ground)}[kind]
+            target[pixels[at % pixels.size]] = value
+    return [data[:len(data) + extra] if extra < 0 else data + bytes(extra)
+            for data, extra in ((depth.tobytes(), resize["depth size"]),
+                                (mask.tobytes(), resize["mask size"]))]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(edits=st.lists(PAYLOAD_EDITS, min_size=1, max_size=3))
+@example(edits=[("depth size", -4, 0)])
+@example(edits=[("mask size", 5, 0)])
+@example(edits=[("ground depth", 3e38, 0)])
+@example(edits=[("ground depth", 1e-45, 0)])
+@example(edits=[("off-mask depth", NAN, 0)])
+@example(edits=[("ground mask", 255, 0)])
+@example(edits=[("whole mask", 0, 0)])
+@example(edits=[("whole mask", 255, 0)])
+def test_fuzz_depth_and_mask_payloads(small_frame, tmp_path_factory, edits):
+    """Junk in the depth and mask payloads: exit 0, or 2 (naming a file of
+    the frame), 3 or 4 with one error line, never a traceback or a warning."""
+    work = tmp_path_factory.mktemp("fuzz-payload")
+    payloads = edited_payloads(np.fromfile(small_frame / "depth.f32", dtype="<f4"),
+                               np.fromfile(small_frame / "mask.u8", dtype=np.uint8), edits)
+    for name, data in zip(("depth.f32", "mask.u8"), payloads):
+        (work / name).write_bytes(data)
+    (work / "depth.f32.json").symlink_to(small_frame / "depth.f32.json")
+    out = work / "out.json"
+    code, _, err = run_cli("fit-plane", work / "depth.f32", work / "mask.u8",
+                           small_frame / "scene.json", "--out", out)
+    assert_closed_outcome(code, err, str(work), lambda: load_scene(out), documented=(3, 4))
+
+
+def test_tiny_tilt_synthesizes_without_warnings(tmp_path):
     """A subnormal tilt puts the horizon's depth beyond a float: those pixels
     are dropped like any other off the ground, with no numpy warning."""
     config, out = tmp_path / "c.json", tmp_path / "out"
     config.write_text(json.dumps({"plane_tilt_deg": 1e-308}))
-    assert run_main(capsys, "synth", "--out", out, "--config", config) == (0, "")
+    code, _, err = run_cli("synth", "--out", out, "--config", config)
+    assert (code, err) == (0, "")
     load_scene(out / "scene_000.json")
 
 
@@ -792,14 +887,14 @@ def test_unwritable_trace_leaves_scene_untouched(fitted_scene, tmp_path):
     "error, code", [*cli._EXIT_CODES, (SceneScaleError, 2), (OSError, 2)],
     ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
 )
-def test_exit_code_table(monkeypatch, capsys, error, code):
+def test_exit_code_table(monkeypatch, error, code):
     def fail(args):
         raise error("bad input")
 
     monkeypatch.setattr(cli, "cmd_synth", fail)
-    assert cli.main(["synth", "--out", "unused"]) == code
-    err = capsys.readouterr().err
-    assert err == "error: bad input\n"
+    res = run_cli("synth", "--out", "unused")
+    assert res.returncode == code
+    assert res.stderr == "error: bad input\n"
     assert f"\n  {code}  " in cli.__doc__  # the module docstring documents the code
 
 
@@ -863,7 +958,7 @@ def test_in_place_rewrite_leaves_no_temp_file(synth_dir, tmp_path):
     assert load_scene(scene).plane is not None
 
 
-def test_fit_plane_memory_stays_near_the_raster(tmp_path, capsys):
+def test_fit_plane_memory_stays_near_the_raster(tmp_path):
     """fit-plane's traced peak on a 1080p frame: the raster plus 3 point clouds.
 
     The loader reads both payloads through one 1 MB buffer, keeping only the
@@ -883,15 +978,13 @@ def test_fit_plane_memory_stays_near_the_raster(tmp_path, capsys):
     save_depth_observation(obs, depth, mask)
     save_scene(observed, scene)
     del obs, observed
-    argv = ["fit-plane", str(depth), str(mask), str(scene), "--out", str(tmp_path / "o.json")]
     tracemalloc.start()
     try:
-        code = cli.main(argv)
+        res = run_cli("fit-plane", depth, mask, scene, "--out", tmp_path / "o.json")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    capsys.readouterr()
-    assert code == 0
+    assert res.returncode == 0, res.stderr
     assert peak <= raster + 3 * cloud, (
         f"peak {peak / 1e6:.2f} MB = raster {raster / 1e6:.2f} MB "
         f"+ {(peak - raster) / cloud:.2f} x cloud {cloud / 1e6:.2f} MB"

@@ -25,6 +25,7 @@ from scenescale import optimizer
 from scenescale.objective import (
     BEHIND_PENALTY,
     KINK_EPS,
+    MODES,
     Z_EPSILON,
     LossBreakdown,
     _evaluate_theta,
@@ -171,6 +172,33 @@ def test_optimize_deterministic():
     for p1, p2 in zip(r1.final_scene.persons, r2.final_scene.persons):
         assert np.array_equal(p1.translation, p2.translation)
         assert p1.scale == p2.scale
+
+
+def person_alone_and_together(scene, ocfg):
+    """Each person's (translation, scale) optimized inside scene, then alone."""
+    together = optimize(scene, ocfg).final_scene.persons
+    for person, inside in zip(scene.persons, together):
+        alone = optimize(Scene([person], scene.camera, scene.plane), ocfg).final_scene.persons[0]
+        yield (inside.translation, inside.scale), (alone.translation, alone.scale)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), n_persons=st.integers(2, 5))
+def test_person_result_does_not_depend_on_the_others(mode, seed, n_persons):
+    """Optimized alone or inside its scene, a person ends with the same bits.
+
+    Scoped to persons that share a joint count, as in every synth scene.  A
+    scene packs its persons to the longest joint count, and that padding
+    regroups numpy's pairwise sums over a shorter person's joints, which
+    moves its last bits: conftest.ragged_scene breaks the property in most
+    mode runs.
+    """
+    scene = random_scene(np.random.default_rng(seed), n_persons=n_persons, noise_px=1.0)
+    ocfg = OptimConfig(iterations=200, objective=ObjectiveConfig(lam=SUITE_LAM, mode=mode))
+    for (t_in, s_in), (t_alone, s_alone) in person_alone_and_together(scene, ocfg):
+        assert np.array_equal(t_in, t_alone)
+        assert s_in == s_alone
 
 
 def test_optimize_does_not_mutate_input():
