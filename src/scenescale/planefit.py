@@ -4,16 +4,18 @@ Pipeline: unproject masked ground pixels to a metric point cloud, fit a
 plane by RANSAC over 3-point hypotheses, refine the winner on its inliers
 by least squares, then re-anchor the plane at the reference person's ankle
 so the feet constraint measures distances from a point with trusted depth.
-RANSAC stops scoring a hypothesis as soon as its count provably cannot
-win, so it picks the same winner as scoring every hypothesis in full, with
-less work.
+RANSAC draws each batch of hypotheses with one call, the same samples
+rng.choice would give one by one, and stops scoring a hypothesis as soon as
+its count provably cannot win, so it picks the same winner as scoring every
+hypothesis in full, with less work.
 
 Memory: a DepthObservation keeps only its M ground samples (a flat index
 and a depth value each), never the (H, W) grids.  The unprojection writes
-the (M, 3) cloud in place and makes no other M-by-3 array; RANSAC scores
-through one block-sized buffer, holds the cloud reordered for scoring in
-one (M, 3) workspace that the refits reuse with one (M,) distance buffer,
-and never writes to the caller's cloud.
+the (M, 3) cloud in place and makes no other M-by-3 array.  RANSAC scores
+through a (4, rows) block of coordinates (rows <= 65535) and a distance
+block of at most max(65536, hypotheses) values, holds the cloud reordered
+for scoring in one (M, 3) workspace that the refits reuse with one (M,)
+distance buffer, and never writes to the caller's cloud.
 """
 
 from __future__ import annotations
@@ -170,6 +172,27 @@ def _lsq_plane(
 _BLOCK = 1 << 16  # distances per scoring block: 512 KB, sized to stay in cache
 
 
+def _draw_samples(rng: np.random.Generator, m: int, h: int) -> np.ndarray:
+    """h samples of 3 distinct indices in [0, m), (h, 3): what h calls of
+    rng.choice(m, 3, replace=False) return, leaving rng where they leave it.
+
+    choice runs Floyd's algorithm on bounded draws in [0, m-3], [0, m-2] and
+    [0, m-1], then shuffles through draws in [0, 2] and [0, 1]; one int64
+    rng.integers call makes all 5h draws, one by one, in that order.  Floyd
+    keeps b unless it is a (then m-2), and c unless it is a or b (then m-1);
+    the shuffle swaps slot 2 with the first shuffle draw's slot, then slot 1
+    with the second's.
+    """
+    draws = rng.integers(0, np.tile([m - 3, m - 2, m - 1, 2, 1], h), endpoint=True)
+    a, b, c, *shuffle = draws.reshape(h, 5).T
+    b = np.where(b == a, m - 2, b)
+    c = np.where((c == a) | (c == b), m - 1, c)
+    samples, rows = np.column_stack([a, b, c]), np.arange(h)
+    for slot, other in zip((2, 1), shuffle):
+        samples[rows, slot], samples[rows, other] = samples[rows, other], samples[rows, slot]
+    return samples
+
+
 def _consensus_counts(
     scan: np.ndarray, corners: np.ndarray, threshold: float, beat: int
 ) -> np.ndarray:
@@ -181,11 +204,17 @@ def _consensus_counts(
     of earlier batches; the batch's winner, as ransac_plane picks it, is its
     first-seen maximum, and only if that exceeds beat.
 
-    Each block of scan is copied into a reused (rows, 4) buffer whose last
-    column is ones, so one product gives every point's signed distance to
-    the planes (n, -n.p0) still in play.  After each block a hypothesis stays
-    only while partial + rows_left >= max(beat + 1, max partial); the others
-    leave the product and get -1.  This never changes the winner:
+    Scoring is hypothesis-major.  The planes (n, -n.p0) still in play are an
+    (alive, 4) array.  Each block of scan is copied, coordinate-major, into
+    the top three rows of a reused (4, rows) buffer whose last row is ones,
+    so one product gives an (alive, rows) block of signed distances, and
+    each hypothesis counts its inliers along one contiguous row.  rows is
+    _BLOCK // alive (at least 1, at most 65535, so a row's count fits
+    uint16) and is recomputed as hypotheses drop out, so the blocks grow.
+    After each block a hypothesis stays only while
+    partial + rows_left >= max(beat + 1, max partial); the others leave the
+    product and get -1.  This never changes the winner, wherever the blocks
+    end:
     - a dropped hypothesis ends with at most partial + rows_left, so its
       count is <= beat, or below the final count of the hypothesis holding
       the max partial; either way it could never have replaced the winner;
@@ -202,28 +231,29 @@ def _consensus_counts(
     ok = norms > 1e-9 * np.maximum(1.0, np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
     alive = np.flatnonzero(ok)  # collinear samples are never scored
     normals = normals[alive] / norms[alive, None]
-    planes = np.vstack([normals.T, -np.einsum("ij,ij->i", normals, p0[alive])])
+    planes = np.column_stack([normals, -np.einsum("ij,ij->i", normals, p0[alive])])
     m, h = scan.shape[0], len(corners)
-    step = max(1, min(_BLOCK // h, 65535))  # a block's counts fit uint16
-    rows = min(step, m)
-    block1, dist, inl = np.empty((rows, 4)), np.empty(rows * h), np.empty(rows * h, dtype=bool)
-    block1[:, 3] = 1.0
+    # alive * rows <= max(_BLOCK, h), and rows <= m
+    size = min(max(_BLOCK, h), h * m)
+    block1 = np.empty((4, min(m, _BLOCK, 65535)))
+    dist, inl = np.empty(size), np.empty(size, dtype=bool)
+    block1[3] = 1.0
     total = np.zeros(alive.size, dtype=np.intp)
-    for start in range(0, m, step):
-        if not alive.size:
-            break
-        b = block1[: min(step, m - start)]
-        b[:, :3] = scan[start:start + step]
-        n = len(b) * alive.size
-        d, i = dist[:n].reshape(len(b), -1), inl[:n].reshape(len(b), -1)
-        np.matmul(b, planes, out=d)
+    start = 0
+    while start < m and alive.size:
+        rows = min(max(1, _BLOCK // alive.size), 65535, m - start)
+        b = block1[:, :rows]
+        b[:3] = scan[start:start + rows].T
+        d = dist[: alive.size * rows].reshape(alive.size, rows)
+        i = inl[: alive.size * rows].reshape(alive.size, rows)
+        np.matmul(planes, b, out=d)
         np.abs(d, out=d)
         np.less_equal(d, threshold, out=i)
-        total += np.add.reduce(i.view(np.uint8), axis=0, dtype=np.uint16)
-        rows_left = m - start - len(b)
-        keep = total + rows_left >= max(beat + 1, total.max())
+        total += np.add.reduce(i.view(np.uint8), axis=1, dtype=np.uint16)
+        start += rows
+        keep = total + (m - start) >= max(beat + 1, total.max())
         if not keep.all():
-            planes, total, alive = planes[:, keep], total[keep], alive[keep]
+            planes, total, alive = planes[keep], total[keep], alive[keep]
     counts = np.full(h, -1, dtype=np.intp)
     counts[alive] = total
     return counts
@@ -234,9 +264,11 @@ def ransac_plane(
 ) -> tuple[GroundPlane, np.ndarray]:
     """Robust plane fit; returns the plane and the final inlier indices.
 
-    cfg.iterations 3-point hypotheses are drawn from one rng_seed stream and
-    bounded: each is scored until its count is known, or until it provably
-    cannot beat the best so far (see _consensus_counts).  The only early
+    cfg.iterations 3-point hypotheses are drawn from one rng_seed stream, a
+    batch per call, as rng.choice(M, 3, replace=False) would draw them one
+    by one (see _draw_samples), and bounded: each is scored until its count
+    is known, or until it provably cannot beat the best so far (see
+    _consensus_counts).  The only early
     stop of the draws is when a hypothesis takes every point, since no later
     one can beat it.  Consensus keeps the first-seen best hypothesis (strict
     >), so results are reproducible for a fixed rng_seed, and they are the
@@ -253,7 +285,8 @@ def ransac_plane(
     one (M,) distance buffer, and the inlier masks.  The workspace holds the
     reordered cloud while hypotheses are scored, then serves the winner's
     recount and both refits with the distance buffer; scoring copies one
-    block at a time.  points itself is never written.
+    block at a time, coordinate-major, into a (4, rows) buffer of at most
+    65535 columns, 2 MB.  points itself is never written.
     """
     cfg = cfg or RansacConfig()
     points = np.asarray(points, dtype=float)
@@ -281,10 +314,7 @@ def ransac_plane(
     scan = points
     drawn, batch = 0, 1
     while drawn < cfg.iterations and best_count < m:
-        samples = np.array([
-            rng.choice(m, size=3, replace=False)
-            for _ in range(min(batch, cfg.iterations - drawn))
-        ])
+        samples = _draw_samples(rng, m, min(batch, cfg.iterations - drawn))
         counts = _consensus_counts(scan, points[samples], cfg.inlier_threshold, best_count)
         drawn += len(samples)
         batch *= 8
@@ -306,10 +336,11 @@ def ransac_plane(
     if best_inliers is not None:
         best_count = int(np.count_nonzero(best_inliers))
 
-    if best_inliers is None or best_count < max(3, int(np.ceil(cfg.min_inlier_fraction * m))):
+    need = max(3, int(np.ceil(cfg.min_inlier_fraction * m)))
+    if best_inliers is None or best_count < need:
         raise LowConsensusError(
-            f"best consensus {best_count}/{m} below "
-            f"min_inlier_fraction={cfg.min_inlier_fraction}"
+            f"best consensus {best_count}/{m} below the {need} required "
+            f"(min_inlier_fraction={cfg.min_inlier_fraction})"
         )
 
     inlier_set = best_inliers

@@ -239,11 +239,19 @@ def test_ransac_three_points():
 
 
 def test_ransac_low_consensus():
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(-5, 5, (400, 3))
-    cfg = RansacConfig(inlier_threshold=1e-4, min_inlier_fraction=0.3, rng_seed=1)
-    with pytest.raises(LowConsensusError):
-        ransac_plane(pts, cfg)
+    """The error names the count ransac_plane required, which is at least 3."""
+    rows = [
+        (np.random.default_rng(5).uniform(-5, 5, (400, 3)),
+         RansacConfig(inlier_threshold=1e-4, min_inlier_fraction=0.3, rng_seed=1),
+         "best consensus 4/400 below the 120 required (min_inlier_fraction=0.3)"),
+        # every sample of a line is collinear; a zero fraction still needs 3
+        (np.outer(np.arange(50.0), [1.0, 2.0, 3.0]), RansacConfig(min_inlier_fraction=0.0),
+         "best consensus 0/50 below the 3 required (min_inlier_fraction=0.0)"),
+    ]
+    for pts, cfg, message in rows:
+        with pytest.raises(LowConsensusError) as err:
+            ransac_plane(pts, cfg)
+        assert str(err.value) == message
 
 
 def test_ransac_deterministic():
@@ -429,6 +437,36 @@ def test_ransac_matches_oracle_synth_frame():
 )
 def test_ransac_matches_oracle_special_clouds(cloud):
     assert_matches_oracle(cloud, RansacConfig(rng_seed=5))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 50, 6000, 119_000, 2**31, 2**33])
+def test_draw_samples_matches_choice(m):
+    """The batched draw gives rng.choice's samples and leaves the stream where
+    rng.choice leaves it, batch after batch, so a numpy whose choice changes
+    fails here."""
+    for seed in range(12):
+        expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for h in (1, 8, 64, 427, 1, 64):
+            expected = [expected_rng.choice(m, size=3, replace=False) for _ in range(h)]
+            samples = planefit._draw_samples(rng, m, h)
+            assert samples.dtype == np.int64 and samples.shape == (h, 3)
+            assert np.array_equal(samples, expected)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [7, 512, 1 << 16])
+def test_ransac_does_not_depend_on_block_size(monkeypatch, block):
+    """Block boundaries move as hypotheses drop out; no boundary moves a plane."""
+    synth = SynthConfig(n_persons=2, outlier_fraction=0.3, mask_stride=9, rng_seed=3)
+    _, observed, obs = generate_scene(synth)
+    clouds = [pts for _, pts in criterion_5_clouds()] + [unproject_ground(obs, observed.camera)]
+    expected = [ransac_plane(pts, RansacConfig(rng_seed=1)) for pts in clouds]
+    monkeypatch.setattr(planefit, "_BLOCK", block)
+    for pts, (plane, inliers) in zip(clouds, expected):
+        again, again_inliers = ransac_plane(pts, RansacConfig(rng_seed=1))
+        assert np.array_equal(again.normal, plane.normal)
+        assert np.array_equal(again.point, plane.point)
+        assert np.array_equal(again_inliers, inliers)
 
 
 def oracle_counts(points, corners, threshold):
