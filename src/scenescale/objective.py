@@ -22,11 +22,18 @@ BEHIND_PENALTY * c_i * (Z_EPSILON - z) that pushes them back in front.
 A scene is packed once into arrays (persons padded to a common joint count
 with zero-confidence joints); the objective is then a function of the flat
 parameter vector theta = [t^1, ..., t^N, s^1, ..., s^N] alone.  One
-evaluation writes into buffers preallocated at packing time, in a fixed
-operation order, so equal inputs give equal bits.  Terms that are exactly
-zero for the whole scene (the behind-camera penalty with no joint behind
-the clamp, the KINK_EPS masks with every residual above it) are skipped:
-they could only add or subtract 0.0.
+evaluation writes into buffers preallocated at packing time, all views of
+one block, in a fixed operation order, so equal inputs give equal bits.
+Terms that are exactly zero for the whole scene (the behind-camera penalty
+with no joint behind the clamp, the KINK_EPS masks with every residual norm
+and ankle distance at or above it) are skipped: they could only add or
+subtract 0.0.
+
+The layout is chosen for few numpy calls on contiguous data (PackedScene
+details it): joints, keypoints and the projection are coordinate-major,
+the gradient with respect to the posed joints is joint-major with the plane
+term as its last row, and the residual norms and |ankle distances| share
+one buffer, so one min decides both KINK_EPS masks.
 """
 
 from __future__ import annotations
@@ -89,42 +96,76 @@ class PackedScene:
 
     theta carries everything that moves.  Every _evaluate_theta call
     overwrites the buffers, so a PackedScene serves one caller at a time.
+
+    The evaluation reads the fields in coordinate-major copies: the rotated
+    joints as (3, N, K) and the keypoints as (2, N, K), beside the principal
+    point as (2, 1, 1), so every coordinate is one contiguous (N, K) plane.
+    The posed joints fill one (3, N, K) buffer, and proj holds [f*x, f*y, f]
+    in the same layout, so one division by the clamped z gives both pixel
+    offsets and f/z.  The posed ankles are gathered from the posed joints
+    with one np.take of flat indices.
+
+    dx, d(total)/d(posed joint), is joint-major, (K+1, N, 3): rows 0..K-1
+    hold each joint's reprojection gradient, row K the plane term's
+    lam * sum(sign) * n.  One add.reduce over axis 0 then sums the rows in
+    order, 3N values at a time, which is the order the (N, K, 3) axis-1 sum
+    followed, plus the plane term last, so grad_t keeps its bits.  The
+    reprojection rows are written through a coordinate-major view, and
+    grad_s reads them through a person-major (N, K, 3) view, because its
+    pairwise sum runs over each person's 3K products in that order.
+
+    The residual norms (N*K) and the |ankle distances| (2N) share one kink
+    buffer, so one min decides whether the KINK_EPS masks run.  A term the
+    mode leaves out keeps inf there.  All buffers are views of one block.
     """
 
     rotated: np.ndarray       # (N, K, 3) R @ J_i, zero rows where padded
     keypoints: np.ndarray     # (N, K, 2) pixels, zero where padded
     confidences: np.ndarray   # (N, K), zero where padded or reprojection unused
-    ankles: np.ndarray        # (N, 2, 3) rotated left and right ankle
+    ankle_idx: np.ndarray     # (N, 2) joint index of the left and right ankle
     camera: CameraModel
     normal: np.ndarray | None  # (3,) plane normal, None if plane unused
     offset: float              # plane: n . x = offset
 
     def __post_init__(self):
         n, k = self.confidences.shape
-        # constants of the terms, in the layout the evaluation reads them
-        self.kx = np.ascontiguousarray(self.keypoints[..., 0])   # (N, K)
-        self.ky = np.ascontiguousarray(self.keypoints[..., 1])
         self.focal = float(self.camera.focal)
-        self.cx, self.cy = (float(c) for c in self.camera.principal_point)
+        self.principal = np.array(self.camera.principal_point, dtype=float).reshape(2, 1, 1)
+        self.ankles = self.rotated[np.arange(n)[:, None], self.ankle_idx]  # (N, 2, 3)
         self.ankle_normal = None if self.normal is None else self.ankles @ self.normal  # (N, 2)
-        self.rotated_xyz = np.ascontiguousarray(self.rotated.transpose(0, 2, 1))  # (N, 3, K)
-        # outputs: per-person reprojection and plane terms, flat gradient
-        self.rep = np.zeros(n)
-        self.plane = np.zeros(n)
-        self.grad = np.zeros(4 * n)
+        # flat index of posed[c, i, ankle_idx[i, a]], at [i, a, c]
+        self.ankle_take = (np.arange(0, 3 * n * k, n * k)
+                           + (np.arange(0, n * k, k)[:, None] + self.ankle_idx)[..., None])
+        planes, self.kinks, self.dx, self.dx_rotated, self.posed_ankles, self.dist, self.signs, \
+            self.sign_sums, terms, self.grad = _block_views(
+                (21, n, k), (n * k + 2 * n,), (k + 1, n, 3), (n, k, 3), (n, 2, 3), (n, 2),
+                (2, n, 2), (2, n), (2, n), (4 * n,))
+        self.rotated_cm, self.keypoints_cm, self.posed, self.proj = (
+            planes[0:3], planes[3:5], planes[5:8], planes[8:11])
+        self.q, self.r, self.sq = planes[11:14], planes[14:16], planes[16:18]
+        self.zc, self.w, self.tmp = planes[18:21]
+        # the reprojection rows of dx, seen coordinate-major and person-major
+        self.dx_cm = self.dx[:k].transpose(2, 1, 0)           # (3, N, K)
+        self.dx_nk3 = self.dx[:k].transpose(1, 0, 2)          # (N, K, 3)
+        self.rep, self.plane = terms
+        self.rotated_cm[...] = self.rotated.transpose(2, 0, 1)
+        self.keypoints_cm[...] = self.keypoints.transpose(2, 0, 1)
+        self.proj[2] = self.focal
+        self.kinks.fill(np.inf)
+        self.norms = self.kinks[: n * k].reshape(n, k)
+        self.abs_dist = self.kinks[n * k :].reshape(n, 2)
         self.grad_t = self.grad[: 3 * n].reshape(n, 3)
         self.grad_s = self.grad[3 * n :]
-        # work buffers; x, y, z are views of posed_xyz and dx_x, dx_y, dx_z of dx
-        self.posed_xyz = np.empty((n, 3, k))
-        self.dx = np.empty((n, k, 3))
-        self.dx_rotated = np.empty((n, k, 3))
-        self.x, self.y, self.z = (self.posed_xyz[:, i] for i in range(3))
-        self.dx_x, self.dx_y, self.dx_z = (self.dx[..., i] for i in range(3))
-        self.zc, self.r0, self.r1, self.norms, self.w, self.f_z, self.tmp = np.empty((7, n, k))
-        self.posed_ankles = np.empty((n, 2, 3))
-        self.dist, self.abs_dist, self.sign = np.empty((3, n, 2))
-        self.plane_t = np.empty((n, 3))
-        self.sign_sum = np.empty(n)
+
+
+def _block_views(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """C-contiguous views of one new zeroed block, one per shape, in order."""
+    sizes = [math.prod(shape) for shape in shapes]
+    block, at, views = np.zeros(sum(sizes)), 0, []
+    for shape, size in zip(shapes, sizes):
+        views.append(block[at : at + size].reshape(shape))
+        at += size
+    return views
 
 
 def _pack_scene(scene: Scene, cfg: ObjectiveConfig) -> tuple[PackedScene, np.ndarray]:
@@ -138,11 +179,10 @@ def _pack_scene(scene: Scene, cfg: ObjectiveConfig) -> tuple[PackedScene, np.nda
     rotated = np.zeros((n, k, 3))
     keypoints = np.zeros((n, k, 2))
     confidences = np.zeros((n, k))
-    ankles = np.empty((n, 2, 3))
+    ankle_idx = np.array([(p.ankle_left_idx, p.ankle_right_idx) for p in persons])
     for i, person in enumerate(persons):
         kj = person.n_joints
         rotated[i, :kj] = person.joints @ person.rotation.T
-        ankles[i] = rotated[i, [person.ankle_left_idx, person.ankle_right_idx]]
         if uses_rep:
             if person.ref_keypoints is None:
                 raise SchemaError(f"person {i} has no ref_keypoints")
@@ -152,7 +192,7 @@ def _pack_scene(scene: Scene, cfg: ObjectiveConfig) -> tuple[PackedScene, np.nda
     if uses_plane:
         normal = scene.plane.normal
         offset = float(normal @ scene.plane.point)
-    packed = PackedScene(rotated, keypoints, confidences, ankles, scene.camera, normal, offset)
+    packed = PackedScene(rotated, keypoints, confidences, ankle_idx, scene.camera, normal, offset)
     theta = np.concatenate(
         [np.concatenate([p.translation for p in persons]), [p.scale for p in persons]]
     )
@@ -170,29 +210,22 @@ def _evaluate_theta(
     equal inputs give equal bits.
     """
     p = packed
-    n = p.rep.shape[0]
-    t = theta[: 3 * n].reshape(n, 1, 3)
-    s = theta[3 * n :].reshape(n, 1, 1)
-    grad_t, grad_s, tmp = p.grad_t, p.grad_s, p.tmp
+    n, k = p.confidences.shape
+    uses_rep, uses_plane = cfg.mode != "plane_only", cfg.mode != "reprojection_only"
+    c, posed, tmp = p.confidences, p.posed, p.tmp
+    np.multiply(theta[3 * n :].reshape(n, 1), p.rotated_cm, out=posed)
+    np.add(posed, theta[: 3 * n].reshape(n, 3).T[..., None], out=posed)   # (3, N, K)
 
-    if cfg.mode == "plane_only":
-        p.grad.fill(0.0)
-    else:
-        eps, c, x, y, z = Z_EPSILON, p.confidences, p.x, p.y, p.z
-        np.multiply(s, p.rotated_xyz, out=p.posed_xyz)
-        np.add(p.posed_xyz, t.reshape(n, 3, 1), out=p.posed_xyz)     # (N, 3, K)
+    if uses_rep:
+        eps, z = Z_EPSILON, posed[2]
         zc = np.maximum(z, eps, out=p.zc)
-        # residual kp - (f * x / zc + cx) per pixel coordinate, and its norm
-        r0 = np.multiply(x, p.focal, out=p.r0)
-        np.divide(r0, zc, out=r0)
-        np.add(r0, p.cx, out=r0)
-        np.subtract(p.kx, r0, out=r0)
-        r1 = np.multiply(y, p.focal, out=p.r1)
-        np.divide(r1, zc, out=r1)
-        np.add(r1, p.cy, out=r1)
-        np.subtract(p.ky, r1, out=r1)
-        norms = np.multiply(r0, r0, out=p.norms)
-        np.add(norms, np.multiply(r1, r1, out=tmp), out=norms)
+        # q = [f*x, f*y, f] / zc; residual kp - (f * xy / zc + c), and its norm
+        np.multiply(posed[:2], p.focal, out=p.proj[:2])
+        q = np.divide(p.proj, zc, out=p.q)
+        r = np.add(q[:2], p.principal, out=p.r)
+        np.subtract(p.keypoints_cm, r, out=r)
+        sq = np.multiply(r, r, out=p.sq)
+        norms = np.add(sq[0], sq[1], out=p.norms)
         np.sqrt(norms, out=norms)
         np.add.reduce(np.multiply(c, norms, out=tmp), axis=1, out=p.rep)
         # with every joint in front of the clamp the penalty terms are exactly 0
@@ -201,48 +234,51 @@ def _evaluate_theta(
             behind = np.maximum(eps - z, 0.0)
             p.rep += BEHIND_PENALTY * np.sum(c * behind, axis=1)
 
+    if uses_plane:
+        ankles = np.take(posed, p.ankle_take, out=p.posed_ankles, mode="clip")  # (N, 2, 3)
+        dist = np.subtract(np.matmul(ankles, p.normal, out=p.dist), p.offset, out=p.dist)
+        np.add.reduce(np.abs(dist, out=p.abs_dist), axis=1, out=p.plane)
+        sign = np.sign(dist, out=p.signs[0])
+
+    # one test for both KINK_EPS masks; "not >=" sends a nan to the masked path too
+    kinked = not p.kinks.min() >= KINK_EPS
+
+    if uses_rep:
         # d(c*||kp - pi(x)||)/dx = -c * J_pi^T u with u the unit residual and
         # J_pi = [[f/z, 0, -f*x/z^2], [0, f/z, -f*y/z^2]] at the clamped z;
         # the z column is zero below the clamp, where the pixel ignores z.
         w = p.w
-        if norms.min() >= KINK_EPS:
-            np.divide(c, norms, out=w)
-        else:
+        if kinked:
             w.fill(0.0)
             np.divide(c, norms, out=w, where=norms >= KINK_EPS)
-        cu0 = np.multiply(w, r0, out=r0)                             # c * u
-        cu1 = np.multiply(w, r1, out=r1)
-        f_z = np.divide(p.focal, zc, out=p.f_z)
-        # dx_z = f_z / zc * (cu0 * x + cu1 * y)
-        np.multiply(cu0, x, out=w)
-        np.add(w, np.multiply(cu1, y, out=tmp), out=w)
-        np.multiply(np.divide(f_z, zc, out=tmp), w, out=p.dx_z)
+        else:
+            np.divide(c, norms, out=w)
+        cu = np.multiply(w, r, out=r)                                   # c * u
+        f_z, dx = q[2], p.dx_cm
+        # dx[2] = f_z / zc * (cu[0] * x + cu[1] * y)
+        cuxy = np.multiply(cu, posed[:2], out=sq)
+        np.multiply(np.divide(f_z, zc, out=tmp), np.add(cuxy[0], cuxy[1], out=w), out=dx[2])
         np.negative(f_z, out=f_z)
-        np.multiply(f_z, cu0, out=p.dx_x)
-        np.multiply(f_z, cu1, out=p.dx_y)
+        np.multiply(f_z, cu, out=dx[:2])
         if clamped is not None:
             # linear push-back for joints clamped at the z floor
-            p.dx_z[...] = np.where(clamped, 0.0, p.dx_z)
-            p.dx_z -= BEHIND_PENALTY * np.where(clamped, c, 0.0)
-        np.add.reduce(p.dx, axis=1, out=grad_t)
-        np.add.reduce(np.multiply(p.dx, p.rotated, out=p.dx_rotated), axis=(1, 2), out=grad_s)
+            dx[2] = np.where(clamped, 0.0, dx[2])
+            dx[2] -= BEHIND_PENALTY * np.where(clamped, c, 0.0)
+        np.multiply(p.dx_nk3, p.rotated, out=p.dx_rotated)
+        np.add.reduce(p.dx_rotated, axis=(1, 2), out=p.grad_s)
+    else:
+        p.grad_s.fill(0.0)
 
-    if cfg.mode != "reprojection_only":
-        ankles = np.multiply(s, p.ankles, out=p.posed_ankles)
-        np.add(ankles, t, out=ankles)                                # (N, 2, 3)
-        dist = np.subtract(np.matmul(ankles, p.normal, out=p.dist), p.offset, out=p.dist)
-        abs_dist = np.abs(dist, out=p.abs_dist)
-        np.add.reduce(abs_dist, axis=1, out=p.plane)
-        sign = np.sign(dist, out=p.sign)
-        if not abs_dist.min() >= KINK_EPS:
-            sign[abs_dist < KINK_EPS] = 0.0
-        # grad_t += lam * sum(sign) * n;  grad_s += lam * sum(sign * (A @ n))
-        lam_sum = p.sign_sum
-        np.multiply(np.add.reduce(sign, axis=1, out=lam_sum), cfg.lam, out=lam_sum)
-        grad_t += np.multiply(lam_sum[:, None], p.normal, out=p.plane_t)
-        np.multiply(sign, p.ankle_normal, out=sign)
-        np.multiply(np.add.reduce(sign, axis=1, out=lam_sum), cfg.lam, out=lam_sum)
-        grad_s += lam_sum
+    if uses_plane:
+        if kinked:
+            sign[p.abs_dist < KINK_EPS] = 0.0
+        # dx row K = lam * sum(sign) * n;  grad_s += lam * sum(sign * (A @ n))
+        np.multiply(sign, p.ankle_normal, out=p.signs[1])
+        lam_sums = np.add.reduce(p.signs, axis=2, out=p.sign_sums)
+        np.multiply(lam_sums, cfg.lam, out=lam_sums)
+        np.multiply(lam_sums[0][:, None], p.normal, out=p.dx[k])
+        p.grad_s += lam_sums[1]
+    np.add.reduce(p.dx[0 if uses_rep else k : k + uses_plane], axis=0, out=p.grad_t)
 
     return p.rep, p.plane, p.grad
 

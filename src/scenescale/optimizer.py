@@ -103,10 +103,11 @@ def _run_adam(work: Scene, cfg: OptimConfig, freeze_z: bool = False) -> OptimRep
     scales = theta[3 * n :]
     b1, b2, lr, eps = _BETA1, _BETA2, cfg.learning_rate, _EPS
 
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    step = np.empty_like(theta)
-    denom = np.empty_like(theta)
+    # ADAM's moments m and v as the rows of one array, updated together
+    moments, work_rows = np.zeros((2, 2, 4 * n))
+    decay, rate = np.array([[b1], [b2]]), np.array([[1 - b1], [1 - b2]])
+    bias = np.empty((2, 1))  # this step's bias corrections for m and v
+    step, denom = work_rows
     trace = np.empty((cfg.iterations + 1, 3))
 
     # huge finite inputs overflow to inf or nan: the finite check on the loss refuses them
@@ -128,13 +129,15 @@ def _run_adam(work: Scene, cfg: OptimConfig, freeze_z: bool = False) -> OptimRep
             if freeze_z:
                 g[2 : 3 * n : 3] = 0.0
             # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
-            np.multiply(m, b1, out=m)
-            m += np.multiply(g, 1 - b1, out=step)
-            np.multiply(v, b2, out=v)
-            v += np.multiply(np.multiply(g, 1 - b2, out=step), g, out=step)
-            # theta -= lr * m_hat / (sqrt(v_hat) + eps), at ADAM step it + 1
-            np.multiply(np.divide(m, 1 - b1 ** (it + 1), out=step), lr, out=step)
-            np.add(np.sqrt(np.divide(v, 1 - b2 ** (it + 1), out=denom), out=denom), eps, out=denom)
+            np.multiply(moments, decay, out=moments)
+            np.multiply(g, rate, out=work_rows)
+            np.multiply(work_rows[1], g, out=work_rows[1])
+            moments += work_rows
+            # theta -= lr * m_hat / (sqrt(v_hat) + eps)
+            bias[:, 0] = 1 - b1 ** (it + 1), 1 - b2 ** (it + 1)
+            np.divide(moments, bias, out=work_rows)
+            np.multiply(step, lr, out=step)
+            np.add(np.sqrt(denom, out=denom), eps, out=denom)
             theta -= np.divide(step, denom, out=step)
             np.maximum(scales, SCALE_MIN, out=scales)
 

@@ -9,13 +9,20 @@ rng.choice would give one by one, and stops scoring a hypothesis as soon as
 its count provably cannot win, so it picks the same winner as scoring every
 hypothesis in full, with less work.
 
+The per-point passes outside scoring keep the bits of plain numpy with
+fewer, longer inner loops: each refit's centroid is einsum("ij->j") / count,
+which sums the rows one by one as mean(axis=0) does, and every
+points - point runs through (M // 256, 768) views against the point tiled
+256 times, plus the M % 256 rows left over (_subtract_point).
+
 Memory: a DepthObservation keeps only its M ground samples (a flat index
 and a depth value each), never the (H, W) grids.  The unprojection writes
 the (M, 3) cloud in place and makes no other M-by-3 array.  RANSAC scores
 through a (4, rows) block of coordinates (rows <= 65535) and a distance
 block of at most max(65536, hypotheses) values, holds the cloud reordered
 for scoring in one (M, 3) workspace that the refits reuse with one (M,)
-distance buffer, and never writes to the caller's cloud.
+distance buffer, and never writes to the caller's cloud.  A cloud that is
+not C-contiguous float64 is copied once, as _subtract_point's views need.
 """
 
 from __future__ import annotations
@@ -154,6 +161,11 @@ def _lsq_plane(
     """Least-squares plane through points[inliers]: centroid + smallest-singular
     direction.  The inliers are gathered and centred in the (M, 3) workspace.
 
+    The centroid is einsum("ij->j") / count: like mean(axis=0), einsum sums
+    the rows one by one, from +0.0, so the bits are the same, but it runs one
+    strided pass per column instead of one 3-wide inner loop per row.  The
+    centring runs through _subtract_point's wide rows.
+
     From 5 rows up the SVD is taken of the 3x3 R of a QR factorization.  That
     is the path LAPACK's gesdd takes itself for 5 or more rows of 3 columns,
     so vh is the same, without the (M, 3) U that gesdd would build and that is
@@ -161,8 +173,8 @@ def _lsq_plane(
     from QR-first in the last bits, so those go to the SVD as they are.
     """
     sel = np.compress(inliers, points, axis=0, out=work[: np.count_nonzero(inliers)])
-    centroid = sel.mean(axis=0)
-    sel -= centroid
+    centroid = np.einsum("ij->j", sel) / len(sel)
+    _subtract_point(sel, centroid, out=sel)
     if len(sel) >= 5:
         sel = np.linalg.qr(sel, mode="r")
     _, _, vh = np.linalg.svd(sel, full_matrices=False)
@@ -170,6 +182,38 @@ def _lsq_plane(
 
 
 _BLOCK = 1 << 16  # distances per scoring block: 512 KB, sized to stay in cache
+
+# Rows of one wide row in _subtract_point: 256 points, 768 values, 6 KB.
+_TILE = 256
+
+
+def _subtract_point(rows: np.ndarray, point: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = rows - point, for C-contiguous (M, 3) rows and out (out may be rows).
+
+    Broadcasting a (3,) point runs one 3-wide inner loop per row; here the
+    first M - M % _TILE rows run as (M // _TILE, 3 * _TILE) views against the
+    point tiled _TILE times, and only the rest broadcast.  Each value is the
+    same subtraction, so the bits are those of rows - point.  Both arrays
+    must be C-contiguous: reshaping anything else would need a copy, so it
+    raises rather than lose the result.
+    """
+    k = len(rows) - len(rows) % _TILE
+    wide = (k // _TILE, 3 * _TILE)
+    np.subtract(
+        rows[:k].reshape(wide, copy=False),
+        np.tile(point, _TILE),
+        out=out[:k].reshape(wide, copy=False),
+    )
+    np.subtract(rows[k:], point, out=out[k:])
+    return out
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two (h, 3) arrays or two 3-vectors: the products and
+    differences np.cross computes, so the same bits, without the axis
+    handling that dominates np.cross on inputs this small."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def _draw_samples(rng: np.random.Generator, m: int, h: int) -> np.ndarray:
@@ -226,7 +270,7 @@ def _consensus_counts(
     """
     p0, p1, p2 = corners.transpose(1, 0, 2)
     a, b = p1 - p0, p2 - p0
-    normals = np.cross(a, b)
+    normals = _cross(a, b)
     norms = np.linalg.norm(normals, axis=1)
     ok = norms > 1e-9 * np.maximum(1.0, np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
     alive = np.flatnonzero(ok)  # collinear samples are never scored
@@ -289,7 +333,7 @@ def ransac_plane(
     65535 columns, 2 MB.  points itself is never written.
     """
     cfg = cfg or RansacConfig()
-    points = np.asarray(points, dtype=float)
+    points = np.ascontiguousarray(points, dtype=float)  # C order: _subtract_point's views
     if points.ndim != 2 or points.shape[1] != 3:
         raise SchemaError(f"points must be (M, 3), got {points.shape}")
     m = points.shape[0]
@@ -300,7 +344,7 @@ def ransac_plane(
 
     def within(point: np.ndarray, normal: np.ndarray) -> np.ndarray:
         """|(points - point) @ normal| <= threshold, through work and dist."""
-        np.subtract(points, point, out=work)
+        _subtract_point(points, point, out=work)
         np.matmul(work, normal, out=dist)
         np.abs(dist, out=dist)
         return np.less_equal(dist, cfg.inlier_threshold)
@@ -324,7 +368,7 @@ def ransac_plane(
             # the leader's inliers in the one-by-one loop's own arithmetic, so
             # the plane does not depend on the rounding of the block scoring
             p0, p1, p2 = points[samples[k]]
-            normal = np.cross(p1 - p0, p2 - p0)
+            normal = _cross(p1 - p0, p2 - p0)
             best_inliers = within(p0, normal / np.linalg.norm(normal))
             if drawn < cfg.iterations and best_count < m:
                 # within() has just overwritten work: refill it with the

@@ -520,6 +520,56 @@ def test_evaluate_matches_oracle_with_nan_theta():
             assert np.array_equal(a, b, equal_nan=True)
 
 
+def kink_sources(packed, theta):
+    """Smallest residual norm and smallest |ankle distance| at theta (nan if any
+    is nan), in the oracle's arithmetic; inf for a term the packing left out."""
+    n = packed.rotated.shape[0]
+    t, s = theta[: 3 * n].reshape(n, 1, 3), theta[3 * n :].reshape(n, 1, 1)
+    pixels, _ = project_clamped(s * packed.rotated + t, packed.camera, Z_EPSILON)
+    norms = np.linalg.norm(packed.keypoints - pixels, axis=-1)
+    if packed.normal is None:
+        return norms.min(), np.inf
+    dist = (s * packed.ankles + t) @ packed.normal - packed.offset
+    return norms.min(), np.abs(dist).min()
+
+
+def exact_keypoint_scene(seed):
+    """A ragged scene whose person 1 has one keypoint on its joint's exact
+    projection, so that one residual norm is 0 and every other is above KINK_EPS."""
+    scene = ragged_scene(seed)
+    person = scene.persons[1]
+    person.ref_keypoints[5] = project_clamped(posed_joints(person)[5], scene.camera, Z_EPSILON)[0]
+    return scene
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", ["residual", "ankle", "nan_ankles", "nan_ankles_and_residual"])
+def test_evaluate_matches_oracle_for_each_kink_source(mode, case):
+    # the residual norms and the |ankle distances| share one KINK_EPS test:
+    # a kink in either, or a nan in the ankle distances alone, must take
+    # both masked paths, and the masked paths must change nothing else
+    scene = exact_keypoint_scene(11) if "residual" in case else ragged_scene(11)
+    cfg = ObjectiveConfig(lam=3.0, mode=mode)
+    packed, theta = _pack_scene(scene, cfg)
+    if packed.normal is not None:
+        if case == "ankle":
+            # person 0's right ankle 1e-12 m off the plane, inside KINK_EPS
+            ankle = theta[3 * 3] * packed.ankles[0, 1] + theta[0:3]
+            packed.offset = float(ankle @ packed.normal) - 1e-12
+        elif case.startswith("nan_ankles"):
+            packed.offset = np.nan
+    residual, ankle = kink_sources(packed, theta)
+    uses_rep, uses_plane = mode != "plane_only", mode != "reprojection_only"
+    assert (residual < KINK_EPS) == (uses_rep and "residual" in case)
+    assert (ankle < KINK_EPS) == (uses_plane and case == "ankle")
+    assert np.isnan(ankle) == (uses_plane and case.startswith("nan_ankles"))
+    assert np.isfinite(theta).all()
+    got = [a.copy() for a in _evaluate_theta(packed, theta, cfg)]
+    expected = oracle_evaluate_theta(packed, theta, cfg)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(0, 2**16),

@@ -601,6 +601,60 @@ def test_lsq_plane_matches_plain_svd_on_a_frame():
     assert centroid.tobytes() == expected_centroid.tobytes()
 
 
+def signed_zero_cloud(m, seed):
+    """(m, 3) floats over 13 decades, signed zeros (one column all -0.0), and
+    coordinates of either sign near planefit._COORD_MAX: from a few hundred
+    rows up, summing them in another order than one by one changes bits."""
+    rng = np.random.default_rng(seed)
+    cloud = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-6, 7, (m, 3))
+    cloud[rng.uniform(size=(m, 3)) < 0.1] = -0.0
+    cloud[rng.uniform(size=(m, 3)) < 0.05] = 0.0
+    huge = rng.uniform(size=(m, 3)) < 0.02
+    size = huge.sum()
+    cloud[huge] = rng.choice([-1.0, 1.0], size) * rng.uniform(0.5, 1, size) * planefit._COORD_MAX
+    cloud[:, 2] = -0.0
+    return cloud
+
+
+@pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 773, 5000])
+def test_refit_primitives_match_plain_numpy_bytewise(m):
+    """The refits' centroid, einsum("ij->j") / count, is mean(axis=0), the rows
+    summed one by one from +0.0; _subtract_point is points - point."""
+    cloud = signed_zero_cloud(m, seed=m)
+    centroid = np.einsum("ij->j", cloud) / len(cloud)
+    one_by_one = np.zeros(3)
+    for row in cloud:
+        one_by_one = one_by_one + row
+    moved = "einsum no longer sums the rows one by one: the refit centroid's bits move"
+    assert centroid.tobytes() == cloud.mean(axis=0).tobytes(), moved
+    assert centroid.tobytes() == (one_by_one / m).tobytes(), moved
+
+    for point in (centroid, np.array([-0.0, 0.0, -planefit._COORD_MAX]), cloud[m // 2]):
+        expected = (cloud - point).tobytes()
+        assert planefit._subtract_point(cloud, point, np.empty_like(cloud)).tobytes() == expected
+        in_place = cloud.copy()
+        planefit._subtract_point(in_place, point, in_place)
+        assert in_place.tobytes() == expected
+
+
+def test_subtract_point_refuses_strided_arrays():
+    """A strided workspace would be reshaped into a copy and the result lost,
+    so _subtract_point raises instead of writing into a temporary."""
+    cloud = signed_zero_cloud(2 * 512, seed=1)
+    point = cloud[7].copy()
+    with pytest.raises(ValueError):
+        planefit._subtract_point(cloud[::2], point, np.empty((512, 3)))
+    with pytest.raises(ValueError):
+        planefit._subtract_point(cloud[:512], point, np.empty((1024, 3))[::2])
+
+
+@pytest.mark.parametrize("h", [1, 2, 64, 427])
+def test_cross_matches_numpy_bytewise(h):
+    a, b = signed_zero_cloud(h, seed=h), signed_zero_cloud(h, seed=h + 1) * 1e-70
+    assert planefit._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    assert planefit._cross(a[0], b[-1]).tobytes() == np.cross(a[0], b[-1]).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
