@@ -8,9 +8,7 @@ constraint against a plane recovered from a depth map.
 """
 
 from .errors import (
-    BehindCameraError,
     InsufficientGroundError,
-    InvalidCameraError,
     LowConsensusError,
     MissingPlaneError,
     NonFiniteLossError,
@@ -47,12 +45,10 @@ from .synth import SynthConfig, generate_scene
 __version__ = "0.1.0"
 
 __all__ = [
-    "BehindCameraError",
     "CameraModel",
     "DepthObservation",
     "GroundPlane",
     "InsufficientGroundError",
-    "InvalidCameraError",
     "LossBreakdown",
     "LowConsensusError",
     "MetricsReport",

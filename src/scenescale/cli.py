@@ -45,14 +45,7 @@ from .errors import (
 from .metrics import evaluate_scenes
 from .objective import MODES, ObjectiveConfig
 from .optimizer import OptimConfig, lift_translations, optimize, optimize_baseline
-from .planefit import (
-    DepthObservation,
-    RansacConfig,
-    anchor_plane,
-    fit_rms,
-    ransac_plane,
-    unproject_ground,
-)
+from .planefit import RansacConfig, anchor_plane, fit_rms, ransac_plane, unproject_ground
 from .sceneio import (
     check_storable,
     dumps_canonical,
@@ -82,11 +75,7 @@ def _float_list(text: str, where: str) -> list[float]:
 
 def cmd_fit_plane(args: argparse.Namespace) -> int:
     scene = load_scene(args.scene)
-    obs = load_depth_observation(args.depth, args.mask)
-    if args.metric_scale is not None:
-        obs = DepthObservation.from_ground(
-            obs.image_size, obs.ground_index, obs.ground_depth, args.metric_scale
-        )
+    obs = load_depth_observation(args.depth, args.mask, args.metric_scale)
     points = unproject_ground(obs, scene.camera)
     del obs  # its samples are half a cloud: free them before RANSAC's workspaces
     cfg = RansacConfig(

@@ -27,12 +27,8 @@ class SceneScaleError(Exception):
     """Base class for all scenescale errors."""
 
 
-class InvalidCameraError(SceneScaleError, ValueError):
-    """Camera parameters violate an invariant (e.g. sigma <= 0)."""
-
-
 class BehindCameraError(SceneScaleError, ValueError):
-    """A point with z <= 0 was passed to a strict projection."""
+    """A point with z <= 0 was passed to geometry.project; synth catches it."""
 
 
 class SchemaError(SceneScaleError, ValueError):
@@ -59,9 +55,9 @@ class PlacementError(SceneScaleError, RuntimeError):
     """Synthetic person placement failed repeatedly (outside frustum)."""
 
 
-def real_number(value, name: str, error: type[SceneScaleError] = SchemaError) -> float:
+def real_number(value, name: str) -> float:
     """value as a float if it is a number (7, 7.5, an int too large for a
-    float excepted), else error.
+    float excepted), else SchemaError.
 
     Booleans and numeric strings are refused: true is not 1.0 and "1000" is
     not 1000.  Finiteness and range are left to the caller.
@@ -71,14 +67,14 @@ def real_number(value, name: str, error: type[SceneScaleError] = SchemaError) ->
             return float(value)
         except OverflowError:
             pass
-    raise error(f"{name} must be a number, got {value!r}")
+    raise SchemaError(f"{name} must be a number, got {value!r}")
 
 
-def positive_number(value, name: str, error: type[SceneScaleError] = SchemaError) -> float:
+def positive_number(value, name: str) -> float:
     """real_number that is finite and > 0, the rule most fields share."""
-    number = real_number(value, name, error)
+    number = real_number(value, name)
     if not (math.isfinite(number) and number > 0):
-        raise error(f"{name} must be finite and > 0, got {number}")
+        raise SchemaError(f"{name} must be finite and > 0, got {number}")
     return number
 
 

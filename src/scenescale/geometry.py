@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BehindCameraError, InvalidCameraError, positive_number, real_array,
-                     real_number, whole_number)
+from .errors import (BehindCameraError, SchemaError, positive_number, real_array, real_number,
+                     whole_number)
 
 
 @dataclass
@@ -28,6 +28,7 @@ class CameraModel:
 
     ``principal_point`` defaults to the image center when omitted.  The image
     size must be two whole numbers: 1920.0 is kept as 1920, 1920.5 refused.
+    A bad camera raises SchemaError, as every bad input does.
     """
 
     focal: float = 1000.0
@@ -35,16 +36,16 @@ class CameraModel:
     principal_point: np.ndarray | None = None
 
     def __post_init__(self):
-        self.focal = positive_number(self.focal, "focal", InvalidCameraError)
+        self.focal = positive_number(self.focal, "focal")
         try:
             w, h = self.image_size
         except (TypeError, ValueError):
-            raise InvalidCameraError(
+            raise SchemaError(
                 f"image_size must be (width, height), got {self.image_size!r}"
             ) from None
         self.image_size = (whole_number(w, "image_size"), whole_number(h, "image_size"))
         if self.image_size[0] <= 0 or self.image_size[1] <= 0:
-            raise InvalidCameraError(f"image_size must be positive, got {self.image_size}")
+            raise SchemaError(f"image_size must be positive, got {self.image_size}")
         if self.principal_point is None:
             self.principal_point = np.array(
                 [self.image_size[0] / 2.0, self.image_size[1] / 2.0]
@@ -62,11 +63,11 @@ class WeakPerspectiveCam:
     ty: float = 0.0
 
     def __post_init__(self):
-        self.sigma = positive_number(self.sigma, "sigma", InvalidCameraError)
+        self.sigma = positive_number(self.sigma, "sigma")
         for name in ("tx", "ty"):
-            value = real_number(getattr(self, name), name, InvalidCameraError)
+            value = real_number(getattr(self, name), name)
             if not math.isfinite(value):
-                raise InvalidCameraError(f"{name} must be finite, got {value}")
+                raise SchemaError(f"{name} must be finite, got {value}")
             setattr(self, name, value)
 
 

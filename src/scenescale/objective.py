@@ -85,9 +85,13 @@ class LossBreakdown:
 
     @classmethod
     def from_terms(cls, rep: np.ndarray, plane: np.ndarray, lam: float) -> "LossBreakdown":
-        """Sum per-person terms (N,) into a breakdown, person by person."""
-        rep_sum, plane_sum = sum(rep.tolist()), sum(plane.tolist())
-        return cls(rep_sum, plane_sum, rep_sum + lam * plane_sum)
+        return cls(*_loss_sums(rep, plane, lam))
+
+
+def _loss_sums(rep: np.ndarray, plane: np.ndarray, lam: float) -> tuple[float, float, float]:
+    """(reprojection, plane, total) of per-person terms (N,), summed person by person."""
+    rep_sum, plane_sum = sum(rep.tolist()), sum(plane.tolist())
+    return rep_sum, plane_sum, rep_sum + lam * plane_sum
 
 
 @dataclass(eq=False)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NonFiniteLossError, SchemaError, check_int, positive_number
-from .objective import LossBreakdown, ObjectiveConfig, _evaluate_theta, _pack_scene
+from .objective import LossBreakdown, ObjectiveConfig, _evaluate_theta, _loss_sums, _pack_scene
 from .scene import Scene
 
 
@@ -108,16 +108,17 @@ def _run_adam(work: Scene, cfg: OptimConfig, freeze_z: bool = False) -> OptimRep
     decay, rate = np.array([[b1], [b2]]), np.array([[1 - b1], [1 - b2]])
     bias = np.empty((2, 1))  # this step's bias corrections for m and v
     step, denom = work_rows
-    trace = np.empty((cfg.iterations + 1, 3))
+    try:
+        trace = np.empty((cfg.iterations + 1, 3))
+    except (ValueError, MemoryError):  # numpy's size limit, or no memory for it
+        raise SchemaError(f"iterations={cfg.iterations}: a loss trace of that many rows "
+                          "does not fit in memory") from None
 
     # huge finite inputs overflow to inf or nan: the finite check on the loss refuses them
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cfg.iterations + 1):
             rep, plane, g = _evaluate_theta(packed, theta, obj)
-            # person by person, as LossBreakdown.from_terms sums them
-            rep_sum, plane_sum = sum(rep.tolist()), sum(plane.tolist())
-            total = rep_sum + obj.lam * plane_sum
-            trace[it] = rep_sum, plane_sum, total
+            trace[it] = rep_sum, plane_sum, total = _loss_sums(rep, plane, obj.lam)
             if it == cfg.iterations:
                 break
             if not math.isfinite(total):
@@ -146,7 +147,7 @@ def _run_adam(work: Scene, cfg: OptimConfig, freeze_z: bool = False) -> OptimRep
         person.scale = float(theta[3 * n + i])
     return OptimReport(
         loss_trace=trace,
-        final_loss=LossBreakdown.from_terms(rep, plane, obj.lam),
+        final_loss=LossBreakdown(*trace[-1].tolist()),
         final_scene=work,
         converged_iteration=cfg.iterations,
     )

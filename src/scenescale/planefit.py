@@ -19,10 +19,10 @@ Memory: a DepthObservation keeps only its M ground samples (a flat index
 and a depth value each), never the (H, W) grids.  The unprojection writes
 the (M, 3) cloud in place and makes no other M-by-3 array.  RANSAC scores
 through a (4, rows) block of coordinates (rows <= 65535) and a distance
-block of at most max(65536, hypotheses) values, holds the cloud reordered
-for scoring in one (M, 3) workspace that the refits reuse with one (M,)
-distance buffer, and never writes to the caller's cloud.  A cloud that is
-not C-contiguous float64 is copied once, as _subtract_point's views need.
+block of at most 65536 values, holds the cloud reordered for scoring in one
+(M, 3) workspace that the refits reuse with one (M,) distance buffer, and
+never writes to the caller's cloud.  A cloud that is not C-contiguous
+float64 is copied once, as _subtract_point's views need.
 """
 
 from __future__ import annotations
@@ -121,6 +121,7 @@ _COORD_MAX = (np.finfo(float).max / 256) ** 0.25
 def unproject_ground(obs: DepthObservation, cam: CameraModel) -> np.ndarray:
     """Ground samples to camera-frame points, (M, 3), row-major pixel order.
 
+    SchemaError if the depth map's size is not the camera's image size.
     Before any point is made, SchemaError if a coordinate could pass
     _COORD_MAX: the bound is the largest metric depth times
     max(1, max over the image corners of |pixel - principal point| / focal).
@@ -131,6 +132,9 @@ def unproject_ground(obs: DepthObservation, cam: CameraModel) -> np.ndarray:
     of each flat index land there as exact floats, then (i - c) * z / f runs
     in place.
     """
+    if obs.image_size != cam.image_size:
+        raise SchemaError(f"depth map is {obs.image_size[0]}x{obs.image_size[1]} pixels but "
+                          f"the camera's image is {cam.image_size[0]}x{cam.image_size[1]}")
     flat = obs.ground_index
     if flat.size < 3:
         raise InsufficientGroundError(f"need >= 3 ground pixels, mask has {flat.size}")
@@ -182,6 +186,10 @@ def _lsq_plane(
 
 
 _BLOCK = 1 << 16  # distances per scoring block: 512 KB, sized to stay in cache
+
+# Most hypotheses in one batch, so a batch's arrays stay near 1 MB for any
+# iteration count; the default schedule, 1, 8, 64, 427, stays below it.
+_MAX_BATCH = 4096
 
 # Rows of one wide row in _subtract_point: 256 points, 768 values, 6 KB.
 _TILE = 256
@@ -349,9 +357,9 @@ def ransac_plane(
         np.abs(dist, out=dist)
         return np.less_equal(dist, cfg.inlier_threshold)
 
-    # Hypotheses are scored in batches of 1, 8, 64, ... in draw order; the
-    # first-seen maximum wins within and across batches, as in a one-by-one
-    # loop, and no batch starts once one hypothesis has taken every point.
+    # Hypotheses are scored in batches of 1, 8, 64, ... (up to _MAX_BATCH) in
+    # draw order; the first-seen maximum wins within and across batches, as in a
+    # one-by-one loop, and no batch starts once one hypothesis has taken every point.
     rng = np.random.default_rng(cfg.rng_seed)
     best_count = 0
     best_inliers: np.ndarray | None = None
@@ -361,7 +369,7 @@ def ransac_plane(
         samples = _draw_samples(rng, m, min(batch, cfg.iterations - drawn))
         counts = _consensus_counts(scan, points[samples], cfg.inlier_threshold, best_count)
         drawn += len(samples)
-        batch *= 8
+        batch = min(8 * batch, _MAX_BATCH)
         k = int(np.argmax(counts))
         if counts[k] > best_count:
             best_count = int(counts[k])
@@ -405,12 +413,9 @@ def ransac_plane(
 
 
 def fit_rms(plane: GroundPlane, points: np.ndarray, inliers: np.ndarray) -> float:
-    """RMS point-to-plane distance of the inlier set, from one gathered copy."""
-    sel = np.asarray(points, dtype=float)[inliers]
-    sel -= plane.point
-    d = sel @ plane.normal
-    np.multiply(d, d, out=d)
-    return float(np.sqrt(np.mean(d)))
+    """RMS point-to-plane distance of the inlier set."""
+    d = plane.signed_distance(points[inliers])
+    return float(np.sqrt(np.mean(d * d)))
 
 
 def select_reference_person(scene: Scene) -> int:

@@ -183,7 +183,10 @@ def save_depth_observation(
     Path(mask_path).write_bytes(mask)
 
 
-def load_depth_observation(depth_path: str | Path, mask_path: str | Path) -> DepthObservation:
+def load_depth_observation(
+    depth_path: str | Path, mask_path: str | Path, metric_scale: float | None = None
+) -> DepthObservation:
+    """A depth file's ground samples; metric_scale, if given, overrides the sidecar's."""
     depth_path = Path(depth_path)
     sidecar_path = Path(str(depth_path) + ".json")
     try:
@@ -197,10 +200,12 @@ def load_depth_observation(depth_path: str | Path, mask_path: str | Path) -> Dep
     h = whole_number(sidecar["height"], f"{sidecar_path}: height")
     if w < 1 or h < 1:
         raise SchemaError(f"{sidecar_path}: width and height must be >= 1, got {w}x{h}")
-    metric_scale = positive_number(sidecar["metric_scale"], f"{sidecar_path}: metric_scale")
+    scale = positive_number(sidecar["metric_scale"], f"{sidecar_path}: metric_scale")
     for key, only in (("byte_order", "little"), ("dtype", "float32")):
         if sidecar.get(key, only) != only:
             raise SchemaError(f"{sidecar_path}: {key} must be {only!r}, got {sidecar[key]!r}")
+    if metric_scale is not None:
+        scale = positive_number(metric_scale, "metric_scale")
     # the mask's blocks give the ground pixels, then the depth's their values
     size = f"for the sidecar's width x height, {w}x{h}"
     buffer = np.empty(4 * _BLOCK_PIXELS, dtype=np.uint8)
@@ -213,7 +218,7 @@ def load_depth_observation(depth_path: str | Path, mask_path: str | Path) -> Dep
         lo, hi = np.searchsorted(index, (start, start + block.size))
         np.take(block, index[lo:hi] - start, out=values[lo:hi])
     try:
-        return DepthObservation.from_ground((w, h), index, values, metric_scale)
+        return DepthObservation.from_ground((w, h), index, values, scale)
     except SchemaError as exc:  # a depth value, or metric_scale taking one beyond a float
         raise SchemaError(f"{depth_path}: {exc}") from None
 

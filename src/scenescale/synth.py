@@ -25,7 +25,8 @@ from .errors import (BehindCameraError, PlacementError, SchemaError, check_int,
                      positive_number, real_number)
 from .geometry import CameraModel, project
 from .planefit import DepthObservation
-from .scene import GroundPlane, Person, Scene, posed_joints
+from .scene import (ANKLE_LEFT, ANKLE_RIGHT, GroundPlane, Person, Scene, person_height,
+                    posed_joints)
 
 # Stick-figure template in SMPL 24-joint order, units of the target height,
 # body frame: x left, y up, z anterior. Ankles are joints 7/8, both at
@@ -60,12 +61,9 @@ _TEMPLATE = np.array(
 )
 
 
-# length of the head-neck-hip-knee-ankle measurement chain in template units;
-# dividing by it makes person_height() return the requested stature exactly
-_CHAIN = (15, 12, 1, 4, 7)
-_CHAIN_MEASURE = float(
-    np.sum(np.linalg.norm(np.diff(_TEMPLATE[list(_CHAIN)], axis=0), axis=1))
-)
+# person_height() of the template itself; dividing by it makes
+# person_height() return the requested stature exactly
+_CHAIN_MEASURE = person_height(Person(_TEMPLATE, np.eye(3), np.zeros(3)))
 
 
 def joint_template(height: float) -> np.ndarray:
@@ -191,7 +189,7 @@ def generate_scene(cfg: SynthConfig) -> tuple[Scene, Scene, DepthObservation]:
 
             rotation = np.column_stack([body_x, normal, e2]) @ _yaw_matrix(yaw)
             joints = joint_template(stature)
-            ankle_mid = 0.5 * (joints[7] + joints[8])
+            ankle_mid = 0.5 * (joints[ANKLE_LEFT] + joints[ANKLE_RIGHT])
             ground_pt = p0 + a * e1 + b * e2
             translation = ground_pt - rotation @ ankle_mid
 

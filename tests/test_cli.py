@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import scenescale
 from conftest import plane_term
 from scenescale import (
+    DepthObservation,
     MetricsReport,
     SceneScaleError,
     SynthConfig,
@@ -23,6 +24,7 @@ from scenescale import (
     generate_scene,
     load_depth_observation,
     load_scene,
+    planefit,
     save_depth_observation,
     save_scene,
 )
@@ -752,6 +754,48 @@ def test_bad_depth_value_names_the_depth_payload(small_frame, tmp_path, value):
     assert err == f"error: {depth}: masked depth values must be finite and > 0\n"
 
 
+def test_fit_plane_refuses_a_depth_map_of_another_size(small_frame, tmp_path):
+    """A half-resolution map of the frame (every other row and column) would
+    unproject through the full-size camera to a tilted plane: exit 2, naming
+    both sizes."""
+    w, h = json.loads((small_frame / "scene.json").read_text())["camera"]["image_size"]
+    depth = np.fromfile(small_frame / "depth.f32", dtype="<f4").reshape(h, w)[::2, ::2]
+    mask = np.fromfile(small_frame / "mask.u8", dtype=np.uint8).reshape(h, w)[::2, ::2]
+    save_depth_observation(DepthObservation(depth, mask), tmp_path / "d.f32", tmp_path / "m.u8")
+    out = tmp_path / "out.json"
+    code, _, err = run_cli("fit-plane", tmp_path / "d.f32", tmp_path / "m.u8",
+                           small_frame / "scene.json", "--out", out)
+    assert code == 2
+    assert err == (f"error: depth map is {w // 2}x{h // 2} pixels but the camera's image "
+                   f"is {w}x{h}\n")
+    assert not out.exists()
+
+
+def test_fit_plane_does_not_depend_on_the_ransac_batch_cap(small_frame, tmp_path, monkeypatch):
+    """One hypothesis a batch writes the bytes and prints the lines that the
+    default batches do: the winner does not depend on where batches end."""
+    runs = []
+    for cap in (planefit._MAX_BATCH, 1):
+        monkeypatch.setattr(planefit, "_MAX_BATCH", cap)
+        out = tmp_path / f"out_{cap}.json"
+        code, stdout, err = run_cli("fit-plane", small_frame / "depth.f32",
+                                    small_frame / "mask.u8", small_frame / "scene.json",
+                                    "--out", out, "--iterations", "700")
+        assert (code, err) == (0, "")
+        runs.append((out.read_bytes(), stdout.replace(str(out), "OUT")))
+    assert runs[0] == runs[1]
+
+
+def test_optimize_refuses_an_iteration_count_its_trace_cannot_hold(fitted_scene, tmp_path):
+    """10**20 iterations: one error line naming iterations, exit 2, without
+    allocating anything."""
+    out = tmp_path / "out.json"
+    code, _, err = run_cli("optimize", fitted_scene, "--out", out, "--iterations", 10**20)
+    assert code == 2
+    assert err.startswith("error: iterations=") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 # Edits of a frame's payloads, (kind, value, position): a resized payload, a
 # junk depth at a ground pixel (1e-45 is float32's least subnormal), nan off
 # the mask, a mask value other than 1 at a ground pixel, and a filled mask.
@@ -925,8 +969,8 @@ def test_optimize_depths_exit_code_table(fitted_scene, tmp_path, flags, code):
 def test_public_surface_is_pinned():
     """A new export or CLI option is a deliberate edit of this list."""
     assert sorted(scenescale.__all__) == [
-        "BehindCameraError", "CameraModel", "DepthObservation", "GroundPlane",
-        "InsufficientGroundError", "InvalidCameraError", "LossBreakdown",
+        "CameraModel", "DepthObservation", "GroundPlane",
+        "InsufficientGroundError", "LossBreakdown",
         "LowConsensusError", "MetricsReport", "MissingPlaneError", "NonFiniteLossError",
         "ObjectiveConfig", "OptimConfig", "OptimReport", "Person", "PlacementError",
         "RansacConfig", "Scene", "SceneScaleError", "SchemaError", "SynthConfig",

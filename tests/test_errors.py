@@ -5,7 +5,6 @@ from scenescale import (
     CameraModel,
     DepthObservation,
     GroundPlane,
-    InvalidCameraError,
     ObjectiveConfig,
     OptimConfig,
     Person,
@@ -32,16 +31,16 @@ def person(**fields):
         (lambda: OptimConfig(learning_rate=True), SchemaError, "learning_rate"),
         (lambda: RansacConfig(min_inlier_fraction=True), SchemaError, "min_inlier_fraction"),
         (lambda: RansacConfig(inlier_threshold="0.05"), SchemaError, "inlier_threshold"),
-        (lambda: CameraModel(focal="1000"), InvalidCameraError, "focal"),
-        (lambda: WeakPerspectiveCam(sigma=True), InvalidCameraError, "sigma"),
-        (lambda: WeakPerspectiveCam(sigma=1.0, tx="0"), InvalidCameraError, "tx"),
+        (lambda: CameraModel(focal="1000"), SchemaError, "focal"),
+        (lambda: WeakPerspectiveCam(sigma=True), SchemaError, "sigma"),
+        (lambda: WeakPerspectiveCam(sigma=1.0, tx="0"), SchemaError, "tx"),
         (lambda: DepthObservation.from_ground(*GROUND, metric_scale=True), SchemaError,
          "metric_scale"),
         (lambda: DepthObservation.from_ground((3, 2), np.arange(6), np.full(6, 2.0), 1e308),
          SchemaError, "metric_scale"),  # unprojected depth beyond a float
-        (lambda: WeakPerspectiveCam(sigma=1.0, tx=NAN), InvalidCameraError,
+        (lambda: WeakPerspectiveCam(sigma=1.0, tx=NAN), SchemaError,
          "tx must be finite, got nan"),
-        (lambda: WeakPerspectiveCam(sigma=1.0, tx=float("inf")), InvalidCameraError,
+        (lambda: WeakPerspectiveCam(sigma=1.0, tx=float("inf")), SchemaError,
          "tx must be finite, got inf"),
         (lambda: person(translation=[NAN, 0, 5], confidences=[NAN] * 24), SchemaError,
          "translation must hold finite numbers"),
@@ -89,8 +88,8 @@ def test_the_four_judges_refuse_non_numbers(value):
 def test_positive_number_and_its_error_type():
     assert positive_number(2, "x") == 2.0
     for bad in (0, -1.0, np.nan, np.inf):
-        with pytest.raises(InvalidCameraError, match="x must be finite and > 0"):
-            positive_number(bad, "x", InvalidCameraError)
+        with pytest.raises(SchemaError, match="x must be finite and > 0"):
+            positive_number(bad, "x")
     assert real_number(-np.inf, "x") == -np.inf  # range is the caller's
     assert whole_number(7.0, "x") == 7 and check_int(2**60, "x", 0) is None
 

@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenescale import (
-    BehindCameraError,
     CameraModel,
-    InvalidCameraError,
     ObjectiveConfig,
     Person,
     Scene,
+    SchemaError,
     WeakPerspectiveCam,
     loss_and_gradients,
 )
+from scenescale.errors import BehindCameraError
 from scenescale.geometry import project, weak_to_perspective
 from scenescale.objective import BEHIND_PENALTY, Z_EPSILON
 
@@ -80,12 +80,12 @@ def test_weak_to_perspective_passthrough_translation():
 
 
 def test_nonpositive_sigma_rejected():
-    with pytest.raises(InvalidCameraError):
+    with pytest.raises(SchemaError):
         WeakPerspectiveCam(sigma=0.0)
-    with pytest.raises(InvalidCameraError):
+    with pytest.raises(SchemaError):
         WeakPerspectiveCam(sigma=-2.0)
     for bad in (np.nan, np.inf):
-        with pytest.raises(InvalidCameraError):
+        with pytest.raises(SchemaError):
             WeakPerspectiveCam(sigma=bad)
 
 
@@ -213,9 +213,9 @@ def test_weak_perspective_depth_monotone(s1, s2):
 
 def test_camera_validation():
     for bad in (0.0, np.nan, np.inf):
-        with pytest.raises(InvalidCameraError):
+        with pytest.raises(SchemaError):
             CameraModel(focal=bad)
-    with pytest.raises(InvalidCameraError):
+    with pytest.raises(SchemaError):
         CameraModel(focal=100.0, image_size=(0, 100))
     cam = CameraModel(500.0, (640, 480))
     assert np.allclose(cam.principal_point, [320.0, 240.0])

@@ -469,6 +469,27 @@ def test_ransac_does_not_depend_on_block_size(monkeypatch, block):
         assert np.array_equal(again_inliers, inliers)
 
 
+@pytest.mark.parametrize("iterations", [1, 7, 73, 500, 5000])
+def test_ransac_does_not_depend_on_the_batch_cap(monkeypatch, iterations):
+    """Batches stop growing at _MAX_BATCH, and where batches end moves no
+    plane and no inlier: one hypothesis a batch gives the same bytes."""
+    _, pts = next(criterion_5_clouds())
+    cfg = RansacConfig(iterations=iterations, min_inlier_fraction=0.0, rng_seed=7)
+    scored = count_scored(monkeypatch)
+    plane, inliers = ransac_plane(pts, cfg)
+    sizes = [len(corners) for corners, _ in scored]
+    assert max(sizes) <= planefit._MAX_BATCH and sum(sizes) == iterations
+    if iterations == 500:
+        assert sizes == [1, 8, 64, 427]  # the default schedule stays below the cap
+    scored.clear()
+    monkeypatch.setattr(planefit, "_MAX_BATCH", 1)
+    again, again_inliers = ransac_plane(pts, cfg)
+    assert [len(corners) for corners, _ in scored] == [1] * iterations
+    assert again.normal.tobytes() == plane.normal.tobytes()
+    assert again.point.tobytes() == plane.point.tobytes()
+    assert again_inliers.tobytes() == inliers.tobytes()
+
+
 def oracle_counts(points, corners, threshold):
     """Literal copy of _consensus_counts before it bounded hypotheses, given
     each sample's three points: the full inlier count of every non-collinear

@@ -370,6 +370,42 @@ def test_depth_payload_size_checked(tmp_path):
         load_depth_observation(dpath, mpath)
 
 
+def test_metric_scale_override_is_the_rebuilt_observation(tmp_path):
+    """The loader's metric_scale override gives, byte for byte, the observation
+    rebuilt from the loaded samples at that scale."""
+    _, _, obs = generate_scene(SynthConfig(n_persons=2, rng_seed=3, outlier_fraction=0.2))
+    dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
+    save_depth_observation(obs, dpath, mpath)
+    loaded = load_depth_observation(dpath, mpath)
+    rebuilt = DepthObservation.from_ground(
+        loaded.image_size, loaded.ground_index, loaded.ground_depth, 5.5)
+    got = load_depth_observation(dpath, mpath, metric_scale=5.5)
+    assert got.image_size == rebuilt.image_size
+    for name in ("ground_index", "ground_depth"):
+        a, b = getattr(got, name), getattr(rebuilt, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert (got.metric_scale, got.max_depth) == (rebuilt.metric_scale, rebuilt.max_depth)
+    assert load_depth_observation(dpath, mpath, metric_scale=None).metric_scale == 6.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), True, "5.5"], ids=repr)
+def test_bad_metric_scale_override_is_refused_before_the_payloads(tmp_path, bad):
+    """A bad override is judged right after the sidecar: a truncated payload
+    is never read.  The sidecar's own metric_scale is still judged."""
+    _, _, obs = generate_scene(SynthConfig(n_persons=1, rng_seed=1))
+    dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
+    save_depth_observation(obs, dpath, mpath)
+    dpath.write_bytes(dpath.read_bytes()[:-4])
+    with pytest.raises(SchemaError, match="^metric_scale must be"):
+        load_depth_observation(dpath, mpath, metric_scale=bad)
+    with pytest.raises(SchemaError, match="d.f32: payload is"):
+        load_depth_observation(dpath, mpath, metric_scale=5.5)
+    sidecar = tmp_path / "d.f32.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "metric_scale": bad}))
+    with pytest.raises(SchemaError, match=r"d.f32.json: metric_scale must be"):
+        load_depth_observation(dpath, mpath, metric_scale=5.5)
+
+
 def test_payload_that_shrinks_while_read_is_refused(tmp_path, monkeypatch):
     """fstat saw the full size, but the file ends early: the block reads
     come up short and the load fails with the size message."""
