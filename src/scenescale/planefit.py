@@ -9,20 +9,18 @@ rng.choice would give one by one, and stops scoring a hypothesis as soon as
 its count provably cannot win, so it picks the same winner as scoring every
 hypothesis in full, with less work.
 
-The per-point passes outside scoring keep the bits of plain numpy with
-fewer, longer inner loops: each refit's centroid is einsum("ij->j") / count,
-which sums the rows one by one as mean(axis=0) does, and every
-points - point runs through (M // 256, 768) views against the point tiled
-256 times, plus the M % 256 rows left over (_subtract_point).
+The cloud is coordinate-major, (3, M), from unprojection to the last refit,
+so every per-point pass runs along M-long contiguous rows.
 
 Memory: a DepthObservation keeps only its M ground samples (a flat index
 and a depth value each), never the (H, W) grids.  The unprojection writes
-the (M, 3) cloud in place and makes no other M-by-3 array.  RANSAC scores
-through a (4, rows) block of coordinates (rows <= 65535) and a distance
-block of at most 65536 values, holds the cloud reordered for scoring in one
-(M, 3) workspace that the refits reuse with one (M,) distance buffer, and
-never writes to the caller's cloud.  A cloud that is not C-contiguous
-float64 is copied once, as _subtract_point's views need.
+the (3, M) cloud in place and makes no other M-sized array of points.
+RANSAC holds one (4, M) workspace: the cloud in scan order over a row of
+ones while hypotheses are scored, then the refits' scratch over their
+distance buffer.  Scoring reads it block by block into a distance block of
+at most 65536 values, and nothing writes to the caller's cloud.  A cloud
+that is not the transpose of a C-contiguous float64 (3, M) array is copied
+once.
 """
 
 from __future__ import annotations
@@ -92,6 +90,13 @@ class DepthObservation:
         self.max_depth = top             # relative units, for unproject_ground's bound
 
 
+# Most hypotheses a fit draws: 200 times the default, 8-11 s on a 1080p frame
+# with 30 % outliers (80-110 us a hypothesis on 2 shared cores).  At
+# p = 0.999 it covers consensus fractions down to ~5 %; without a ceiling,
+# iterations = 10**20 never returns.
+_MAX_ITERATIONS = 100_000
+
+
 @dataclass
 class RansacConfig:
     iterations: int = 500
@@ -101,6 +106,9 @@ class RansacConfig:
 
     def __post_init__(self):
         check_int(self.iterations, "iterations", 1)
+        if self.iterations > _MAX_ITERATIONS:
+            raise SchemaError(f"iterations must be at most {_MAX_ITERATIONS}, "
+                              f"got {self.iterations!r}")
         self.inlier_threshold = positive_number(self.inlier_threshold, "inlier_threshold")
         self.min_inlier_fraction = real_number(self.min_inlier_fraction, "min_inlier_fraction")
         if not 0 <= self.min_inlier_fraction <= 1:
@@ -119,7 +127,9 @@ _COORD_MAX = (np.finfo(float).max / 256) ** 0.25
 
 
 def unproject_ground(obs: DepthObservation, cam: CameraModel) -> np.ndarray:
-    """Ground samples to camera-frame points, (M, 3), row-major pixel order.
+    """Ground samples to camera-frame points, (M, 3), row-major pixel order:
+    the transpose of a C-contiguous (3, M) array, which ransac_plane reads
+    without a copy.
 
     SchemaError if the depth map's size is not the camera's image size.
     Before any point is made, SchemaError if a coordinate could pass
@@ -128,9 +138,9 @@ def unproject_ground(obs: DepthObservation, cam: CameraModel) -> np.ndarray:
 
     The points are float64 whatever the depth's dtype; a float32 depth is
     widened exactly before the metric scale multiplies it.  z, then x and y
-    are written straight into the columns of the result: the row and column
-    of each flat index land there as exact floats, then (i - c) * z / f runs
-    in place.
+    are written straight into the rows of the (3, M) array: the row and
+    column of each flat index land there as exact floats, then
+    (i - c) * z / f runs in place.
     """
     if obs.image_size != cam.image_size:
         raise SchemaError(f"depth map is {obs.image_size[0]}x{obs.image_size[1]} pixels but "
@@ -148,27 +158,28 @@ def unproject_ground(obs: DepthObservation, cam: CameraModel) -> np.ndarray:
         raise SchemaError(f"camera focal {cam.focal} and principal point [{cx}, {cy}] put "
                           f"ground points up to {reach:.3g} m off the optical axis, beyond "
                           f"the {_COORD_MAX:.3g} m a plane fit takes")
-    points = np.empty((flat.size, 3))
-    x, y, z = points.T
+    cloud = np.empty((3, flat.size))
+    x, y, z = cloud
     np.multiply(obs.ground_depth, obs.metric_scale, out=z, dtype=np.float64)
     np.divmod(flat, obs.image_size[0], out=(y, x))
-    for col, c in zip((x, y), cam.principal_point):
-        np.subtract(col, c, out=col)
-        np.multiply(col, z, out=col)
-        np.divide(col, cam.focal, out=col)
-    return points
+    for row, c in zip((x, y), cam.principal_point):
+        np.subtract(row, c, out=row)
+        np.multiply(row, z, out=row)
+        np.divide(row, cam.focal, out=row)
+    return cloud.T
 
 
 def _lsq_plane(
-    points: np.ndarray, inliers: np.ndarray, work: np.ndarray
+    cloud: np.ndarray, inliers: np.ndarray, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares plane through points[inliers]: centroid + smallest-singular
-    direction.  The inliers are gathered and centred in the (M, 3) workspace.
+    """Least-squares plane through the inlier columns of the (3, M) cloud:
+    centroid + smallest-singular direction.  The inliers are gathered and
+    centred in the first 3 * count values of the C-contiguous (4, M)
+    workspace, and its last row takes the centroid's running sums.
 
-    The centroid is einsum("ij->j") / count: like mean(axis=0), einsum sums
-    the rows one by one, from +0.0, so the bits are the same, but it runs one
-    strided pass per column instead of one 3-wide inner loop per row.  The
-    centring runs through _subtract_point's wide rows.
+    Each coordinate's centroid is (0.0 + its last running sum) / count: the
+    values summed one by one, from +0.0, as mean(axis=0) sums an (M, 3) set,
+    so the bits, signed zeros included, are the same.
 
     From 5 rows up the SVD is taken of the 3x3 R of a QR factorization.  That
     is the path LAPACK's gesdd takes itself for 5 or more rows of 3 columns,
@@ -176,10 +187,14 @@ def _lsq_plane(
     discarded here.  With 3 or 4 rows gesdd takes another path, which differs
     from QR-first in the last bits, so those go to the SVD as they are.
     """
-    sel = np.compress(inliers, points, axis=0, out=work[: np.count_nonzero(inliers)])
-    centroid = np.einsum("ij->j", sel) / len(sel)
-    _subtract_point(sel, centroid, out=sel)
-    if len(sel) >= 5:
+    count = np.count_nonzero(inliers)
+    sel = work.reshape(-1)[: 3 * count].reshape(3, count)
+    np.compress(inliers, cloud, axis=1, out=sel)
+    centroid = np.array([(0.0 + np.add.accumulate(row, out=work[3, :count])[-1]) / count
+                         for row in sel])
+    np.subtract(sel, centroid[:, None], out=sel)
+    sel = sel.T
+    if count >= 5:
         sel = np.linalg.qr(sel, mode="r")
     _, _, vh = np.linalg.svd(sel, full_matrices=False)
     return vh[-1], centroid
@@ -190,30 +205,6 @@ _BLOCK = 1 << 16  # distances per scoring block: 512 KB, sized to stay in cache
 # Most hypotheses in one batch, so a batch's arrays stay near 1 MB for any
 # iteration count; the default schedule, 1, 8, 64, 427, stays below it.
 _MAX_BATCH = 4096
-
-# Rows of one wide row in _subtract_point: 256 points, 768 values, 6 KB.
-_TILE = 256
-
-
-def _subtract_point(rows: np.ndarray, point: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = rows - point, for C-contiguous (M, 3) rows and out (out may be rows).
-
-    Broadcasting a (3,) point runs one 3-wide inner loop per row; here the
-    first M - M % _TILE rows run as (M // _TILE, 3 * _TILE) views against the
-    point tiled _TILE times, and only the rest broadcast.  Each value is the
-    same subtraction, so the bits are those of rows - point.  Both arrays
-    must be C-contiguous: reshaping anything else would need a copy, so it
-    raises rather than lose the result.
-    """
-    k = len(rows) - len(rows) % _TILE
-    wide = (k // _TILE, 3 * _TILE)
-    np.subtract(
-        rows[:k].reshape(wide, copy=False),
-        np.tile(point, _TILE),
-        out=out[:k].reshape(wide, copy=False),
-    )
-    np.subtract(rows[k:], point, out=out[k:])
-    return out
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -251,16 +242,16 @@ def _consensus_counts(
     """Inlier count of the plane through each 3-point sample, or -1 where the
     sample is collinear or its count provably cannot win.
 
-    corners is (h, 3, 3): the three points of each sample.  scan is the cloud
-    in any row order, as counts do not depend on it.  beat is the best count
-    of earlier batches; the batch's winner, as ransac_plane picks it, is its
-    first-seen maximum, and only if that exceeds beat.
+    corners is (h, 3, 3): the three points of each sample.  scan is (4, M):
+    the cloud's coordinates, its columns in any order, as counts do not
+    depend on it, over a row of ones.  beat is the best count of earlier
+    batches; the batch's winner, as ransac_plane picks it, is its first-seen
+    maximum, and only if that exceeds beat.
 
     Scoring is hypothesis-major.  The planes (n, -n.p0) still in play are an
-    (alive, 4) array.  Each block of scan is copied, coordinate-major, into
-    the top three rows of a reused (4, rows) buffer whose last row is ones,
-    so one product gives an (alive, rows) block of signed distances, and
-    each hypothesis counts its inliers along one contiguous row.  rows is
+    (alive, 4) array, so one product with a (4, rows) block of scan's columns
+    gives an (alive, rows) block of signed distances, and each hypothesis
+    counts its inliers along one contiguous row.  rows is
     _BLOCK // alive (at least 1, at most 65535, so a row's count fits
     uint16) and is recomputed as hypotheses drop out, so the blocks grow.
     After each block a hypothesis stays only while
@@ -284,21 +275,17 @@ def _consensus_counts(
     alive = np.flatnonzero(ok)  # collinear samples are never scored
     normals = normals[alive] / norms[alive, None]
     planes = np.column_stack([normals, -np.einsum("ij,ij->i", normals, p0[alive])])
-    m, h = scan.shape[0], len(corners)
+    m, h = scan.shape[1], len(corners)
     # alive * rows <= max(_BLOCK, h), and rows <= m
     size = min(max(_BLOCK, h), h * m)
-    block1 = np.empty((4, min(m, _BLOCK, 65535)))
     dist, inl = np.empty(size), np.empty(size, dtype=bool)
-    block1[3] = 1.0
     total = np.zeros(alive.size, dtype=np.intp)
     start = 0
     while start < m and alive.size:
         rows = min(max(1, _BLOCK // alive.size), 65535, m - start)
-        b = block1[:, :rows]
-        b[:3] = scan[start:start + rows].T
         d = dist[: alive.size * rows].reshape(alive.size, rows)
         i = inl[: alive.size * rows].reshape(alive.size, rows)
-        np.matmul(planes, b, out=d)
+        np.matmul(planes, scan[:, start:start + rows], out=d)
         np.abs(d, out=d)
         np.less_equal(d, threshold, out=i)
         total += np.add.reduce(i.view(np.uint8), axis=1, dtype=np.uint16)
@@ -333,27 +320,35 @@ def ransac_plane(
     set.  The normal is flipped, if needed, so the camera origin lies on the
     positive side of the plane.
 
-    Beyond the cloud, the only M-sized arrays are one (M, 3) workspace and
-    one (M,) distance buffer, and the inlier masks.  The workspace holds the
-    reordered cloud while hypotheses are scored, then serves the winner's
-    recount and both refits with the distance buffer; scoring copies one
-    block at a time, coordinate-major, into a (4, rows) buffer of at most
-    65535 columns, 2 MB.  points itself is never written.
+    Beyond the cloud, the only M-sized arrays are one (4, M) workspace, the
+    inlier masks, and each new leader's scan order while the workspace is
+    refilled.  Its first three rows hold the cloud in scan order while
+    hypotheses are scored, then serve the winner's recount and both refits.
+    Its last row is the ones row of scoring and the distance buffer of every
+    recount.  points itself is never written; the transpose of a
+    C-contiguous float64 (3, M) array, as unproject_ground returns, is read
+    without a copy, and any other cloud is copied once.
     """
     cfg = cfg or RansacConfig()
-    points = np.ascontiguousarray(points, dtype=float)  # C order: _subtract_point's views
+    points = np.asarray(points)
     if points.ndim != 2 or points.shape[1] != 3:
         raise SchemaError(f"points must be (M, 3), got {points.shape}")
+    cloud = np.ascontiguousarray(points.T, dtype=float)
+    points = cloud.T
     m = points.shape[0]
     if m < 3:
         raise InsufficientGroundError(f"need >= 3 points, got {m}")
 
-    work, dist = np.empty((m, 3)), np.empty(m)
+    work = np.vstack([cloud, np.ones(m)])
+    dist = work[3]
 
     def within(point: np.ndarray, normal: np.ndarray) -> np.ndarray:
-        """|(points - point) @ normal| <= threshold, through work and dist."""
-        _subtract_point(points, point, out=work)
-        np.matmul(work, normal, out=dist)
+        """|normal . (cloud - point)| <= threshold, through work.  normal @ (3, M)
+        runs another BLAS kernel than (M, 3) @ normal, so a distance may differ
+        from (points - point) @ normal in its last bit; a mask can differ only
+        at a point within that bit of the threshold."""
+        np.subtract(cloud, point[:, None], out=work[:3])
+        np.matmul(normal, work[:3], out=dist)
         np.abs(dist, out=dist)
         return np.less_equal(dist, cfg.inlier_threshold)
 
@@ -363,28 +358,28 @@ def ransac_plane(
     rng = np.random.default_rng(cfg.rng_seed)
     best_count = 0
     best_inliers: np.ndarray | None = None
-    scan = points
     drawn, batch = 0, 1
     while drawn < cfg.iterations and best_count < m:
         samples = _draw_samples(rng, m, min(batch, cfg.iterations - drawn))
-        counts = _consensus_counts(scan, points[samples], cfg.inlier_threshold, best_count)
+        counts = _consensus_counts(work, points[samples], cfg.inlier_threshold, best_count)
         drawn += len(samples)
         batch = min(8 * batch, _MAX_BATCH)
         k = int(np.argmax(counts))
         if counts[k] > best_count:
             best_count = int(counts[k])
-            # the leader's inliers in the one-by-one loop's own arithmetic, so
-            # the plane does not depend on the rounding of the block scoring
+            # the leader's inliers recounted from its three points, so the
+            # plane does not depend on the rounding of the block scoring
             p0, p1, p2 = points[samples[k]]
             normal = _cross(p1 - p0, p2 - p0)
             best_inliers = within(p0, normal / np.linalg.norm(normal))
             if drawn < cfg.iterations and best_count < m:
                 # within() has just overwritten work: refill it with the
-                # leader's outliers first, then its inliers, for the next batch
-                outside = m - np.count_nonzero(best_inliers)
-                np.compress(best_inliers, points, axis=0, out=work[outside:])
-                np.compress(~best_inliers, points, axis=0, out=work[:outside])
-                scan = work
+                # leader's outliers first, then its inliers, each in cloud
+                # order, over a row of ones, for the next batch ("clip": a
+                # "raise" take would write through a temporary copy)
+                np.take(cloud, np.argsort(best_inliers, kind="stable"), axis=1,
+                        out=work[:3], mode="clip")
+                dist.fill(1.0)
     if best_inliers is not None:
         best_count = int(np.count_nonzero(best_inliers))
 
@@ -398,12 +393,12 @@ def ransac_plane(
     inlier_set = best_inliers
     normal = centroid = None
     for _ in range(2):
-        normal, centroid = _lsq_plane(points, inlier_set, work)
+        normal, centroid = _lsq_plane(cloud, inlier_set, work)
         inlier_set = within(centroid, normal)
         if np.count_nonzero(inlier_set) < 3:
             # refinement degenerated; fall back to the consensus set
             inlier_set = best_inliers
-            normal, centroid = _lsq_plane(points, inlier_set, work)
+            normal, centroid = _lsq_plane(cloud, inlier_set, work)
             break
 
     # camera origin on the positive side: (0 - centroid) . n >= 0

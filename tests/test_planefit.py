@@ -297,7 +297,11 @@ def test_ransac_config_validation():
     for bad in (0, 2.5, 3.0, True, "5"):
         with pytest.raises(SchemaError, match="iterations"):
             RansacConfig(iterations=bad)
+    for beyond in (100_001, np.int64(10**18), 10**20):
+        with pytest.raises(SchemaError, match="iterations must be at most 100000"):
+            RansacConfig(iterations=beyond)
     assert RansacConfig(iterations=np.int64(7)).iterations == 7
+    assert RansacConfig(iterations=planefit._MAX_ITERATIONS).iterations == 100_000
 
 
 def test_fit_leaves_inputs_untouched():
@@ -319,6 +323,23 @@ def test_fit_leaves_inputs_untouched():
     again, again_inliers = ransac_plane(view, RansacConfig(rng_seed=1))
     assert np.array_equal(wide[:, 1:], pts) and not wide[:, 0].any()
     assert np.array_equal(again.normal, plane.normal) and np.array_equal(again_inliers, inliers)
+
+
+def test_unprojected_cloud_is_coordinate_major():
+    """unproject_ground returns the transpose of a C-contiguous (3, M) array,
+    the layout ransac_plane works in, and a C-ordered (M, 3) copy of it fits
+    to the same bytes."""
+    cfg = SynthConfig(n_persons=2, outlier_fraction=0.3, mask_stride=9, rng_seed=3)
+    _, observed, obs = generate_scene(cfg)
+    pts = unproject_ground(obs, observed.camera)
+    assert pts.shape == (obs.ground_index.size, 3) and pts.dtype == np.float64
+    assert pts.T.flags.c_contiguous and not pts.flags.c_contiguous
+    for seed in (0, 7):
+        plane, inliers = ransac_plane(pts, RansacConfig(rng_seed=seed))
+        again, again_inliers = ransac_plane(np.ascontiguousarray(pts), RansacConfig(rng_seed=seed))
+        assert again.normal.tobytes() == plane.normal.tobytes()
+        assert again.point.tobytes() == plane.point.tobytes()
+        assert again_inliers.tobytes() == inliers.tobytes()
 
 
 def test_fit_rms():
@@ -572,9 +593,10 @@ def test_consensus_counts_are_exact_or_provably_losing(seed, m, h, beat, block):
     pts[rng.uniform(size=m) < 0.05] = pts[0]  # repeated points make collinear samples
     samples = np.array([rng.choice(m, size=3, replace=False) for _ in range(h)])
     full = oracle_counts(pts, pts[samples], 0.05)
+    scan = np.vstack([pts[rng.permutation(m)].T, np.ones(m)])  # (4, M), last row ones
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planefit, "_BLOCK", block)  # small blocks: many pruning checks
-        counts = planefit._consensus_counts(pts[rng.permutation(m)], pts[samples], 0.05, beat)
+        counts = planefit._consensus_counts(scan, pts[samples], 0.05, beat)
     kept = counts != -1
     assert np.array_equal(counts[kept], full[kept])
     assert np.all((full[~kept] <= beat) | (full[~kept] < full.max()))
@@ -605,7 +627,7 @@ def test_lsq_plane_matches_plain_svd(seed, m, rank):
     pts = rng.normal(size=(m, max(rank, 1))) @ basis + rng.uniform(-5, 5, 3)
     inliers = rng.uniform(size=m) < 0.8
     inliers[:3] = True
-    normal, centroid = planefit._lsq_plane(pts, inliers, np.empty((m, 3)))
+    normal, centroid = planefit._lsq_plane(np.ascontiguousarray(pts.T), inliers, np.empty((4, m)))
     expected_normal, expected_centroid = plain_svd_plane(pts, inliers)
     assert normal.tobytes() == expected_normal.tobytes()
     assert centroid.tobytes() == expected_centroid.tobytes()
@@ -616,7 +638,7 @@ def test_lsq_plane_matches_plain_svd_on_a_frame():
     _, observed, obs = generate_scene(cfg)
     pts = unproject_ground(obs, observed.camera)
     inliers = np.abs(observed.plane.signed_distance(pts)) < 0.05
-    normal, centroid = planefit._lsq_plane(pts, inliers, np.empty_like(pts))
+    normal, centroid = planefit._lsq_plane(pts.T, inliers, np.empty((4, len(pts))))
     expected_normal, expected_centroid = plain_svd_plane(pts, inliers)
     assert normal.tobytes() == expected_normal.tobytes()
     assert centroid.tobytes() == expected_centroid.tobytes()
@@ -639,34 +661,23 @@ def signed_zero_cloud(m, seed):
 
 @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 773, 5000])
 def test_refit_primitives_match_plain_numpy_bytewise(m):
-    """The refits' centroid, einsum("ij->j") / count, is mean(axis=0), the rows
-    summed one by one from +0.0; _subtract_point is points - point."""
+    """The refits' centroid, (0.0 + the last running sum) / count per
+    coordinate, is mean(axis=0), the rows summed one by one from +0.0; the
+    coordinate-major centring is points - point."""
     cloud = signed_zero_cloud(m, seed=m)
-    centroid = np.einsum("ij->j", cloud) / len(cloud)
+    running = np.empty(m)
+    centroid = np.array([(0.0 + np.add.accumulate(c, out=running)[-1]) / m for c in cloud.T])
     one_by_one = np.zeros(3)
     for row in cloud:
         one_by_one = one_by_one + row
-    moved = "einsum no longer sums the rows one by one: the refit centroid's bits move"
+    moved = "the running sums no longer give mean(axis=0): the refit centroid's bits move"
     assert centroid.tobytes() == cloud.mean(axis=0).tobytes(), moved
     assert centroid.tobytes() == (one_by_one / m).tobytes(), moved
 
     for point in (centroid, np.array([-0.0, 0.0, -planefit._COORD_MAX]), cloud[m // 2]):
-        expected = (cloud - point).tobytes()
-        assert planefit._subtract_point(cloud, point, np.empty_like(cloud)).tobytes() == expected
-        in_place = cloud.copy()
-        planefit._subtract_point(in_place, point, in_place)
-        assert in_place.tobytes() == expected
-
-
-def test_subtract_point_refuses_strided_arrays():
-    """A strided workspace would be reshaped into a copy and the result lost,
-    so _subtract_point raises instead of writing into a temporary."""
-    cloud = signed_zero_cloud(2 * 512, seed=1)
-    point = cloud[7].copy()
-    with pytest.raises(ValueError):
-        planefit._subtract_point(cloud[::2], point, np.empty((512, 3)))
-    with pytest.raises(ValueError):
-        planefit._subtract_point(cloud[:512], point, np.empty((1024, 3))[::2])
+        centred = cloud.T.copy()
+        np.subtract(centred, point[:, None], out=centred)
+        assert centred.T.tobytes(order="C") == (cloud - point).tobytes()
 
 
 @pytest.mark.parametrize("h", [1, 2, 64, 427])
