@@ -16,11 +16,13 @@ Memory: a DepthObservation keeps only its M ground samples (a flat index
 and a depth value each), never the (H, W) grids.  The unprojection writes
 the (3, M) cloud in place and makes no other M-sized array of points.
 RANSAC holds one (4, M) workspace: the cloud in scan order over a row of
-ones while hypotheses are scored, then the refits' scratch over their
-distance buffer.  Scoring reads it block by block into a distance block of
-at most 65536 values, and nothing writes to the caller's cloud.  A cloud
-that is not the transpose of a C-contiguous float64 (3, M) array is copied
-once.
+ones while hypotheses are scored, then the refits' scratch over the
+recounts' distance buffer.  Scoring reads it block by block into a distance
+block of at most 65536 values.  A refit gathers its inliers into the
+workspace and reduces them to a 3x3 scatter matrix, so its only other
+M-sized array is the inliers' index.  Nothing writes to the caller's cloud.
+A cloud that is not the transpose of a C-contiguous float64 (3, M) array is
+copied once.
 """
 
 from __future__ import annotations
@@ -121,8 +123,10 @@ class RansacConfig:
 # Largest |coordinate| of a ground point that a plane fit takes.  The largest
 # value any step of the fit forms is the squared norm of the cross product of
 # two point differences in RANSAC: entries up to 8 x**2, so up to 192 x**4.
-# The refits, fit_rms and anchor_plane stay near x**2.  256 x**4 <= the float
-# max keeps every one finite: x <= ~2.9e76 m.
+# 256 x**4 <= the float max keeps it finite: x <= ~2.9e76 m.  fit_rms and
+# anchor_plane stay near x**2.  A refit's scatter matrix sums count products
+# of centred coordinates, each at most (2x)**2: ~1e161 for 2**25 points (an
+# 8K frame's pixels), and finite for any count below 2**63.
 _COORD_MAX = (np.finfo(float).max / 256) ** 0.25
 
 
@@ -173,31 +177,19 @@ def _lsq_plane(
     cloud: np.ndarray, inliers: np.ndarray, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares plane through the inlier columns of the (3, M) cloud:
-    centroid + smallest-singular direction.  The inliers are gathered and
-    centred in the first 3 * count values of the C-contiguous (4, M)
-    workspace, and its last row takes the centroid's running sums.
-
-    Each coordinate's centroid is (0.0 + its last running sum) / count: the
-    values summed one by one, from +0.0, as mean(axis=0) sums an (M, 3) set,
-    so the bits, signed zeros included, are the same.
-
-    From 5 rows up the SVD is taken of the 3x3 R of a QR factorization.  That
-    is the path LAPACK's gesdd takes itself for 5 or more rows of 3 columns,
-    so vh is the same, without the (M, 3) U that gesdd would build and that is
-    discarded here.  With 3 or 4 rows gesdd takes another path, which differs
-    from QR-first in the last bits, so those go to the SVD as they are.
+    centroid + the eigenvector of the smallest eigenvalue of the centred
+    inliers' 3x3 scatter matrix.  The inliers are gathered and centred in
+    the first 3 * count values of the C-contiguous (4, M) workspace ("clip":
+    a "raise" take would write through a temporary copy), so beyond the
+    workspace the refit makes only the inliers' index.
     """
     count = np.count_nonzero(inliers)
     sel = work.reshape(-1)[: 3 * count].reshape(3, count)
-    np.compress(inliers, cloud, axis=1, out=sel)
-    centroid = np.array([(0.0 + np.add.accumulate(row, out=work[3, :count])[-1]) / count
-                         for row in sel])
+    np.take(cloud, np.flatnonzero(inliers), axis=1, out=sel, mode="clip")
+    centroid = sel.mean(axis=1)
     np.subtract(sel, centroid[:, None], out=sel)
-    sel = sel.T
-    if count >= 5:
-        sel = np.linalg.qr(sel, mode="r")
-    _, _, vh = np.linalg.svd(sel, full_matrices=False)
-    return vh[-1], centroid
+    _, vecs = np.linalg.eigh(sel @ sel.T)
+    return vecs[:, 0], centroid
 
 
 _BLOCK = 1 << 16  # distances per scoring block: 512 KB, sized to stay in cache
@@ -321,8 +313,8 @@ def ransac_plane(
     positive side of the plane.
 
     Beyond the cloud, the only M-sized arrays are one (4, M) workspace, the
-    inlier masks, and each new leader's scan order while the workspace is
-    refilled.  Its first three rows hold the cloud in scan order while
+    inlier masks, each new leader's scan order while the workspace is
+    refilled, and each refit's inlier index.  Its first three rows hold the cloud in scan order while
     hypotheses are scored, then serve the winner's recount and both refits.
     Its last row is the ones row of scoring and the distance buffer of every
     recount.  points itself is never written; the transpose of a

@@ -1020,16 +1020,19 @@ def test_in_place_rewrite_leaves_no_temp_file(synth_dir, tmp_path):
 
 
 def test_fit_plane_memory_stays_near_the_raster(tmp_path):
-    """fit-plane's traced peak on a 1080p frame: at most 3.6 point clouds.
+    """fit-plane's traced peak on a 1080p frame: at most 3.1 point clouds.
 
     The loader reads both payloads through one 1 MB buffer and keeps only
     the ground samples, never the raster.  RANSAC holds the cloud and one
-    (4, M) workspace, 2.33 clouds, and scores without another block buffer;
-    the peak comes in the last refit, whose gathered inliers are written
-    through a temporary.  This frame peaks at ~3.45 clouds; it peaked at
-    ~3.8 while scoring copied each block into a buffer of its own.
-    tracemalloc sees numpy's arrays but not LAPACK's or OpenBLAS's
-    workspaces, so the figure does not depend on the BLAS build.
+    (4, M) workspace, 2.33 clouds, and scores without another block buffer.
+    The refits gather their inliers straight into the workspace, so the
+    refit no longer sets the peak: fit_rms's gathered inliers and their
+    differences from the plane point (~2.9 clouds) do, with the refill of
+    each new leader's scan order, through its argsort index, next (~2.7).
+    The refits peaked at ~3.4 clouds while they gathered through
+    np.compress, which writes through a temporary.  tracemalloc sees numpy's
+    arrays but not LAPACK's or OpenBLAS's workspaces, so the figure does not
+    depend on the BLAS build.
     """
     _, observed, obs = generate_scene(
         SynthConfig(n_persons=2, outlier_fraction=0.3, rng_seed=5)
@@ -1048,6 +1051,6 @@ def test_fit_plane_memory_stays_near_the_raster(tmp_path):
     finally:
         tracemalloc.stop()
     assert res.returncode == 0, res.stderr
-    assert peak <= 3.6 * cloud, (
+    assert peak <= 3.1 * cloud, (
         f"peak {peak / 1e6:.2f} MB = {peak / cloud:.2f} x cloud {cloud / 1e6:.2f} MB"
     )

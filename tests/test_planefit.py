@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scenescale import (
@@ -359,8 +359,19 @@ def test_fit_rms():
 # --- ransac against the one-by-one consensus loop ---
 
 
+def plain_eigh_plane(points, inliers):
+    """The refit as a plain formula on a coordinate-major copy of the (M, 3)
+    points' inliers: centroid + smallest-eigenvalue eigenvector of the
+    centred set's 3x3 scatter matrix."""
+    sel = np.ascontiguousarray(points[inliers].T)
+    centroid = sel.mean(axis=1)
+    sel -= centroid[:, None]
+    return np.linalg.eigh(sel @ sel.T)[1][:, 0], centroid
+
+
 def oracle_ransac(points, cfg):
-    """Literal copy of the one-by-one consensus loop that ransac_plane replaced.
+    """Literal copy of the one-by-one consensus loop that ransac_plane
+    replaced, its refits the plain formula of plain_eigh_plane.
 
     ransac_plane must draw the same hypotheses, pick the same winner and so
     return a bit-identical plane and inlier set.
@@ -388,19 +399,14 @@ def oracle_ransac(points, cfg):
     if best_inliers is None or best_count < max(3, int(np.ceil(cfg.min_inlier_fraction * m))):
         raise LowConsensusError("oracle: low consensus")
 
-    def lsq(pts):
-        centroid = pts.mean(axis=0)
-        _, _, vh = np.linalg.svd(pts - centroid, full_matrices=False)
-        return vh[-1], centroid
-
     inlier_set = best_inliers
     for _ in range(2):
-        normal, centroid = lsq(points[inlier_set])
+        normal, centroid = plain_eigh_plane(points, inlier_set)
         dist = np.abs((points - centroid) @ normal)
         inlier_set = dist <= cfg.inlier_threshold
         if inlier_set.sum() < 3:
             inlier_set = best_inliers
-            normal, centroid = lsq(points[inlier_set])
+            normal, centroid = plain_eigh_plane(points, inlier_set)
             break
     if centroid @ normal > 0:
         normal = -normal
@@ -583,9 +589,10 @@ def test_ransac_scores_every_hypothesis_without_full_consensus(monkeypatch):
     block=st.sampled_from([planefit._BLOCK, 512, 7]),
 )
 def test_consensus_counts_are_exact_or_provably_losing(seed, m, h, beat, block):
-    """Over any row order and any beat, each count is the full count or -1;
-    -1 only where the full count is <= beat or below the batch maximum; and
-    where the maximum exceeds beat, its first-seen argmax is unchanged."""
+    """Over any column order of the scan and any beat, each count is the
+    full count or -1; -1 only where the full count is <= beat or below the
+    batch maximum; and where the maximum exceeds beat, its first-seen argmax
+    is unchanged, so one set of hypotheses picks one winner in every order."""
     rng = np.random.default_rng(seed)
     on_plane = grid_on_y0(n_side=30)[rng.choice(900, size=m - m // 3)]
     pts = np.vstack([on_plane + rng.normal(0, 0.02, on_plane.shape),
@@ -593,23 +600,31 @@ def test_consensus_counts_are_exact_or_provably_losing(seed, m, h, beat, block):
     pts[rng.uniform(size=m) < 0.05] = pts[0]  # repeated points make collinear samples
     samples = np.array([rng.choice(m, size=3, replace=False) for _ in range(h)])
     full = oracle_counts(pts, pts[samples], 0.05)
-    scan = np.vstack([pts[rng.permutation(m)].T, np.ones(m)])  # (4, M), last row ones
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(planefit, "_BLOCK", block)  # small blocks: many pruning checks
-        counts = planefit._consensus_counts(scan, pts[samples], 0.05, beat)
-    kept = counts != -1
-    assert np.array_equal(counts[kept], full[kept])
-    assert np.all((full[~kept] <= beat) | (full[~kept] < full.max()))
-    if full.max() > beat:
-        assert np.argmax(counts) == np.argmax(full)
+    scan = np.vstack([pts.T, np.ones(m)])  # (4, M), last row ones
+    for order in (rng.permutation(m), rng.permutation(m), np.arange(m), np.arange(m)[::-1]):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planefit, "_BLOCK", block)  # small blocks: many pruning checks
+            counts = planefit._consensus_counts(scan[:, order], pts[samples], 0.05, beat)
+        kept = counts != -1
+        assert np.array_equal(counts[kept], full[kept])
+        assert np.all((full[~kept] <= beat) | (full[~kept] < full.max()))
+        if full.max() > beat:
+            assert np.argmax(counts) == np.argmax(full)
 
 
 def plain_svd_plane(points, inliers):
-    """_lsq_plane before the QR-first refit: a thin SVD of the centred set."""
+    """The least-squares plane as a thin SVD of the centred inliers."""
     sel = points[inliers]
     centroid = sel.mean(axis=0)
     _, _, vh = np.linalg.svd(sel - centroid, full_matrices=False)
     return vh[-1], centroid
+
+
+def rank_deficient_cloud(rng, m, rank):
+    """(m, 3) points spanning a rank-dimensional affine subspace (rank 0: one
+    point repeated), offset up to 5 m from the origin."""
+    basis = rng.normal(size=(rank, 3)) if rank else np.zeros((1, 3))
+    return rng.normal(size=(m, max(rank, 1))) @ basis + rng.uniform(-5, 5, 3)
 
 
 @settings(max_examples=80, deadline=None)
@@ -618,30 +633,88 @@ def plain_svd_plane(points, inliers):
     m=st.one_of(st.integers(3, 12), st.integers(13, 5000)),
     rank=st.sampled_from([0, 1, 2, 3]),
 )
-def test_lsq_plane_matches_plain_svd(seed, m, rank):
-    """QR-first gives the plain SVD's bits from 5 rows up, rank-deficient sets
-    included, and 3 or 4 rows take the plain SVD itself (QR-first differs
-    there on most random clouds)."""
+def test_lsq_plane_matches_plain_eigh(seed, m, rank):
+    """The refit is the plain eigh formula bit for bit, rank-deficient sets
+    included."""
     rng = np.random.default_rng(seed)
-    basis = rng.normal(size=(rank, 3)) if rank else np.zeros((1, 3))
-    pts = rng.normal(size=(m, max(rank, 1))) @ basis + rng.uniform(-5, 5, 3)
+    pts = rank_deficient_cloud(rng, m, rank)
     inliers = rng.uniform(size=m) < 0.8
     inliers[:3] = True
     normal, centroid = planefit._lsq_plane(np.ascontiguousarray(pts.T), inliers, np.empty((4, m)))
-    expected_normal, expected_centroid = plain_svd_plane(pts, inliers)
+    expected_normal, expected_centroid = plain_eigh_plane(pts, inliers)
     assert normal.tobytes() == expected_normal.tobytes()
     assert centroid.tobytes() == expected_centroid.tobytes()
 
 
-def test_lsq_plane_matches_plain_svd_on_a_frame():
+def test_lsq_plane_matches_plain_eigh_on_a_frame():
     cfg = SynthConfig(n_persons=2, outlier_fraction=0.3, mask_stride=3, rng_seed=5)
     _, observed, obs = generate_scene(cfg)
     pts = unproject_ground(obs, observed.camera)
     inliers = np.abs(observed.plane.signed_distance(pts)) < 0.05
     normal, centroid = planefit._lsq_plane(pts.T, inliers, np.empty((4, len(pts))))
-    expected_normal, expected_centroid = plain_svd_plane(pts, inliers)
+    expected_normal, expected_centroid = plain_eigh_plane(pts, inliers)
     assert normal.tobytes() == expected_normal.tobytes()
     assert centroid.tobytes() == expected_centroid.tobytes()
+
+
+def noisy_plane(rng, m, sigma):
+    """(m, 3) points within ~sigma of a random plane through a point up to
+    5 m from the origin, spread over a 10 m square."""
+    normal = rng.normal(size=3)
+    normal /= np.linalg.norm(normal)
+    e1 = np.cross(normal, rng.normal(size=3))
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(normal, e1)
+    uv = rng.uniform(-5, 5, (m, 2))
+    return (rng.uniform(-5, 5, 3) + uv[:, :1] * e1 + uv[:, 1:] * e2
+            + rng.normal(0, sigma, (m, 1)) * normal)
+
+
+def angle_deg(n, expected):
+    """Angle between two unit normals, either sign."""
+    return np.degrees(np.arctan2(np.linalg.norm(np.cross(n, expected)), abs(n @ expected)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.one_of(st.integers(3, 12), st.integers(13, 5000)),
+    sigma=st.sampled_from([0.0, 1e-6, 0.01, 0.1]),
+    planar=st.booleans(),
+)
+def test_lsq_plane_is_the_least_squares_plane(seed, m, sigma, planar):
+    """On rank-2 sets and noisy planes the normal is within 1e-9 degrees of
+    a plain SVD's, and the centroid within 1e-13 relative, wherever the
+    inliers spread in two directions: the second singular value of the
+    centred set at least 1/100 of the first.  The scatter matrix squares
+    that ratio, so the normal's error grows as its inverse square: ~1e-10
+    degrees at 1/100, ~1e-7 at 1/1000 and below."""
+    rng = np.random.default_rng(seed)
+    pts = rank_deficient_cloud(rng, m, 2) if planar else noisy_plane(rng, m, sigma)
+    inliers = rng.uniform(size=m) < 0.8
+    inliers[:3] = True
+    spread = np.linalg.svd(pts[inliers] - pts[inliers].mean(axis=0), compute_uv=False)
+    assume(spread[1] >= 1e-2 * spread[0])
+    normal, centroid = planefit._lsq_plane(np.ascontiguousarray(pts.T), inliers, np.empty((4, m)))
+    expected_normal, expected_centroid = plain_svd_plane(pts, inliers)
+    assert angle_deg(normal, expected_normal) <= 1e-9
+    scale = np.linalg.norm(expected_centroid)
+    assert np.linalg.norm(centroid - expected_centroid) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("k", [-150, -100, -50, -1, 0, 1, 50, 100, 150, 200, 250])
+def test_lsq_plane_normal_holds_over_the_coordinate_range(k):
+    """A noisy plane scaled by 2**k refits to the unscaled plane's plain-SVD
+    normal within 1e-9 degrees: the scatter matrix neither underflows nor
+    overflows from 2**-150 to 2**250 m."""
+    rng = np.random.default_rng(k + 1000)
+    pts = noisy_plane(rng, 2000, 0.01)
+    inliers = rng.uniform(size=len(pts)) < 0.9
+    expected_normal, _ = plain_svd_plane(pts, inliers)
+    scaled = np.ascontiguousarray(pts.T) * 2.0 ** k
+    with np.errstate(all="raise"):
+        normal, _ = planefit._lsq_plane(scaled, inliers, np.empty((4, len(pts))))
+    assert angle_deg(normal, expected_normal) <= 1e-9
 
 
 def signed_zero_cloud(m, seed):
@@ -661,19 +734,9 @@ def signed_zero_cloud(m, seed):
 
 @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 773, 5000])
 def test_refit_primitives_match_plain_numpy_bytewise(m):
-    """The refits' centroid, (0.0 + the last running sum) / count per
-    coordinate, is mean(axis=0), the rows summed one by one from +0.0; the
-    coordinate-major centring is points - point."""
+    """The coordinate-major centring is points - point."""
     cloud = signed_zero_cloud(m, seed=m)
-    running = np.empty(m)
-    centroid = np.array([(0.0 + np.add.accumulate(c, out=running)[-1]) / m for c in cloud.T])
-    one_by_one = np.zeros(3)
-    for row in cloud:
-        one_by_one = one_by_one + row
-    moved = "the running sums no longer give mean(axis=0): the refit centroid's bits move"
-    assert centroid.tobytes() == cloud.mean(axis=0).tobytes(), moved
-    assert centroid.tobytes() == (one_by_one / m).tobytes(), moved
-
+    centroid = np.ascontiguousarray(cloud.T).mean(axis=1)
     for point in (centroid, np.array([-0.0, 0.0, -planefit._COORD_MAX]), cloud[m // 2]):
         centred = cloud.T.copy()
         np.subtract(centred, point[:, None], out=centred)
