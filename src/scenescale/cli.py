@@ -25,7 +25,6 @@ $SCENESCALE_CONFIG_DIR.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -51,6 +50,7 @@ from .sceneio import (
     dumps_canonical,
     load_depth_observation,
     load_scene,
+    read_json,
     save_depth_observation,
     save_scene,
 )
@@ -198,10 +198,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     doc: dict = {}
     if args.config:
         cfg_path = _locate_config(args.config)
-        try:
-            doc = json.loads(cfg_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SchemaError(f"{cfg_path}: {exc}") from None
+        doc = read_json(cfg_path)
         if not isinstance(doc, dict):
             raise SchemaError(f"{cfg_path}: config must be a JSON object")
     n_scenes = doc.pop("n_scenes", 1)

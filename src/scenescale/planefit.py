@@ -12,17 +12,19 @@ hypothesis in full, with less work.
 The cloud is coordinate-major, (3, M), from unprojection to the last refit,
 so every per-point pass runs along M-long contiguous rows.
 
-Memory: a DepthObservation keeps only its M ground samples (a flat index
-and a depth value each), never the (H, W) grids.  The unprojection writes
-the (3, M) cloud in place and makes no other M-sized array of points.
-RANSAC holds one (4, M) workspace: the cloud in scan order over a row of
+Memory: a DepthObservation keeps only its M ground samples (an int32 flat
+index and a depth value each, 8 bytes with float32 depth), never the (H, W)
+grids.  The unprojection writes the (3, M) cloud in place and makes no other
+M-sized array of points.  RANSAC holds one (4, M) workspace: the cloud in scan order over a row of
 ones while hypotheses are scored, then the refits' scratch over the
-recounts' distance buffer.  Scoring reads it block by block into a distance
-block of at most 65536 values.  A refit gathers its inliers into the
-workspace and reduces them to a 3x3 scatter matrix, so its only other
-M-sized array is the inliers' index.  Nothing writes to the caller's cloud.
-A cloud that is not the transpose of a C-contiguous float64 (3, M) array is
-copied once.
+recounts' distance buffer; it is filled in place, with no stacked copy.
+Scoring reads it block by block into a distance block of at most 65536
+values.  A refit gathers its inliers into the workspace and reduces them to
+a 3x3 scatter matrix, so its only other M-sized array is the inliers' index.
+Nothing writes to the caller's cloud.  A cloud that is not the transpose of
+a C-contiguous float64 (3, M) array is copied once.  fit_rms computes the
+inliers' distances chunk by chunk into one array, so it never gathers the
+whole inlier set.
 """
 
 from __future__ import annotations
@@ -39,15 +41,32 @@ from .objective import ObjectiveConfig, _evaluate_theta, _pack_scene
 from .scene import GroundPlane, Scene, posed_ankles
 
 
+# An image has fewer pixels than this, so a flat pixel index fits int32.
+_MAX_PIXELS = 2**31
+
+
+def check_image_size(w: int, h: int, where: str = "image") -> None:
+    """SchemaError, naming where, unless the (W, H) image has 0 <= W, H and
+    W * H < 2**31 pixels, the images whose flat pixel indices int32 holds."""
+    if w < 0 or h < 0 or w * h >= _MAX_PIXELS:
+        raise SchemaError(f"{where} {w}x{h}: a depth map must have W, H >= 0 and fewer "
+                          "than 2**31 pixels, so that a pixel index fits int32")
+
+
 class DepthObservation:
     """The ground samples of a relative depth map; metric_scale converts to meters.
 
     Built from an (H, W) depth grid and a ground mask of the same shape
     (nonzero = ground), it keeps only what unprojection reads: the image size
-    (W, H), the ground pixels' row-major flat indices, increasing, and their
-    depth values (float32 kept, any other dtype as float64).  The grids are
-    not kept, so pixels off the mask are never read and may hold anything.
-    max_depth is the largest ground depth value, 0.0 with no ground pixel.
+    (W, H), the ground pixels' row-major flat indices, increasing, as int32,
+    and their depth values (float32 kept, any other dtype as float64): 8
+    bytes a ground pixel with float32 depth.  The grids are not kept, so
+    pixels off the mask are never read and may hold anything.  max_depth is
+    the largest ground depth value, 0.0 with no ground pixel.
+
+    SchemaError for an image of W * H >= 2**31 pixels, whose indices int32
+    cannot hold, and for an index outside [0, W * H); both are checked
+    before the indices are cast, since a cast would wrap them silently.
     """
 
     def __init__(self, depth, ground_mask, metric_scale: float = 6.0):
@@ -57,6 +76,7 @@ class DepthObservation:
         mask = np.asarray(ground_mask)
         if mask.shape != depth.shape:
             raise SchemaError(f"mask shape {mask.shape} != depth shape {depth.shape}")
+        check_image_size(*depth.shape[::-1])  # before a frame-sized index exists
         index = np.flatnonzero(mask.astype(bool, copy=False))  # bools: nonzero's fast path
         self._keep(depth.shape[::-1], index, np.take(depth, index), metric_scale)
 
@@ -71,11 +91,18 @@ class DepthObservation:
 
     def _keep(self, image_size, index, values, metric_scale) -> None:
         metric_scale = positive_number(metric_scale, "metric_scale")
+        w, h = (int(v) for v in image_size)
+        check_image_size(w, h)
         index, values = np.asarray(index), np.asarray(values)
         if values.dtype != np.float32:
             values = values.astype(np.float64, copy=False)
         if values.shape != index.shape:
             raise SchemaError(f"{values.size} depth values for {index.size} ground pixels")
+        if index.size and (index.dtype.kind not in "iu" or index.min() < 0
+                           or index.max() >= w * h):
+            raise SchemaError(f"ground pixel indices must be integers in [0, {w * h}) "
+                              f"for a {w}x{h} image")
+        index = index.astype(np.int32, copy=False)  # in range, so the cast is exact
         top = 0.0
         if values.size:
             top = float(values.max())
@@ -84,9 +111,8 @@ class DepthObservation:
                 raise SchemaError("masked depth values must be finite and > 0")
             if not math.isfinite(top * metric_scale):
                 raise SchemaError(f"metric_scale {metric_scale} takes depth {top} beyond a float")
-        w, h = image_size
-        self.image_size = (int(w), int(h))
-        self.ground_index = index        # (M,) row-major flat pixel indices, increasing
+        self.image_size = (w, h)
+        self.ground_index = index        # (M,) int32 row-major flat pixel indices, increasing
         self.ground_depth = values       # (M,) relative units
         self.metric_scale = metric_scale
         self.max_depth = top             # relative units, for unproject_ground's bound
@@ -331,7 +357,9 @@ def ransac_plane(
     if m < 3:
         raise InsufficientGroundError(f"need >= 3 points, got {m}")
 
-    work = np.vstack([cloud, np.ones(m)])
+    work = np.empty((4, m))
+    work[:3] = cloud
+    work[3] = 1.0
     dist = work[3]
 
     def within(point: np.ndarray, normal: np.ndarray) -> np.ndarray:
@@ -399,9 +427,19 @@ def ransac_plane(
     return GroundPlane(normal, centroid), np.nonzero(inlier_set)[0]
 
 
+_RMS_CHUNK = 8192  # inliers a fit_rms chunk gathers: 192 KB of points
+
+
 def fit_rms(plane: GroundPlane, points: np.ndarray, inliers: np.ndarray) -> float:
-    """RMS point-to-plane distance of the inlier set."""
-    d = plane.signed_distance(points[inliers])
+    """RMS point-to-plane distance of the inlier set (an index array).
+
+    The distances are filled chunk by chunk into one array, so no gathered
+    copy of the inliers exists; each distance, and so the mean of their
+    squares, has the same bits as signed_distance over every inlier at once.
+    """
+    d = np.empty(len(inliers))
+    for s in range(0, d.size, _RMS_CHUNK):
+        d[s:s + _RMS_CHUNK] = plane.signed_distance(points[inliers[s:s + _RMS_CHUNK]])
     return float(np.sqrt(np.mean(d * d)))
 
 

@@ -5,9 +5,14 @@ are raw row-major little-endian float32 payloads with a JSON sidecar at
 "<depth_path>.json" declaring width, height, metric scale, and byte order;
 ground masks are raw uint8 grids of the same shape (nonzero = ground).
 A loaded observation keeps only the ground samples: the mask payload is read
-block by block for the ground pixels' indices, then the depth payload block
-by block for their values, through one 1 MB buffer, so neither grid is ever
-in memory whole.  Writing puts 0 at every pixel off the mask.
+block by block for the ground pixels' int32 indices, then the depth payload
+block by block for their values, through one 1 MB buffer, so neither grid is
+ever in memory whole.  A sidecar declaring 2**31 pixels or more is refused
+before either payload is opened.  Writing puts 0 at every pixel off the mask.
+
+Every JSON file (scene, sidecar, synth config) is read by read_json: UTF-8,
+and any file that cannot be read or parsed, nested too deep included, is a
+SchemaError naming it.
 
 Writers emit canonical JSON (sorted keys, two-space indent, repr floats)
 so identical inputs always produce byte-identical files.
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import SchemaError, positive_number, whole_number
 from .geometry import CameraModel, WeakPerspectiveCam
-from .planefit import DepthObservation
+from .planefit import DepthObservation, check_image_size
 from .scene import GroundPlane, Person, Scene
 
 # what a file may set, passed as it is to the constructor; the writer
@@ -141,13 +146,20 @@ def save_scene(scene: Scene, path: str | Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def load_scene(path: str | Path) -> Scene:
-    path = Path(path)
+def read_json(path: str | Path):
+    """The JSON document in the file at path, read as UTF-8.
+
+    SchemaError naming the file if it cannot be read, is not UTF-8, is not
+    JSON (ValueError covers both) or nests deeper than the parser recurses.
+    """
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: {exc}") from None
-    return scene_from_dict(doc, where=str(path))
+
+
+def load_scene(path: str | Path) -> Scene:
+    return scene_from_dict(read_json(path), where=str(path))
 
 
 def check_storable(obs: DepthObservation, depth_path: str | Path) -> None:
@@ -189,10 +201,9 @@ def load_depth_observation(
     """A depth file's ground samples; metric_scale, if given, overrides the sidecar's."""
     depth_path = Path(depth_path)
     sidecar_path = Path(str(depth_path) + ".json")
-    try:
-        sidecar = json.loads(sidecar_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"{sidecar_path}: {exc}") from None
+    sidecar = read_json(sidecar_path)
+    if not isinstance(sidecar, dict):
+        raise SchemaError(f"{sidecar_path}: sidecar must be a JSON object")
     for key in ("width", "height", "metric_scale"):
         if key not in sidecar:
             raise SchemaError(f"{sidecar_path}: missing '{key}'")
@@ -200,17 +211,19 @@ def load_depth_observation(
     h = whole_number(sidecar["height"], f"{sidecar_path}: height")
     if w < 1 or h < 1:
         raise SchemaError(f"{sidecar_path}: width and height must be >= 1, got {w}x{h}")
+    check_image_size(w, h, f"{sidecar_path}: width x height")
     scale = positive_number(sidecar["metric_scale"], f"{sidecar_path}: metric_scale")
     for key, only in (("byte_order", "little"), ("dtype", "float32")):
         if sidecar.get(key, only) != only:
             raise SchemaError(f"{sidecar_path}: {key} must be {only!r}, got {sidecar[key]!r}")
     if metric_scale is not None:
         scale = positive_number(metric_scale, "metric_scale")
-    # the mask's blocks give the ground pixels, then the depth's their values
+    # the mask's blocks give the ground pixels, then the depth's their values;
+    # each block's indices are int32 (W * H < 2**31) before they are joined
     size = f"for the sidecar's width x height, {w}x{h}"
     buffer = np.empty(4 * _BLOCK_PIXELS, dtype=np.uint8)
     index = np.concatenate([
-        start + np.flatnonzero(np.not_equal(block, 0, out=block.view(bool)))
+        (start + np.flatnonzero(np.not_equal(block, 0, out=block.view(bool)))).astype(np.int32)
         for start, block in _read_blocks(Path(mask_path), h * w, np.uint8, f"uint8 {size}", buffer)
     ])
     values = np.empty(index.size, dtype="<f4")

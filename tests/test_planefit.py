@@ -149,6 +149,57 @@ def test_depth_observation_from_ground_is_the_same_observation():
         DepthObservation.from_ground((13, 9), obs.ground_index, obs.ground_depth[1:])
 
 
+def test_depth_observation_index_is_int32_and_on_the_image():
+    """Both builders keep int32 indices, and refuse an index outside
+    [0, W * H) before the cast, which would wrap it silently."""
+    mask = np.eye(3, 4, dtype=bool)
+    assert DepthObservation(np.ones((3, 4)), mask).ground_index.dtype == np.int32
+    for index in ([0, 11], np.array([0, 11], dtype=np.uint64), np.array([3], dtype=np.int8)):
+        obs = DepthObservation.from_ground((4, 3), index, np.ones(len(index)))
+        assert obs.ground_index.dtype == np.int32
+        assert obs.ground_index.tolist() == np.asarray(index).tolist()
+    for index in ([100, -1], [0, 12], [-1], [2**32 + 5], [0.0, 1.0], [True, False]):
+        with pytest.raises(SchemaError, match=r"indices must be integers in \[0, 12\) for a 4x3"):
+            DepthObservation.from_ground((4, 3), index, np.ones(len(index)))
+    empty = DepthObservation.from_ground((4, 3), [], [])
+    assert empty.ground_index.dtype == np.int32 and empty.ground_index.size == 0
+
+
+def test_depth_observation_refuses_2_31_pixels(monkeypatch):
+    """An image of W * H >= 2**31 pixels is refused by both builders; the grid
+    constructor refuses it before any frame-sized array exists (the grids
+    here are broadcast, and a flat index of one would take 16 GB, so making
+    one fails the test instead)."""
+    top = 2**31 - 1
+    obs = DepthObservation.from_ground((top, 1), [0, top - 1], [1.0, 2.0])
+    assert obs.ground_index.tolist() == [0, top - 1]
+    for size in ((65536, 32768), (2**31, 1), (10**6, 10**6), (-2, -3)):
+        with pytest.raises(SchemaError, match="fewer than 2\\*\\*31"):
+            DepthObservation.from_ground(size, [0], [1.0])
+    shape = (32768, 65536)  # (H, W)
+    monkeypatch.setattr(np, "flatnonzero", lambda a: pytest.fail("made a frame-sized index"))
+    with pytest.raises(SchemaError, match="image 65536x32768: a depth map must"):
+        DepthObservation(np.broadcast_to(np.float32(1), shape), np.broadcast_to(True, shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=st.integers(1, 2**16), rows=st.integers(1, 2**16), m=st.integers(3, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_unproject_int32_index_equals_int64_bytewise(w, rows, m, seed):
+    """The cloud from int32 indices is the cloud from the same indices as
+    int64, to the byte, over image sizes up to 2**31 - 1 pixels."""
+    h = max(1, min(rows, (2**31 - 1) // w))
+    rng = np.random.default_rng(seed)
+    index = np.unique(rng.integers(0, w * h, size=m))
+    assume(index.size >= 3)
+    obs = DepthObservation.from_ground((w, h), index, rng.uniform(0.1, 5.0, index.size))
+    assert obs.ground_index.dtype == np.int32
+    cam = CameraModel(float(max(w, h)), (w, h), rng.uniform(-1.0, 1.0, 2) * (w, h))
+    wide = DepthObservation.from_ground((w, h), index, obs.ground_depth)
+    wide.ground_index = index.astype(np.int64)
+    assert unproject_ground(obs, cam).tobytes() == unproject_ground(wide, cam).tobytes()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
 def test_depth_observation_float32_masked_values_checked(value):
     depth = np.ones((4, 4), dtype=np.float32)
@@ -354,6 +405,21 @@ def test_fit_rms():
     plane, inl = ransac_plane(cloud, RansacConfig(rng_seed=2))
     p, n = plane.point, plane.normal
     assert fit_rms(plane, cloud, inl) == float(np.sqrt(np.mean(((cloud[inl] - p) @ n) ** 2)))
+
+
+@pytest.mark.parametrize("count", [1, 8191, 8192, 8193, 3 * 8192 + 1])
+def test_fit_rms_is_the_literal_formula_across_chunk_edges(count):
+    """fit_rms fills its distances 8192 inliers at a time; around each chunk
+    edge it still equals the formula over every inlier at once, to the bit,
+    on a coordinate-major cloud (as unproject_ground makes) and a C-ordered one."""
+    rng = np.random.default_rng(count)
+    cloud = rng.normal(0.0, 3.0, (3, count + 5000)).T
+    plane = GroundPlane(rng.normal(size=3), rng.normal(size=3))
+    inl = np.sort(rng.choice(len(cloud), count, replace=False))
+    p, n = plane.point, plane.normal
+    for points in (cloud, np.ascontiguousarray(cloud)):
+        literal = float(np.sqrt(np.mean(((points[inl] - p) @ n) ** 2)))
+        assert fit_rms(plane, points, inl) == literal
 
 
 # --- ransac against the one-by-one consensus loop ---

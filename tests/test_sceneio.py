@@ -283,13 +283,13 @@ def test_loaded_mask_keeps_its_nonzero_pixels(tmp_path):
     index = load_depth_observation(dpath, mpath).ground_index
     rows, cols = np.nonzero(payload)
     assert np.array_equal(index, rows * w + cols)
-    assert index.dtype == np.intp
+    assert index.dtype == np.int32
 
 
 def test_loaded_frame_keeps_only_its_ground_samples(tmp_path):
-    """A loaded 1080p frame holds M * (8 + 4) bytes of arrays, not its grids.
+    """A loaded 1080p frame holds M * (4 + 4) bytes of arrays, not its grids.
 
-    The indices are intp and the samples float32; the (H, W) grids, 10.4 MB
+    The indices are int32 and the samples float32; the (H, W) grids, 10.4 MB
     for depth and mask, are dropped once the samples exist, which tracemalloc
     sees as the memory still held after the load.
     """
@@ -308,8 +308,8 @@ def test_loaded_frame_keeps_only_its_ground_samples(tmp_path):
     finally:
         tracemalloc.stop()
     arrays = [v for v in vars(loaded).values() if isinstance(v, np.ndarray)]
-    assert sum(a.nbytes for a in arrays) == m * (8 + 4)
-    assert held <= m * (8 + 4) + slack, f"held {held / 1e6:.2f} MB for M = {m}"
+    assert sum(a.nbytes for a in arrays) == m * (4 + 4)
+    assert held <= m * (4 + 4) + slack, f"held {held / 1e6:.2f} MB for M = {m}"
 
 
 def test_sidecar_whole_float_sizes_load(tmp_path):
@@ -355,8 +355,9 @@ def test_depth_payload_size_checked(tmp_path):
     dpath.write_bytes(whole[:-4])
     with pytest.raises(SchemaError, match="size|bytes"):
         load_depth_observation(dpath, mpath)
-    # a mask of the wrong size, and a sidecar claiming a 4 TB frame: refused
-    # by the size checks, with no frame-sized allocation
+    # a mask of the wrong size, a sidecar claiming a 2 GB frame and one
+    # claiming a 4 TB frame: refused by the size checks (the last by the
+    # sidecar's pixel bound), with no frame-sized allocation
     dpath.write_bytes(whole)
     mask = mpath.read_bytes()
     mpath.write_bytes(mask[:-1])
@@ -365,8 +366,11 @@ def test_depth_payload_size_checked(tmp_path):
     mpath.write_bytes(mask)
     sidecar = tmp_path / "d.f32.json"
     doc = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**doc, "width": 46340, "height": 46340}))
+    with pytest.raises(SchemaError, match="m.u8: payload is 2073600 bytes, expected 2147395600"):
+        load_depth_observation(dpath, mpath)
     sidecar.write_text(json.dumps({**doc, "width": 10**6, "height": 10**6}))
-    with pytest.raises(SchemaError, match="m.u8: payload is 2073600 bytes, expected 10+ uint8"):
+    with pytest.raises(SchemaError, match="d.f32.json: width x height 1000000x1000000: a depth"):
         load_depth_observation(dpath, mpath)
 
 
