@@ -19,11 +19,12 @@ Joints behind the camera are projected at z clamped to Z_EPSILON (where the
 pixel no longer depends on z) and add a linear penalty
 BEHIND_PENALTY * c_i * (Z_EPSILON - z) that pushes them back in front.
 
-A scene is packed once into arrays (persons padded to a common joint count
-with zero-confidence joints); the objective is then a function of the flat
+A scene is packed once, with its mode and lam fixed, into one block of
+coordinate-major arrays (persons padded to a common joint count with
+zero-confidence joints); the objective is then a function of the flat
 parameter vector theta = [t^1, ..., t^N, s^1, ..., s^N] alone.  One
-evaluation writes into buffers preallocated at packing time, all views of
-one block, in a fixed operation order, so equal inputs give equal bits.
+evaluation writes into buffers of that block, in a fixed operation order,
+so equal inputs give equal bits.
 Terms that are exactly zero for the whole scene (the behind-camera penalty
 with no joint behind the clamp, the KINK_EPS masks with every residual norm
 and ankle distance at or above it) are skipped: they could only add or
@@ -44,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingPlaneError, SchemaError, real_number
-from .geometry import CameraModel
 from .scene import Scene
 
 # Residuals smaller than this are treated as exactly zero in gradients
@@ -83,10 +83,6 @@ class LossBreakdown:
     plane: float
     total: float
 
-    @classmethod
-    def from_terms(cls, rep: np.ndarray, plane: np.ndarray, lam: float) -> "LossBreakdown":
-        return cls(*_loss_sums(rep, plane, lam))
-
 
 def _loss_sums(rep: np.ndarray, plane: np.ndarray, lam: float) -> tuple[float, float, float]:
     """(reprojection, plane, total) of per-person terms (N,), summed person by person."""
@@ -94,66 +90,83 @@ def _loss_sums(rep: np.ndarray, plane: np.ndarray, lam: float) -> tuple[float, f
     return rep_sum, plane_sum, rep_sum + lam * plane_sum
 
 
-@dataclass(eq=False)
 class PackedScene:
-    """The fixed arrays of a scene, plus the buffers one evaluation fills.
+    """A scene packed for cfg's terms, plus the buffers one evaluation fills.
 
-    theta carries everything that moves.  Every _evaluate_theta call
-    overwrites the buffers, so a PackedScene serves one caller at a time.
+    The mode and lam are fixed here, and theta starts at the scene's
+    parameters; theta carries everything that moves.  Every _evaluate_theta
+    call overwrites the buffers, so a PackedScene serves one caller at a time.
 
-    The evaluation reads the fields in coordinate-major copies: the rotated
-    joints as (3, N, K) and the keypoints as (2, N, K), beside the principal
-    point as (2, 1, 1), so every coordinate is one contiguous (N, K) plane.
-    The posed joints fill one (3, N, K) buffer, and proj holds [f*x, f*y, f]
-    in the same layout, so one division by the clamped z gives both pixel
-    offsets and f/z.  The posed ankles are gathered from the posed joints
-    with one np.take of flat indices.
+    The scene is held coordinate-major only: the rotated joints as (3, N, K)
+    and the keypoints as (2, N, K), beside the principal point as (2, 1, 1),
+    so every coordinate is one contiguous (N, K) plane.  rotated (N, K, 3)
+    and keypoints (N, K, 2) are person-major views of the same memory.
+    Padded joints are zero with zero confidence, and a term the mode leaves
+    out keeps its inputs zero.  The posed joints fill one (3, N, K) buffer,
+    and proj holds [f*x, f*y, f] in the same layout, so one division by the
+    clamped z gives both pixel offsets and f/z.  The rotated and the posed
+    ankles are gathered with one np.take of the same flat indices.
 
     dx, d(total)/d(posed joint), is joint-major, (K+1, N, 3): rows 0..K-1
     hold each joint's reprojection gradient, row K the plane term's
     lam * sum(sign) * n.  One add.reduce over axis 0 then sums the rows in
     order, 3N values at a time, which is the order the (N, K, 3) axis-1 sum
     followed, plus the plane term last, so grad_t keeps its bits.  The
-    reprojection rows are written through a coordinate-major view, and
-    grad_s reads them through a person-major (N, K, 3) view, because its
-    pairwise sum runs over each person's 3K products in that order.
+    reprojection rows are written through a coordinate-major view.  grad_s
+    multiplies them by the rotated joints into a contiguous (N, K, 3)
+    buffer, written through its coordinate-major view, and sums each
+    person's 3K products from there in that order.
 
     The residual norms (N*K) and the |ankle distances| (2N) share one kink
     buffer, so one min decides whether the KINK_EPS masks run.  A term the
     mode leaves out keeps inf there.  All buffers are views of one block.
     """
 
-    rotated: np.ndarray       # (N, K, 3) R @ J_i, zero rows where padded
-    keypoints: np.ndarray     # (N, K, 2) pixels, zero where padded
-    confidences: np.ndarray   # (N, K), zero where padded or reprojection unused
-    ankle_idx: np.ndarray     # (N, 2) joint index of the left and right ankle
-    camera: CameraModel
-    normal: np.ndarray | None  # (3,) plane normal, None if plane unused
-    offset: float              # plane: n . x = offset
-
-    def __post_init__(self):
-        n, k = self.confidences.shape
+    def __init__(self, scene: Scene, cfg: ObjectiveConfig):
+        self.lam = cfg.lam
+        self.uses_rep = cfg.mode != "plane_only"
+        self.uses_plane = cfg.mode != "reprojection_only"
+        if self.uses_plane and scene.plane is None:
+            raise MissingPlaneError(f"mode={cfg.mode!r} needs a ground plane in the scene")
+        persons, self.camera = scene.persons, scene.camera
+        n, k = len(persons), max(p.n_joints for p in persons)
         self.focal = float(self.camera.focal)
         self.principal = np.array(self.camera.principal_point, dtype=float).reshape(2, 1, 1)
-        self.ankles = self.rotated[np.arange(n)[:, None], self.ankle_idx]  # (N, 2, 3)
-        self.ankle_normal = None if self.normal is None else self.ankles @ self.normal  # (N, 2)
-        # flat index of posed[c, i, ankle_idx[i, a]], at [i, a, c]
+        ankle_idx = np.array([(p.ankle_left_idx, p.ankle_right_idx) for p in persons])
+        # flat index of a (3, N, K) array's [c, i, ankle_idx[i, a]], at [i, a, c]
         self.ankle_take = (np.arange(0, 3 * n * k, n * k)
-                           + (np.arange(0, n * k, k)[:, None] + self.ankle_idx)[..., None])
+                           + (np.arange(0, n * k, k)[:, None] + ankle_idx)[..., None])
         planes, self.kinks, self.dx, self.dx_rotated, self.posed_ankles, self.dist, self.signs, \
             self.sign_sums, terms, self.grad = _block_views(
-                (21, n, k), (n * k + 2 * n,), (k + 1, n, 3), (n, k, 3), (n, 2, 3), (n, 2),
+                (22, n, k), (n * k + 2 * n,), (k + 1, n, 3), (n, k, 3), (n, 2, 3), (n, 2),
                 (2, n, 2), (2, n), (2, n), (4 * n,))
-        self.rotated_cm, self.keypoints_cm, self.posed, self.proj = (
-            planes[0:3], planes[3:5], planes[5:8], planes[8:11])
-        self.q, self.r, self.sq = planes[11:14], planes[14:16], planes[16:18]
-        self.zc, self.w, self.tmp = planes[18:21]
-        # the reprojection rows of dx, seen coordinate-major and person-major
-        self.dx_cm = self.dx[:k].transpose(2, 1, 0)           # (3, N, K)
-        self.dx_nk3 = self.dx[:k].transpose(1, 0, 2)          # (N, K, 3)
+        self.rotated_cm, self.keypoints_cm, self.confidences = planes[0:3], planes[3:5], planes[5]
+        self.posed, self.proj, self.q = planes[6:9], planes[9:12], planes[12:15]
+        self.r, self.sq = planes[15:17], planes[17:19]
+        self.zc, self.w, self.tmp = planes[19:22]
+        for i, person in enumerate(persons):
+            kj = person.n_joints
+            self.rotated_cm[:, i, :kj] = (person.joints @ person.rotation.T).T
+            if self.uses_rep:
+                if person.ref_keypoints is None:
+                    raise SchemaError(f"person {i} has no ref_keypoints")
+                self.keypoints_cm[:, i, :kj] = person.ref_keypoints.T
+                self.confidences[i, :kj] = person.confidences
+        self.rotated = self.rotated_cm.transpose(1, 2, 0)       # (N, K, 3) view
+        self.keypoints = self.keypoints_cm.transpose(1, 2, 0)   # (N, K, 2) view
+        self.ankles = np.take(self.rotated_cm, self.ankle_take)  # (N, 2, 3)
+        self.normal, self.offset, self.ankle_normal = None, 0.0, None
+        if self.uses_plane:
+            self.normal = scene.plane.normal
+            self.offset = float(self.normal @ scene.plane.point)
+            self.ankle_normal = self.ankles @ self.normal      # (N, 2)
+        self.theta = np.concatenate(
+            [np.concatenate([p.translation for p in persons]), [p.scale for p in persons]]
+        )
+        # the reprojection rows of dx, and the grad_s products, seen coordinate-major
+        self.dx_cm = self.dx[:k].transpose(2, 1, 0)             # (3, N, K)
+        self.dx_rotated_cm = self.dx_rotated.transpose(2, 0, 1)  # (3, N, K)
         self.rep, self.plane = terms
-        self.rotated_cm[...] = self.rotated.transpose(2, 0, 1)
-        self.keypoints_cm[...] = self.keypoints.transpose(2, 0, 1)
         self.proj[2] = self.focal
         self.kinks.fill(np.inf)
         self.norms = self.kinks[: n * k].reshape(n, k)
@@ -172,50 +185,19 @@ def _block_views(*shapes: tuple[int, ...]) -> list[np.ndarray]:
     return views
 
 
-def _pack_scene(scene: Scene, cfg: ObjectiveConfig) -> tuple[PackedScene, np.ndarray]:
-    """Arrays of the scene for the terms cfg.mode uses, plus its theta (4N,)."""
-    uses_rep = cfg.mode != "plane_only"
-    uses_plane = cfg.mode != "reprojection_only"
-    if uses_plane and scene.plane is None:
-        raise MissingPlaneError(f"mode={cfg.mode!r} needs a ground plane in the scene")
-    persons = scene.persons
-    n, k = len(persons), max(p.n_joints for p in persons)
-    rotated = np.zeros((n, k, 3))
-    keypoints = np.zeros((n, k, 2))
-    confidences = np.zeros((n, k))
-    ankle_idx = np.array([(p.ankle_left_idx, p.ankle_right_idx) for p in persons])
-    for i, person in enumerate(persons):
-        kj = person.n_joints
-        rotated[i, :kj] = person.joints @ person.rotation.T
-        if uses_rep:
-            if person.ref_keypoints is None:
-                raise SchemaError(f"person {i} has no ref_keypoints")
-            keypoints[i, :kj] = person.ref_keypoints
-            confidences[i, :kj] = person.confidences
-    normal, offset = None, 0.0
-    if uses_plane:
-        normal = scene.plane.normal
-        offset = float(normal @ scene.plane.point)
-    packed = PackedScene(rotated, keypoints, confidences, ankle_idx, scene.camera, normal, offset)
-    theta = np.concatenate(
-        [np.concatenate([p.translation for p in persons]), [p.scale for p in persons]]
-    )
-    return packed, theta
-
-
 def _evaluate_theta(
-    packed: PackedScene, theta: np.ndarray, cfg: ObjectiveConfig
+    packed: PackedScene, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-person reprojection (N,), per-person plane term (N,), d(total)/d(theta) (4N,).
 
-    A term that cfg.mode leaves out reads 0 and adds nothing to the gradient.
+    A term that packed's mode leaves out reads 0 and adds nothing to the gradient.
     The three arrays returned are packed's buffers, which the next call
     overwrites.  Every value is computed in a fixed operation order, so
     equal inputs give equal bits.
     """
     p = packed
     n, k = p.confidences.shape
-    uses_rep, uses_plane = cfg.mode != "plane_only", cfg.mode != "reprojection_only"
+    uses_rep, uses_plane = p.uses_rep, p.uses_plane
     c, posed, tmp = p.confidences, p.posed, p.tmp
     np.multiply(theta[3 * n :].reshape(n, 1), p.rotated_cm, out=posed)
     np.add(posed, theta[: 3 * n].reshape(n, 3).T[..., None], out=posed)   # (3, N, K)
@@ -268,7 +250,7 @@ def _evaluate_theta(
             # linear push-back for joints clamped at the z floor
             dx[2] = np.where(clamped, 0.0, dx[2])
             dx[2] -= BEHIND_PENALTY * np.where(clamped, c, 0.0)
-        np.multiply(p.dx_nk3, p.rotated, out=p.dx_rotated)
+        np.multiply(dx, p.rotated_cm, out=p.dx_rotated_cm)
         np.add.reduce(p.dx_rotated, axis=(1, 2), out=p.grad_s)
     else:
         p.grad_s.fill(0.0)
@@ -279,7 +261,7 @@ def _evaluate_theta(
         # dx row K = lam * sum(sign) * n;  grad_s += lam * sum(sign * (A @ n))
         np.multiply(sign, p.ankle_normal, out=p.signs[1])
         lam_sums = np.add.reduce(p.signs, axis=2, out=p.sign_sums)
-        np.multiply(lam_sums, cfg.lam, out=lam_sums)
+        np.multiply(lam_sums, p.lam, out=lam_sums)
         np.multiply(lam_sums[0][:, None], p.normal, out=p.dx[k])
         p.grad_s += lam_sums[1]
     np.add.reduce(p.dx[0 if uses_rep else k : k + uses_plane], axis=0, out=p.grad_t)
@@ -291,8 +273,6 @@ def loss_and_gradients(
     scene: Scene, cfg: ObjectiveConfig
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Loss breakdown, d(total)/dt (N,3) and d(total)/ds (N,) of a scene."""
-    packed, theta = _pack_scene(scene, cfg)
-    rep, plane, grad = _evaluate_theta(packed, theta, cfg)
-    n = rep.shape[0]
-    breakdown = LossBreakdown.from_terms(rep, plane, cfg.lam)
-    return breakdown, grad[: 3 * n].reshape(n, 3), grad[3 * n :]
+    packed = PackedScene(scene, cfg)
+    rep, plane, _ = _evaluate_theta(packed, packed.theta)
+    return LossBreakdown(*_loss_sums(rep, plane, cfg.lam)), packed.grad_t, packed.grad_s

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NonFiniteLossError, SchemaError, check_int, positive_number
-from .objective import LossBreakdown, ObjectiveConfig, _evaluate_theta, _loss_sums, _pack_scene
+from .objective import LossBreakdown, ObjectiveConfig, PackedScene, _evaluate_theta, _loss_sums
 from .scene import Scene
 
 
@@ -97,8 +97,8 @@ def _run_adam(work: Scene, cfg: OptimConfig, freeze_z: bool = False) -> OptimRep
     operation order, so equal inputs give equal bits.  freeze_z keeps every
     person's depth where it starts.
     """
-    obj = cfg.objective
-    packed, theta = _pack_scene(work, obj)
+    packed = PackedScene(work, cfg.objective)
+    theta = packed.theta
     n = len(work.persons)
     scales = theta[3 * n :]
     b1, b2, lr, eps = _BETA1, _BETA2, cfg.learning_rate, _EPS
@@ -117,8 +117,8 @@ def _run_adam(work: Scene, cfg: OptimConfig, freeze_z: bool = False) -> OptimRep
     # huge finite inputs overflow to inf or nan: the finite check on the loss refuses them
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cfg.iterations + 1):
-            rep, plane, g = _evaluate_theta(packed, theta, obj)
-            trace[it] = rep_sum, plane_sum, total = _loss_sums(rep, plane, obj.lam)
+            rep, plane, g = _evaluate_theta(packed, theta)
+            trace[it] = rep_sum, plane_sum, total = _loss_sums(rep, plane, packed.lam)
             if it == cfg.iterations:
                 break
             if not math.isfinite(total):

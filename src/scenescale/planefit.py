@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (InsufficientGroundError, LowConsensusError, SchemaError, check_int,
                      positive_number, real_number)
 from .geometry import CameraModel
-from .objective import ObjectiveConfig, _evaluate_theta, _pack_scene
+from .objective import ObjectiveConfig, PackedScene, _evaluate_theta
 from .scene import GroundPlane, Scene, posed_ankles
 
 
@@ -447,15 +447,17 @@ def select_reference_person(scene: Scene) -> int:
     """Index of the person with lowest initial reprojection error.
 
     Ties break toward the lowest index (np.argmin picks the first minimum).
-    A person whose error is not finite (a 1e308 scale, say) is never chosen.
+    A person with no confident joint (an error of 0 that observes nothing)
+    or whose error is not finite (a 1e308 scale, say) is never chosen.
     """
-    cfg = ObjectiveConfig(mode="reprojection_only")
+    packed = PackedScene(scene, ObjectiveConfig(mode="reprojection_only"))
     with np.errstate(over="ignore", invalid="ignore"):  # such errors are skipped below
-        rep, _, _ = _evaluate_theta(*_pack_scene(scene, cfg), cfg)
-    finite = np.isfinite(rep)
-    if not finite.any():
-        raise SchemaError("no person has a finite reprojection error to anchor the plane at")
-    return int(np.argmin(np.where(finite, rep, np.inf)))
+        rep, _, _ = _evaluate_theta(packed, packed.theta)
+    usable = np.isfinite(rep) & packed.confidences.any(axis=1)
+    if not usable.any():
+        raise SchemaError("no person has a confident joint and a finite reprojection error "
+                          "to anchor the plane at")
+    return int(np.argmin(np.where(usable, rep, np.inf)))
 
 
 def anchor_plane(plane: GroundPlane, scene: Scene) -> GroundPlane:

@@ -720,6 +720,21 @@ def test_huge_number_in_fit_plane_and_evaluate(
         assert not out.exists()
 
 
+def test_fit_plane_refuses_a_scene_with_no_confident_joint(synth_dir, scene_doc, tmp_path):
+    """With every confidence 0 no person is observed, so none can anchor the
+    plane: exit 2 and one error line, and nothing written."""
+    doc = json.loads(json.dumps(scene_doc))
+    for person in doc["persons"]:
+        person["confidences"] = [0.0] * len(person["confidences"])
+    scene, out = tmp_path / "s.json", tmp_path / "out.json"
+    scene.write_text(json.dumps(doc))
+    code, _, err = run_cli("fit-plane", synth_dir / "depth_000.f32", synth_dir / "mask_000.u8",
+                           scene, "--out", out)
+    assert code == 2
+    assert err.startswith("error: ") and "confident joint" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [*(("camera.focal", f) for f in (1e-308, 5e-324, 1e-290, 1e-200, 1e-150, 1e-100)),

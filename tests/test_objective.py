@@ -15,7 +15,7 @@ from scenescale import (
     loss_and_gradients,
 )
 from scenescale.geometry import project
-from scenescale.objective import Z_EPSILON, _evaluate_theta, _pack_scene
+from scenescale.objective import KINK_EPS, Z_EPSILON, PackedScene, _evaluate_theta
 from scenescale.scene import posed_joints
 
 CAM = CameraModel(1000.0, (1920, 1080))
@@ -23,7 +23,8 @@ CAM = CameraModel(1000.0, (1920, 1080))
 
 def per_person_terms(scene, cfg):
     """Each person's reprojection and plane term, (N,) each, as copies."""
-    rep, plane, _ = _evaluate_theta(*_pack_scene(scene, cfg), cfg)
+    packed = PackedScene(scene, cfg)
+    rep, plane, _ = _evaluate_theta(packed, packed.theta)
     return rep.copy(), plane.copy()
 
 
@@ -388,3 +389,24 @@ def test_ragged_gradient_matches_finite_differences_behind_camera():
             scale = max(np.abs(fd_t[i]).max(), abs(fd_s[i]), 1.0)
             assert np.abs(grad_t[i] - fd_t[i]).max() / scale < 1e-4
             assert abs(grad_s[i] - fd_s[i]) / scale < 1e-4
+
+
+def test_packing_is_one_coordinate_major_form_with_its_lam():
+    """The person-major joints and keypoints are views of the coordinate-major
+    ones, and an evaluation takes lam from the packing: at lam = 2 the plane
+    rows of grad_t are exactly twice those at lam = 1."""
+    scene = ragged_scene(11)
+    plane_rows = {}
+    for lam in (1.0, 2.0):
+        for mode in ("full", "plane_only"):
+            packed = PackedScene(scene, ObjectiveConfig(lam=lam, mode=mode))
+            assert np.shares_memory(packed.rotated, packed.rotated_cm)
+            assert np.shares_memory(packed.keypoints, packed.keypoints_cm)
+            _evaluate_theta(packed, packed.theta)
+            assert packed.kinks.min() >= KINK_EPS  # no residual at a kink
+            plane_rows[lam, mode] = packed.dx[-1].copy()
+            if mode == "plane_only":
+                assert np.array_equal(packed.grad_t, packed.dx[-1])
+    for mode in ("full", "plane_only"):
+        assert np.any(plane_rows[1.0, mode] != 0.0)
+        assert np.array_equal(plane_rows[2.0, mode], 2.0 * plane_rows[1.0, mode])

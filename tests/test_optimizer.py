@@ -28,8 +28,9 @@ from scenescale.objective import (
     MODES,
     Z_EPSILON,
     LossBreakdown,
+    PackedScene,
     _evaluate_theta,
-    _pack_scene,
+    _loss_sums,
 )
 from scenescale.optimizer import SCALE_MIN, OptimReport
 from scenescale.scene import posed_ankles, posed_joints
@@ -333,8 +334,14 @@ def project_clamped(points, cam, z_epsilon):
 
 
 def oracle_evaluate_theta(packed, theta, cfg):
-    """Literal copy of the allocating _evaluate_theta that the in-place one replaced."""
-    n = packed.rotated.shape[0]
+    """Literal copy of the allocating _evaluate_theta that the in-place one replaced.
+
+    It reads the packed joints and keypoints as contiguous person-major
+    copies, the layout its reductions were written for.
+    """
+    rotated = np.ascontiguousarray(packed.rotated)
+    keypoints = np.ascontiguousarray(packed.keypoints)
+    n = rotated.shape[0]
     t = theta[: 3 * n].reshape(n, 3)
     s = theta[3 * n :]
     rep = np.zeros(n)
@@ -345,11 +352,11 @@ def oracle_evaluate_theta(packed, theta, cfg):
     if cfg.mode != "plane_only":
         eps = 1e-3  # the parent's ObjectiveConfig.z_epsilon
         c = packed.confidences
-        posed = s[:, None, None] * packed.rotated + t[:, None, :]    # (N, K, 3)
+        posed = s[:, None, None] * rotated + t[:, None, :]           # (N, K, 3)
         z = posed[..., 2]
         zc = np.maximum(z, eps)
         pixels, clamped = project_clamped(posed, packed.camera, eps)
-        residuals = packed.keypoints - pixels                        # (N, K, 2)
+        residuals = keypoints - pixels                               # (N, K, 2)
         norms = np.linalg.norm(residuals, axis=-1)
         behind = np.maximum(eps - z, 0.0)
         rep = np.sum(c * norms, axis=1) + BEHIND_PENALTY * np.sum(c * behind, axis=1)
@@ -362,7 +369,7 @@ def oracle_evaluate_theta(packed, theta, cfg):
         dx[..., 2] = np.where(clamped, 0.0, f_z / zc * np.sum(cu * posed[..., :2], axis=-1))
         dx[..., 2] -= BEHIND_PENALTY * np.where(clamped, c, 0.0)
         grad_t += dx.sum(axis=1)
-        grad_s += np.sum(dx * packed.rotated, axis=(1, 2))
+        grad_s += np.sum(dx * rotated, axis=(1, 2))
 
     if cfg.mode != "reprojection_only":
         ankles = s[:, None, None] * packed.ankles + t[:, None, :]     # (N, 2, 3)
@@ -383,7 +390,8 @@ def oracle_run_adam(work, cfg, freeze_z=False):
     """
     obj = cfg.objective
     b1, b2, eps = 0.9, 0.999, 1e-8  # the parent's OptimConfig defaults
-    packed, theta = _pack_scene(work, obj)
+    packed = PackedScene(work, obj)
+    theta = packed.theta
     n = len(work.persons)
     update = np.ones(4 * n, dtype=bool)
     if freeze_z:
@@ -396,7 +404,7 @@ def oracle_run_adam(work, cfg, freeze_z=False):
 
     for it in range(1, cfg.iterations + 1):
         rep, plane, g = oracle_evaluate_theta(packed, theta, obj)
-        breakdown = LossBreakdown.from_terms(rep, plane, obj.lam)
+        breakdown = LossBreakdown(*_loss_sums(rep, plane, obj.lam))
         if not np.isfinite(breakdown.total):
             raise NonFiniteLossError(f"non-finite loss at iteration {it - 1}")
         trace.append(breakdown)
@@ -414,7 +422,7 @@ def oracle_run_adam(work, cfg, freeze_z=False):
         person.translation = theta[3 * i : 3 * i + 3].copy()
         person.scale = float(theta[3 * n + i])
     rep, plane, _ = oracle_evaluate_theta(packed, theta, obj)
-    final = LossBreakdown.from_terms(rep, plane, obj.lam)
+    final = LossBreakdown(*_loss_sums(rep, plane, obj.lam))
     return OptimReport(
         loss_trace=np.array([(b.reprojection, b.plane, b.total) for b in trace + [final]]),
         final_loss=final,
@@ -508,13 +516,14 @@ def test_evaluate_matches_oracle_with_nan_theta():
     scene = ragged_scene(seed=7, behind=True)
     for mode in ("full", "reprojection_only", "plane_only"):
         cfg = ObjectiveConfig(lam=2.0, mode=mode)
-        packed, theta = _pack_scene(scene, cfg)
+        packed = PackedScene(scene, cfg)
+        theta = packed.theta
         theta[2] = np.nan
         if packed.normal is not None:
             # person 2's left ankle 1e-12 m off the plane, inside KINK_EPS
             ankle = theta[3 * 3 + 2] * packed.ankles[2, 0] + theta[6:9]
             packed.offset = float(ankle @ packed.normal) - 1e-12
-        got = [a.copy() for a in _evaluate_theta(packed, theta, cfg)]
+        got = [a.copy() for a in _evaluate_theta(packed, theta)]
         expected = oracle_evaluate_theta(packed, theta, cfg)
         for a, b in zip(got, expected):
             assert np.array_equal(a, b, equal_nan=True)
@@ -523,10 +532,12 @@ def test_evaluate_matches_oracle_with_nan_theta():
 def kink_sources(packed, theta):
     """Smallest residual norm and smallest |ankle distance| at theta (nan if any
     is nan), in the oracle's arithmetic; inf for a term the packing left out."""
-    n = packed.rotated.shape[0]
+    rotated = np.ascontiguousarray(packed.rotated)
+    keypoints = np.ascontiguousarray(packed.keypoints)
+    n = rotated.shape[0]
     t, s = theta[: 3 * n].reshape(n, 1, 3), theta[3 * n :].reshape(n, 1, 1)
-    pixels, _ = project_clamped(s * packed.rotated + t, packed.camera, Z_EPSILON)
-    norms = np.linalg.norm(packed.keypoints - pixels, axis=-1)
+    pixels, _ = project_clamped(s * rotated + t, packed.camera, Z_EPSILON)
+    norms = np.linalg.norm(keypoints - pixels, axis=-1)
     if packed.normal is None:
         return norms.min(), np.inf
     dist = (s * packed.ankles + t) @ packed.normal - packed.offset
@@ -550,7 +561,8 @@ def test_evaluate_matches_oracle_for_each_kink_source(mode, case):
     # both masked paths, and the masked paths must change nothing else
     scene = exact_keypoint_scene(11) if "residual" in case else ragged_scene(11)
     cfg = ObjectiveConfig(lam=3.0, mode=mode)
-    packed, theta = _pack_scene(scene, cfg)
+    packed = PackedScene(scene, cfg)
+    theta = packed.theta
     if packed.normal is not None:
         if case == "ankle":
             # person 0's right ankle 1e-12 m off the plane, inside KINK_EPS
@@ -564,7 +576,7 @@ def test_evaluate_matches_oracle_for_each_kink_source(mode, case):
     assert (ankle < KINK_EPS) == (uses_plane and case == "ankle")
     assert np.isnan(ankle) == (uses_plane and case.startswith("nan_ankles"))
     assert np.isfinite(theta).all()
-    got = [a.copy() for a in _evaluate_theta(packed, theta, cfg)]
+    got = [a.copy() for a in _evaluate_theta(packed, theta)]
     expected = oracle_evaluate_theta(packed, theta, cfg)
     for a, b in zip(got, expected):
         assert np.array_equal(a, b, equal_nan=True)

@@ -9,6 +9,8 @@ from scenescale import (
     Person,
     Scene,
     SchemaError,
+    SynthConfig,
+    generate_scene,
 )
 from scenescale.geometry import project
 from scenescale.planefit import select_reference_person
@@ -156,6 +158,21 @@ def test_select_reference_joint_permutation_invariant():
         person.ref_keypoints = person.ref_keypoints[perm]
         person.confidences = person.confidences[perm]
     assert select_reference_person(scene) == 1
+
+
+def test_select_reference_skips_a_person_with_no_confident_joint():
+    # a person with every confidence 0 has an error of exactly 0, which
+    # observes nothing: it must not win however far its keypoints are
+    _, scene, _ = generate_scene(SynthConfig(n_persons=3, rng_seed=4, keypoint_noise_px=2.0))
+    assert select_reference_person(scene) == 1
+    person = scene.persons[2]
+    person.confidences = np.zeros(person.n_joints)
+    person.ref_keypoints = person.ref_keypoints + [300.0, 0.0]
+    assert select_reference_person(scene) == 1
+    for person in scene.persons:
+        person.confidences = np.zeros(person.n_joints)
+    with pytest.raises(SchemaError, match="confident joint"):
+        select_reference_person(scene)
 
 
 def test_person_validation():
