@@ -17,30 +17,17 @@ Exit codes:
   6  evaluation finished with skipped or degenerate frames
   7  non-finite loss during optimization
   8  synthetic person placement failed
-
-If a --config path is relative and missing, it is also looked up under
-$SCENESCALE_CONFIG_DIR.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import (
-    InsufficientGroundError,
-    LowConsensusError,
-    MissingPlaneError,
-    NonFiniteLossError,
-    PlacementError,
-    SceneScaleError,
-    SchemaError,
-    check_int,
-)
+from .errors import SceneScaleError, SchemaError, check_int
 from .metrics import evaluate_scenes
 from .objective import MODES, ObjectiveConfig
 from .optimizer import OptimConfig, lift_translations, optimize, optimize_baseline
@@ -56,21 +43,13 @@ from .sceneio import (
 )
 from .synth import SynthConfig, generate_scene
 
-_EXIT_CODES = (
-    (SchemaError, 2),
-    (InsufficientGroundError, 3),
-    (LowConsensusError, 4),
-    (MissingPlaneError, 5),
-    (NonFiniteLossError, 7),
-    (PlacementError, 8),
-)
-
-
 def _float_list(text: str, where: str) -> list[float]:
+    """Every comma-separated entry as a float; an empty entry is an error."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise SchemaError(f"{where} must be comma-separated numbers, none empty, "
+                          f"got {text!r}") from None
 
 
 def cmd_fit_plane(args: argparse.Namespace) -> int:
@@ -184,23 +163,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 6 if skipped or report.frames_evaluated == 0 else 0
 
 
-def _locate_config(path_str: str) -> Path:
-    path = Path(path_str)
-    if path.exists() or path.is_absolute():
-        return path
-    env_dir = os.environ.get("SCENESCALE_CONFIG_DIR")
-    if env_dir and (Path(env_dir) / path).exists():
-        return Path(env_dir) / path
-    return path
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     doc: dict = {}
     if args.config:
-        cfg_path = _locate_config(args.config)
-        doc = read_json(cfg_path)
+        doc = read_json(args.config)
         if not isinstance(doc, dict):
-            raise SchemaError(f"{cfg_path}: config must be a JSON object")
+            raise SchemaError(f"{args.config}: config must be a JSON object")
     n_scenes = doc.pop("n_scenes", 1)
     if args.n_scenes is not None:
         n_scenes = args.n_scenes
@@ -298,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (SceneScaleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next((code for klass, code in _EXIT_CODES if isinstance(exc, klass)), 2)
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

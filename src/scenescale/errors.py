@@ -1,20 +1,23 @@
 """Exception types shared across the package, and the one judge of outside numbers.
 
-The CLI maps each class to a distinct exit code (see ``scenescale.cli``),
-so errors raised by library code should pick the most specific class.
+Each class carries the CLI's exit code for it as ``exit_code`` (listed in
+``scenescale.cli``), so errors raised by library code should pick the most
+specific class.
 
 Every number from outside the program (a file, a flag, a constructor
-argument) is judged in the constructor that takes it, by one of five
+argument) is judged in the constructor that takes it, by one of six
 functions here:
 
   real_number      a number, as a float (range left to the caller);
   positive_number  a finite number > 0;
+  number_in        a finite number in [lo, hi] or [lo, hi);
   whole_number     a whole number, as an int (7.0 kept, 7.9 refused);
   check_int        an integer count or seed (7.0 refused);
   real_array       an array of finite numbers, of a given shape.
 
-All five refuse booleans, strings and ints too large for a float; a field's
-own range is a comparison after the check.
+All six refuse booleans, strings and ints too large for a float; a rule
+number_in cannot state (lo <= hi, a cap on iterations) is a comparison after
+the check.
 """
 
 import math
@@ -25,6 +28,7 @@ import numpy as np
 
 class SceneScaleError(Exception):
     """Base class for all scenescale errors."""
+    exit_code = 2
 
 
 class BehindCameraError(SceneScaleError, ValueError):
@@ -37,22 +41,27 @@ class SchemaError(SceneScaleError, ValueError):
 
 class InsufficientGroundError(SceneScaleError, ValueError):
     """Fewer ground pixels/points than a plane fit requires."""
+    exit_code = 3
 
 
 class LowConsensusError(SceneScaleError, RuntimeError):
     """RANSAC consensus below the configured inlier fraction."""
+    exit_code = 4
 
 
 class MissingPlaneError(SceneScaleError, ValueError):
     """An operation that needs a ground plane got a scene without one."""
+    exit_code = 5
 
 
 class NonFiniteLossError(SceneScaleError, RuntimeError):
     """The objective became non-finite during optimization."""
+    exit_code = 7
 
 
 class PlacementError(SceneScaleError, RuntimeError):
     """Synthetic person placement failed repeatedly (outside frustum)."""
+    exit_code = 8
 
 
 def real_number(value, name: str) -> float:
@@ -75,6 +84,15 @@ def positive_number(value, name: str) -> float:
     number = real_number(value, name)
     if not (math.isfinite(number) and number > 0):
         raise SchemaError(f"{name} must be finite and > 0, got {number}")
+    return number
+
+
+def number_in(value, name: str, lo: float, hi: float, hi_open: bool = False) -> float:
+    """real_number that is finite and in [lo, hi], or in [lo, hi) if hi_open."""
+    number = real_number(value, name)
+    if not (math.isfinite(number) and lo <= number and (number < hi if hi_open else number <= hi)):
+        raise SchemaError(f"{name} must be finite and in [{lo}, {hi}{')' if hi_open else ']'}, "
+                          f"got {number}")
     return number
 
 

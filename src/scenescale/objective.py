@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingPlaneError, SchemaError, real_number
+from .errors import MissingPlaneError, SchemaError, number_in
 from .scene import Scene
 
 # Residuals smaller than this are treated as exactly zero in gradients
@@ -70,9 +70,7 @@ class ObjectiveConfig:
     mode: str = "full"
 
     def __post_init__(self):
-        self.lam = real_number(self.lam, "lam")
-        if not 0 <= self.lam < math.inf:
-            raise SchemaError(f"lam must be finite and >= 0, got {self.lam}")
+        self.lam = number_in(self.lam, "lam", 0, math.inf, hi_open=True)
         if self.mode not in MODES:
             raise SchemaError(f"mode must be one of {MODES}, got {self.mode!r}")
 

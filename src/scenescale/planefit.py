@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InsufficientGroundError, LowConsensusError, SchemaError, check_int,
-                     positive_number, real_number)
+                     number_in, positive_number)
 from .geometry import CameraModel
 from .objective import ObjectiveConfig, PackedScene, _evaluate_theta
 from .scene import GroundPlane, Scene, posed_ankles
@@ -67,6 +67,7 @@ class DepthObservation:
     SchemaError for an image of W * H >= 2**31 pixels, whose indices int32
     cannot hold, and for an index outside [0, W * H); both are checked
     before the indices are cast, since a cast would wrap them silently.
+    SchemaError too for indices that do not increase.
     """
 
     def __init__(self, depth, ground_mask, metric_scale: float = 6.0):
@@ -102,6 +103,8 @@ class DepthObservation:
                            or index.max() >= w * h):
             raise SchemaError(f"ground pixel indices must be integers in [0, {w * h}) "
                               f"for a {w}x{h} image")
+        if not (index[1:] > index[:-1]).all():  # the writer's blocks rely on it
+            raise SchemaError("ground pixel indices must be increasing")
         index = index.astype(np.int32, copy=False)  # in range, so the cast is exact
         top = 0.0
         if values.size:
@@ -138,11 +141,7 @@ class RansacConfig:
             raise SchemaError(f"iterations must be at most {_MAX_ITERATIONS}, "
                               f"got {self.iterations!r}")
         self.inlier_threshold = positive_number(self.inlier_threshold, "inlier_threshold")
-        self.min_inlier_fraction = real_number(self.min_inlier_fraction, "min_inlier_fraction")
-        if not 0 <= self.min_inlier_fraction <= 1:
-            raise SchemaError(
-                f"min_inlier_fraction must be in [0, 1], got {self.min_inlier_fraction}"
-            )
+        self.min_inlier_fraction = number_in(self.min_inlier_fraction, "min_inlier_fraction", 0, 1)
         check_int(self.rng_seed, "rng_seed", 0)
 
 

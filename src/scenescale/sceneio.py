@@ -8,7 +8,8 @@ A loaded observation keeps only the ground samples: the mask payload is read
 block by block for the ground pixels' int32 indices, then the depth payload
 block by block for their values, through one 1 MB buffer, so neither grid is
 ever in memory whole.  A sidecar declaring 2**31 pixels or more is refused
-before either payload is opened.  Writing puts 0 at every pixel off the mask.
+before either payload is opened.  Writing goes block by block through one
+1 MB buffer too, and puts 0 at every pixel off the mask.
 
 Every JSON file (scene, sidecar, synth config) is read by read_json: UTF-8,
 and any file that cannot be read or parsed, nested too deep included, is a
@@ -178,10 +179,8 @@ def save_depth_observation(
     depth_path = Path(depth_path)
     check_storable(obs, depth_path)
     w, h = obs.image_size
-    depth = np.zeros(h * w, dtype="<f4")
-    depth[obs.ground_index] = obs.ground_depth
-    depth_path.write_bytes(depth)
-    del depth  # one grid at a time
+    buffer = np.empty(4 * _BLOCK_PIXELS, dtype=np.uint8)
+    _write_blocks(depth_path, obs, "<f4", obs.ground_depth, buffer)
     sidecar = {
         "width": w,
         "height": h,
@@ -190,9 +189,7 @@ def save_depth_observation(
         "dtype": "float32",
     }
     Path(str(depth_path) + ".json").write_text(dumps_canonical(sidecar))
-    mask = np.zeros(h * w, dtype=np.uint8)
-    mask[obs.ground_index] = 1
-    Path(mask_path).write_bytes(mask)
+    _write_blocks(Path(mask_path), obs, np.uint8, np.uint8(1), buffer)
 
 
 def load_depth_observation(
@@ -236,7 +233,22 @@ def load_depth_observation(
         raise SchemaError(f"{depth_path}: {exc}") from None
 
 
-_BLOCK_PIXELS = 1 << 18  # pixels read at a time: 1 MB of float32 depth
+_BLOCK_PIXELS = 1 << 18  # pixels read or written at a time: 1 MB of float32 depth
+
+
+def _write_blocks(path: Path, obs: DepthObservation, dtype, values, buffer: np.ndarray) -> None:
+    """Write obs's raw (H, W) payload of dtype, values at the ground pixels
+    (a scalar for all, or an array of one each) and 0 elsewhere, block by
+    block through buffer: no frame-sized array."""
+    pixels = obs.image_size[0] * obs.image_size[1]
+    index, itemsize = obs.ground_index, np.dtype(dtype).itemsize
+    with path.open("wb") as f:
+        for start in range(0, pixels, _BLOCK_PIXELS):
+            block = buffer[: min(_BLOCK_PIXELS, pixels - start) * itemsize].view(dtype)
+            block.fill(0)
+            lo, hi = np.searchsorted(index, (start, start + block.size))
+            block[index[lo:hi] - start] = values[lo:hi] if values.ndim else values
+            f.write(block)
 
 
 def _read_blocks(path: Path, pixels: int, dtype, what: str, buffer: np.ndarray):

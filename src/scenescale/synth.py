@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BehindCameraError, PlacementError, SchemaError, check_int,
-                     positive_number, real_number)
+                     number_in, positive_number)
 from .geometry import CameraModel, project
 from .planefit import DepthObservation
 from .scene import (ANKLE_LEFT, ANKLE_RIGHT, GroundPlane, Person, Scene, person_height,
@@ -126,16 +126,11 @@ class SynthConfig:
         if not math.isfinite(max(self.image_size) * _FAR / self.camera_focal):
             raise SchemaError(f"camera_focal {self.camera_focal} makes the frame at "
                               f"{_FAR} m wider than a float")
-        self.plane_tilt_deg = real_number(self.plane_tilt_deg, "plane_tilt_deg")
-        if not 0 <= self.plane_tilt_deg <= 45:
-            raise SchemaError(f"plane_tilt_deg must be in [0, 45], got {self.plane_tilt_deg}")
-        self.keypoint_noise_px = real_number(self.keypoint_noise_px, "keypoint_noise_px")
-        if not 0 <= self.keypoint_noise_px < math.inf:
-            raise SchemaError(
-                f"keypoint_noise_px must be finite and >= 0, got {self.keypoint_noise_px}")
-        self.outlier_fraction = real_number(self.outlier_fraction, "outlier_fraction")
-        if not 0 <= self.outlier_fraction < 1:
-            raise SchemaError(f"outlier_fraction must be in [0, 1), got {self.outlier_fraction}")
+        self.plane_tilt_deg = number_in(self.plane_tilt_deg, "plane_tilt_deg", 0, 45)
+        self.keypoint_noise_px = number_in(self.keypoint_noise_px, "keypoint_noise_px",
+                                           0, math.inf, hi_open=True)
+        self.outlier_fraction = number_in(self.outlier_fraction, "outlier_fraction", 0, 1,
+                                          hi_open=True)
 
 
 def _plane_frame(tilt_rad: float, camera_height: float):

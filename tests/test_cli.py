@@ -17,8 +17,14 @@ import scenescale
 from conftest import plane_term
 from scenescale import (
     DepthObservation,
+    InsufficientGroundError,
+    LowConsensusError,
     MetricsReport,
+    MissingPlaneError,
+    NonFiniteLossError,
+    PlacementError,
     SceneScaleError,
+    SchemaError,
     SynthConfig,
     cli,
     generate_scene,
@@ -28,6 +34,7 @@ from scenescale import (
     save_depth_observation,
     save_scene,
 )
+from scenescale.errors import BehindCameraError
 from scenescale.sceneio import scene_to_dict
 
 
@@ -89,17 +96,29 @@ def test_synth_deterministic(tmp_path, synth_dir):
         assert (tmp_path / name).read_bytes() == (synth_dir / name).read_bytes()
 
 
-def test_synth_config_file_and_env_dir(tmp_path, monkeypatch):
-    cfg_dir = tmp_path / "configs"
-    cfg_dir.mkdir()
-    (cfg_dir / "tiny.json").write_text(
-        json.dumps({"n_persons": 2, "rng_seed": 3, "plane_tilt_deg": 4.0})
-    )
+def test_synth_config_file(tmp_path):
+    cfg = tmp_path / "configs" / "tiny.json"
+    cfg.parent.mkdir()
+    cfg.write_text(json.dumps({"n_persons": 2, "rng_seed": 3, "plane_tilt_deg": 4.0}))
     out = tmp_path / "out"
-    monkeypatch.setenv("SCENESCALE_CONFIG_DIR", str(cfg_dir))
-    res = run_cli("synth", "--out", out, "--config", "tiny.json")
+    res = run_cli("synth", "--out", out, "--config", cfg)
     assert res.returncode == 0, res.stderr
     assert (out / "scene_000.json").exists()
+
+
+def test_synth_config_is_read_from_its_path_only(tmp_path, monkeypatch):
+    """A relative --config path is not looked up anywhere else, whatever the
+    environment: SCENESCALE_CONFIG_DIR is no setting."""
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    (cfg_dir / "tiny.json").write_text(json.dumps({"n_persons": 2, "rng_seed": 3}))
+    monkeypatch.setenv("SCENESCALE_CONFIG_DIR", str(cfg_dir))
+    monkeypatch.chdir(tmp_path)
+    res = run_cli("synth", "--out", tmp_path / "out", "--config", "tiny.json")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+    assert "tiny.json" in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_placement_failure_exit_code(tmp_path):
@@ -1004,7 +1023,18 @@ def test_unwritable_trace_leaves_scene_untouched(fitted_scene, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "error, code", [*cli._EXIT_CODES, (SceneScaleError, 2), (OSError, 2)],
+    "error, code",
+    [
+        (SchemaError, 2),
+        (InsufficientGroundError, 3),
+        (LowConsensusError, 4),
+        (MissingPlaneError, 5),
+        (NonFiniteLossError, 7),
+        (PlacementError, 8),
+        (SceneScaleError, 2),
+        (BehindCameraError, 2),
+        (OSError, 2),
+    ],
     ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
 )
 def test_exit_code_table(monkeypatch, error, code):
@@ -1040,6 +1070,31 @@ def test_optimize_depths_exit_code_table(fitted_scene, tmp_path, flags, code):
         assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
         assert "--depths" in res.stderr
     assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("optimize", "--depths", "4,,5.5,6.25"),
+        ("optimize", "--depths", "4,5.5,6.25,"),
+        ("optimize", "--depths", ""),
+        ("synth", "--factors", "1.0,,1.4,0.7"),
+        ("synth", "--factors", "1.0,1.4,0.7,"),
+    ],
+)
+def test_list_flag_refuses_empty_entries(fitted_scene, tmp_path, command, flag, value):
+    """An empty entry of a comma-separated flag is an error, not a skipped
+    entry that would shift every later person's value."""
+    out = tmp_path / "out"
+    args = {
+        "optimize": ["optimize", fitted_scene, "--out", out, "--iterations", "5"],
+        "synth": ["synth", "--out", out, "--n-persons", "3"],
+    }[command]
+    res = run_cli(*args, flag, value)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+    assert flag in res.stderr
+    assert not out.exists()
 
 
 def test_public_surface_is_pinned():

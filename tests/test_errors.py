@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,33 @@ from scenescale import (
     Person,
     RansacConfig,
     SchemaError,
+    SynthConfig,
     WeakPerspectiveCam,
 )
 from scenescale.errors import check_int, positive_number, real_array, real_number, whole_number
 
 GROUND = ((3, 2), np.arange(6), np.ones(6))
 NAN = float("nan")
+
+
+# (constructor, field, lo, hi, hi_open): each field number_in judges
+RANGED = [
+    (ObjectiveConfig, "lam", 0, math.inf, True),
+    (RansacConfig, "min_inlier_fraction", 0, 1, False),
+    (SynthConfig, "plane_tilt_deg", 0, 45, False),
+    (SynthConfig, "keypoint_noise_px", 0, math.inf, True),
+    (SynthConfig, "outlier_fraction", 0, 1, True),
+]
+
+
+def out_of_range(build, name, lo, hi, hi_open):
+    """Refusal rows for a ranged field: just below lo, just above the range
+    (hi itself if it is open), nan and inf."""
+    above = [hi if hi_open else np.nextafter(hi, math.inf)] if math.isfinite(hi) else []
+    interval = f"[{lo}, {hi}{')' if hi_open else ']'}"
+    for value in (np.nextafter(lo, -math.inf), *above, NAN, math.inf):
+        yield (lambda value=value: build(**{name: value}), SchemaError,
+               re.escape(f"{name} must be finite and in {interval}, got {float(value)}"))
 
 
 def person(**fields):
@@ -60,8 +84,9 @@ def person(**fields):
          "plane.point must be a number, got True"),
         (lambda: CameraModel(principal_point=[NAN, "3"]), SchemaError,
          "principal_point must be a number, got '3'"),
+        *(row for ranged in RANGED for row in out_of_range(*ranged)),
     ],
-    ids=lambda v: v if isinstance(v, str) else "",
+    ids=lambda v: v.replace("\\", "") if isinstance(v, str) else "",  # ids without regex escapes
 )
 def test_constructors_refuse_booleans_and_strings(build, error, named):
     with pytest.raises(error, match=named):
@@ -74,6 +99,9 @@ def test_valid_numbers_keep_their_bits():
     assert RansacConfig(inlier_threshold=1, min_inlier_fraction=0).inlier_threshold == 1.0
     assert CameraModel(focal=np.int64(900)).focal == 900.0
     assert type(OptimConfig(learning_rate=1).learning_rate) is float
+    for build, name, lo, hi, hi_open in RANGED:  # both inclusive ends are in range
+        for end in (lo,) if hi_open else (lo, hi):
+            assert getattr(build(**{name: end}), name) == end
 
 
 @pytest.mark.parametrize("value", [True, "7", None, [7], 10**400])

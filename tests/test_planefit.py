@@ -151,7 +151,8 @@ def test_depth_observation_from_ground_is_the_same_observation():
 
 def test_depth_observation_index_is_int32_and_on_the_image():
     """Both builders keep int32 indices, and refuse an index outside
-    [0, W * H) before the cast, which would wrap it silently."""
+    [0, W * H) before the cast, which would wrap it silently, and indices
+    that do not increase."""
     mask = np.eye(3, 4, dtype=bool)
     assert DepthObservation(np.ones((3, 4)), mask).ground_index.dtype == np.int32
     for index in ([0, 11], np.array([0, 11], dtype=np.uint64), np.array([3], dtype=np.int8)):
@@ -160,6 +161,9 @@ def test_depth_observation_index_is_int32_and_on_the_image():
         assert obs.ground_index.tolist() == np.asarray(index).tolist()
     for index in ([100, -1], [0, 12], [-1], [2**32 + 5], [0.0, 1.0], [True, False]):
         with pytest.raises(SchemaError, match=r"indices must be integers in \[0, 12\) for a 4x3"):
+            DepthObservation.from_ground((4, 3), index, np.ones(len(index)))
+    for index in ([5, 2], [3, 3]):  # the writer finds each block's pixels by bisection
+        with pytest.raises(SchemaError, match="indices must be increasing"):
             DepthObservation.from_ground((4, 3), index, np.ones(len(index)))
     empty = DepthObservation.from_ground((4, 3), [], [])
     assert empty.ground_index.dtype == np.int32 and empty.ground_index.size == 0

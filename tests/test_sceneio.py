@@ -255,6 +255,53 @@ def test_depth_round_trip(tmp_path):
     assert not depth.any()
 
 
+def grid_payloads(obs):
+    """The depth and mask payloads as whole (H, W) grids would give them."""
+    w, h = obs.image_size
+    depth, mask = np.zeros(h * w, dtype="<f4"), np.zeros(h * w, dtype=np.uint8)
+    depth[obs.ground_index] = obs.ground_depth
+    mask[obs.ground_index] = 1
+    return depth.tobytes(), mask.tobytes()
+
+
+def sparse_observation(w, h, fraction):
+    """A (w, h) observation with about fraction of its pixels on the ground,
+    the first and last pixel and both sides of the first block edge among them."""
+    rng = np.random.default_rng(4)
+    edges = [0, sceneio._BLOCK_PIXELS - 1, sceneio._BLOCK_PIXELS, w * h - 1] if fraction else []
+    index = np.union1d(np.flatnonzero(rng.random(w * h) < fraction), edges)
+    return DepthObservation.from_ground((w, h), index, rng.uniform(0.5, 9.0, index.size), 4.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_scene(SynthConfig(n_persons=4, outlier_fraction=0.15, rng_seed=5))[2],
+        lambda: sparse_observation(1001, 613, 0.3),  # W * H not a multiple of the block
+        lambda: sparse_observation(1001, 613, 0.0),  # empty mask
+    ],
+    ids=["1080p", "1001x613", "empty-mask"],
+)
+def test_block_writer_writes_the_grids_bytes(tmp_path, make):
+    """save_depth_observation writes block by block the bytes whole grids
+    give, and holds no frame-sized array: under 3 MB traced at 1080p, where
+    the depth grid alone is 8.3 MB."""
+    obs = make()
+    dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
+    tracemalloc.start()
+    try:
+        save_depth_observation(obs, dpath, mpath)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (dpath.read_bytes(), mpath.read_bytes()) == grid_payloads(obs)
+    w, h = obs.image_size
+    assert json.loads((tmp_path / "d.f32.json").read_text()) == {
+        "width": w, "height": h, "metric_scale": obs.metric_scale,
+        "byte_order": "little", "dtype": "float32"}
+    assert peak < 3e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
 def test_loaded_depth_is_one_writable_float32_array(tmp_path):
     _, _, obs = generate_scene(SynthConfig(n_persons=2, rng_seed=0))
     dpath, mpath = tmp_path / "d.f32", tmp_path / "m.u8"
