@@ -9,6 +9,7 @@ Usage:
 """
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -17,12 +18,14 @@ import numpy as np
 from scenescale import (
     ObjectiveConfig,
     OptimConfig,
+    SceneScaleError,
     SynthConfig,
     evaluate_scenes,
     generate_scene,
     optimize,
     optimize_baseline,
 )
+from scenescale.errors import check_int, number_in
 
 
 def build_suite(n_scenes, base_seed, rng):
@@ -51,6 +54,22 @@ def main(argv=None):
     ap.add_argument("--json", type=str, default=None,
                     help="also write the numbers to this path")
     args = ap.parse_args(argv)
+    try:
+        run(args)
+    except SceneScaleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    return 0
+
+
+def run(args):
+    """Build the suite, run every method on it and report; a flag it cannot
+    honour raises SceneScaleError before any scene is built."""
+    check_int(args.n_scenes, "n-scenes", 1)
+    check_int(args.seed, "seed", 0)
+    number_in(args.depth_noise, "depth-noise", 0, math.inf, hi_open=True)
+    configs = {mode: OptimConfig(objective=ObjectiveConfig(lam=args.lam, mode=mode))
+               for mode in ("reprojection_only", "plane_only", "full")}
 
     rng = np.random.default_rng(args.seed)
     suite = build_suite(args.n_scenes, args.seed, rng)
@@ -59,8 +78,7 @@ def main(argv=None):
           f"({sum(len(g.persons) for g in gt_scenes)} persons)")
 
     rows = {}
-    for mode in ("reprojection_only", "plane_only", "full"):
-        cfg = OptimConfig(objective=ObjectiveConfig(lam=args.lam, mode=mode))
+    for mode, cfg in configs.items():
         t0 = time.monotonic()
         finals = [optimize(obs, cfg).final_scene for _, obs, _ in suite]
         report = evaluate_scenes(finals, gt_scenes)
@@ -88,7 +106,6 @@ def main(argv=None):
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {args.json}")
-    return 0
 
 
 if __name__ == "__main__":

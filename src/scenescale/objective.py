@@ -22,9 +22,10 @@ BEHIND_PENALTY * c_i * (Z_EPSILON - z) that pushes them back in front.
 A scene is packed once, with its mode and lam fixed, into one block of
 coordinate-major arrays (persons padded to a common joint count with
 zero-confidence joints); the objective is then a function of the flat
-parameter vector theta = [t^1, ..., t^N, s^1, ..., s^N] alone.  One
-evaluation writes into buffers of that block, in a fixed operation order,
-so equal inputs give equal bits.
+parameter vector theta = [t^1, ..., t^N, s^1, ..., s^N] alone, which the
+packing holds and the optimizer updates in place.  One evaluation writes
+into buffers of that block, in a fixed operation order, so equal inputs
+give equal bits.
 Terms that are exactly zero for the whole scene (the behind-camera penalty
 with no joint behind the clamp, the KINK_EPS masks with every residual norm
 and ankle distance at or above it) are skipped: they could only add or
@@ -34,7 +35,11 @@ The layout is chosen for few numpy calls on contiguous data (PackedScene
 details it): joints, keypoints and the projection are coordinate-major,
 the gradient with respect to the posed joints is joint-major with the plane
 term as its last row, and the residual norms and |ankle distances| share
-one buffer, so one min decides both KINK_EPS masks.
+one buffer, so one min decides both KINK_EPS masks.  At a few hundred joints
+an evaluation's cost is per numpy call, not arithmetic, so every view it
+reads is made at packing, and it calls ufuncs and their reductions directly,
+with the output positional (np.maximum excepted: numpy deprecates a third
+positional argument there), not through numpy's Python-level wrappers.
 """
 
 from __future__ import annotations
@@ -92,8 +97,11 @@ class PackedScene:
     """A scene packed for cfg's terms, plus the buffers one evaluation fills.
 
     The mode and lam are fixed here, and theta starts at the scene's
-    parameters; theta carries everything that moves.  Every _evaluate_theta
-    call overwrites the buffers, so a PackedScene serves one caller at a time.
+    parameters; theta carries everything that moves, and _evaluate_theta
+    reads it from here.  Write a new theta into it in place (theta[:] = ...):
+    the scale column theta_s (N, 1) and the translations theta_t (3, N, 1)
+    are views of it, made once.  Every _evaluate_theta call overwrites the
+    buffers, so a PackedScene serves one caller at a time.
 
     The scene is held coordinate-major only: the rotated joints as (3, N, K)
     and the keypoints as (2, N, K), beside the principal point as (2, 1, 1),
@@ -117,7 +125,10 @@ class PackedScene:
 
     The residual norms (N*K) and the |ankle distances| (2N) share one kink
     buffer, so one min decides whether the KINK_EPS masks run.  A term the
-    mode leaves out keeps inf there.  All buffers are views of one block.
+    mode leaves out keeps inf there.  All buffers are views of one block, and
+    so is every row and coordinate plane of them that an evaluation reads
+    (posed_xy, posed_z, q_z, dx_z, dx_plane, the rows of dx that grad_t sums
+    and so on), each made here once.
     """
 
     def __init__(self, scene: Scene, cfg: ObjectiveConfig):
@@ -161,9 +172,22 @@ class PackedScene:
         self.theta = np.concatenate(
             [np.concatenate([p.translation for p in persons]), [p.scale for p in persons]]
         )
+        # every view an evaluation reads, made once: the scales (N, 1), the
+        # translations (3, N, 1), and the rows and planes of the buffers
+        self.theta_s = self.theta[3 * n :].reshape(n, 1)
+        self.theta_t = self.theta[: 3 * n].reshape(n, 3).T[..., None]
+        self.posed_xy, self.posed_z = self.posed[:2], self.posed[2]
+        self.proj_xy, self.q_xy, self.q_z = self.proj[:2], self.q[:2], self.q[2]
+        self.sq_x, self.sq_y = self.sq
         # the reprojection rows of dx, and the grad_s products, seen coordinate-major
         self.dx_cm = self.dx[:k].transpose(2, 1, 0)             # (3, N, K)
         self.dx_rotated_cm = self.dx_rotated.transpose(2, 0, 1)  # (3, N, K)
+        self.dx_xy, self.dx_z, self.dx_plane = self.dx_cm[:2], self.dx_cm[2], self.dx[k]
+        # the rows of dx that grad_t sums: the reprojection rows, the plane row
+        self.dx_summed = self.dx[0 if self.uses_rep else k : k + self.uses_plane]
+        self.sign, self.sign_ankle_normal = self.signs
+        self.lam_sign_sum = self.sign_sums[0][:, None]          # (N, 1)
+        self.lam_ankle_sum = self.sign_sums[1]
         self.rep, self.plane = terms
         self.proj[2] = self.focal
         self.kinks.fill(np.inf)
@@ -183,10 +207,9 @@ def _block_views(*shapes: tuple[int, ...]) -> list[np.ndarray]:
     return views
 
 
-def _evaluate_theta(
-    packed: PackedScene, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-person reprojection (N,), per-person plane term (N,), d(total)/d(theta) (4N,).
+def _evaluate_theta(packed: PackedScene) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-person reprojection (N,), per-person plane term (N,), d(total)/d(theta) (4N,)
+    at packed.theta.
 
     A term that packed's mode leaves out reads 0 and adds nothing to the gradient.
     The three arrays returned are packed's buffers, which the next call
@@ -194,38 +217,37 @@ def _evaluate_theta(
     equal inputs give equal bits.
     """
     p = packed
-    n, k = p.confidences.shape
     uses_rep, uses_plane = p.uses_rep, p.uses_plane
     c, posed, tmp = p.confidences, p.posed, p.tmp
-    np.multiply(theta[3 * n :].reshape(n, 1), p.rotated_cm, out=posed)
-    np.add(posed, theta[: 3 * n].reshape(n, 3).T[..., None], out=posed)   # (3, N, K)
+    np.multiply(p.theta_s, p.rotated_cm, posed)
+    np.add(posed, p.theta_t, posed)                                     # (3, N, K)
 
     if uses_rep:
-        eps, z = Z_EPSILON, posed[2]
+        eps, z, r, sq, norms = Z_EPSILON, p.posed_z, p.r, p.sq, p.norms
         zc = np.maximum(z, eps, out=p.zc)
         # q = [f*x, f*y, f] / zc; residual kp - (f * xy / zc + c), and its norm
-        np.multiply(posed[:2], p.focal, out=p.proj[:2])
-        q = np.divide(p.proj, zc, out=p.q)
-        r = np.add(q[:2], p.principal, out=p.r)
-        np.subtract(p.keypoints_cm, r, out=r)
-        sq = np.multiply(r, r, out=p.sq)
-        norms = np.add(sq[0], sq[1], out=p.norms)
-        np.sqrt(norms, out=norms)
-        np.add.reduce(np.multiply(c, norms, out=tmp), axis=1, out=p.rep)
+        np.multiply(p.posed_xy, p.focal, p.proj_xy)
+        np.divide(p.proj, zc, p.q)
+        np.add(p.q_xy, p.principal, r)
+        np.subtract(p.keypoints_cm, r, r)
+        np.multiply(r, r, sq)
+        np.add(p.sq_x, p.sq_y, norms)
+        np.sqrt(norms, norms)
+        np.add.reduce(np.multiply(c, norms, tmp), 1, None, p.rep)
         # with every joint in front of the clamp the penalty terms are exactly 0
-        clamped = None if z.min() >= eps else z < eps
+        clamped = None if np.minimum.reduce(z, None) >= eps else z < eps
         if clamped is not None:
             behind = np.maximum(eps - z, 0.0)
             p.rep += BEHIND_PENALTY * np.sum(c * behind, axis=1)
 
     if uses_plane:
-        ankles = np.take(posed, p.ankle_take, out=p.posed_ankles, mode="clip")  # (N, 2, 3)
-        dist = np.subtract(np.matmul(ankles, p.normal, out=p.dist), p.offset, out=p.dist)
-        np.add.reduce(np.abs(dist, out=p.abs_dist), axis=1, out=p.plane)
-        sign = np.sign(dist, out=p.signs[0])
+        ankles = posed.take(p.ankle_take, None, p.posed_ankles, "clip")   # (N, 2, 3)
+        dist = np.subtract(np.matmul(ankles, p.normal, p.dist), p.offset, p.dist)
+        np.add.reduce(np.abs(dist, p.abs_dist), 1, None, p.plane)
+        sign = np.sign(dist, p.sign)
 
     # one test for both KINK_EPS masks; "not >=" sends a nan to the masked path too
-    kinked = not p.kinks.min() >= KINK_EPS
+    kinked = not np.minimum.reduce(p.kinks, None) >= KINK_EPS
 
     if uses_rep:
         # d(c*||kp - pi(x)||)/dx = -c * J_pi^T u with u the unit residual and
@@ -236,20 +258,20 @@ def _evaluate_theta(
             w.fill(0.0)
             np.divide(c, norms, out=w, where=norms >= KINK_EPS)
         else:
-            np.divide(c, norms, out=w)
-        cu = np.multiply(w, r, out=r)                                   # c * u
-        f_z, dx = q[2], p.dx_cm
-        # dx[2] = f_z / zc * (cu[0] * x + cu[1] * y)
-        cuxy = np.multiply(cu, posed[:2], out=sq)
-        np.multiply(np.divide(f_z, zc, out=tmp), np.add(cuxy[0], cuxy[1], out=w), out=dx[2])
-        np.negative(f_z, out=f_z)
-        np.multiply(f_z, cu, out=dx[:2])
+            np.divide(c, norms, w)
+        cu = np.multiply(w, r, r)                                       # c * u
+        f_z, dx_z = p.q_z, p.dx_z
+        # dx[2] = f_z / zc * (cu[0] * x + cu[1] * y), with cu * xy in sq
+        np.multiply(cu, p.posed_xy, sq)
+        np.multiply(np.divide(f_z, zc, tmp), np.add(p.sq_x, p.sq_y, w), dx_z)
+        np.negative(f_z, f_z)
+        np.multiply(f_z, cu, p.dx_xy)
         if clamped is not None:
             # linear push-back for joints clamped at the z floor
-            dx[2] = np.where(clamped, 0.0, dx[2])
-            dx[2] -= BEHIND_PENALTY * np.where(clamped, c, 0.0)
-        np.multiply(dx, p.rotated_cm, out=p.dx_rotated_cm)
-        np.add.reduce(p.dx_rotated, axis=(1, 2), out=p.grad_s)
+            dx_z[...] = np.where(clamped, 0.0, dx_z)
+            dx_z -= BEHIND_PENALTY * np.where(clamped, c, 0.0)
+        np.multiply(p.dx_cm, p.rotated_cm, p.dx_rotated_cm)
+        np.add.reduce(p.dx_rotated, (1, 2), None, p.grad_s)
     else:
         p.grad_s.fill(0.0)
 
@@ -257,12 +279,12 @@ def _evaluate_theta(
         if kinked:
             sign[p.abs_dist < KINK_EPS] = 0.0
         # dx row K = lam * sum(sign) * n;  grad_s += lam * sum(sign * (A @ n))
-        np.multiply(sign, p.ankle_normal, out=p.signs[1])
-        lam_sums = np.add.reduce(p.signs, axis=2, out=p.sign_sums)
-        np.multiply(lam_sums, p.lam, out=lam_sums)
-        np.multiply(lam_sums[0][:, None], p.normal, out=p.dx[k])
-        p.grad_s += lam_sums[1]
-    np.add.reduce(p.dx[0 if uses_rep else k : k + uses_plane], axis=0, out=p.grad_t)
+        np.multiply(sign, p.ankle_normal, p.sign_ankle_normal)
+        lam_sums = np.add.reduce(p.signs, 2, None, p.sign_sums)
+        np.multiply(lam_sums, p.lam, lam_sums)
+        np.multiply(p.lam_sign_sum, p.normal, p.dx_plane)
+        np.add(p.grad_s, p.lam_ankle_sum, p.grad_s)
+    np.add.reduce(p.dx_summed, 0, None, p.grad_t)
 
     return p.rep, p.plane, p.grad
 
@@ -272,5 +294,5 @@ def loss_and_gradients(
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Loss breakdown, d(total)/dt (N,3) and d(total)/ds (N,) of a scene."""
     packed = PackedScene(scene, cfg)
-    rep, plane, _ = _evaluate_theta(packed, packed.theta)
+    rep, plane, _ = _evaluate_theta(packed)
     return LossBreakdown(*_loss_sums(rep, plane, cfg.lam)), packed.grad_t, packed.grad_s

@@ -3,9 +3,12 @@
 The parameter vector is [t^1, ..., t^N, s^1, ..., s^N] (flat, 4N entries).
 Plain ADAM with bias correction, fixed iteration count, no line search.
 Scales are clamped to >= SCALE_MIN after every step.  The scene is packed
-once; each iteration then updates theta, the two moments and the objective's
-buffers in place, in a fixed operation order, so identical runs give
-bitwise-identical traces.
+once; each iteration then updates the packing's theta, the two moments and
+the objective's buffers in place, in a fixed operation order, so identical
+runs give bitwise-identical traces.  The bias corrections of every step are
+computed once per run, and a step calls numpy's ufuncs with the output
+positional (np.maximum excepted), since at a few hundred values per call
+the cost of a step is its call overhead.
 """
 
 from __future__ import annotations
@@ -98,28 +101,31 @@ def _run_adam(work: Scene, cfg: OptimConfig, freeze_z: bool = False) -> OptimRep
     person's depth where it starts.
     """
     packed = PackedScene(work, cfg.objective)
-    theta = packed.theta
+    theta, lam, iterations = packed.theta, packed.lam, cfg.iterations
     n = len(work.persons)
-    scales = theta[3 * n :]
+    scales, grad_z = theta[3 * n :], packed.grad[2 : 3 * n : 3]
     b1, b2, lr, eps = _BETA1, _BETA2, cfg.learning_rate, _EPS
 
     # ADAM's moments m and v as the rows of one array, updated together
     moments, work_rows = np.zeros((2, 2, 4 * n))
     decay, rate = np.array([[b1], [b2]]), np.array([[1 - b1], [1 - b2]])
-    bias = np.empty((2, 1))  # this step's bias corrections for m and v
     step, denom = work_rows
     try:
-        trace = np.empty((cfg.iterations + 1, 3))
+        trace = np.empty((iterations + 1, 3))
+        bias = np.empty((iterations, 2, 1))  # each step's bias corrections for m and v
     except (ValueError, MemoryError):  # numpy's size limit, or no memory for it
-        raise SchemaError(f"iterations={cfg.iterations}: a loss trace of that many rows "
+        raise SchemaError(f"iterations={iterations}: a loss trace of that many rows "
                           "does not fit in memory") from None
+    for row, b in enumerate((b1, b2)):
+        bias[:, row, 0] = np.fromiter((1 - b ** (it + 1) for it in range(iterations)),
+                                      float, iterations)
 
     # huge finite inputs overflow to inf or nan: the finite check on the loss refuses them
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(cfg.iterations + 1):
-            rep, plane, g = _evaluate_theta(packed, theta)
-            trace[it] = rep_sum, plane_sum, total = _loss_sums(rep, plane, packed.lam)
-            if it == cfg.iterations:
+        for it in range(iterations + 1):
+            rep, plane, g = _evaluate_theta(packed)
+            trace[it] = rep_sum, plane_sum, total = _loss_sums(rep, plane, lam)
+            if it == iterations:
                 break
             if not math.isfinite(total):
                 raise NonFiniteLossError(
@@ -128,18 +134,17 @@ def _run_adam(work: Scene, cfg: OptimConfig, freeze_z: bool = False) -> OptimRep
                 )
 
             if freeze_z:
-                g[2 : 3 * n : 3] = 0.0
+                grad_z.fill(0.0)
             # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
-            np.multiply(moments, decay, out=moments)
-            np.multiply(g, rate, out=work_rows)
-            np.multiply(work_rows[1], g, out=work_rows[1])
-            moments += work_rows
+            np.multiply(moments, decay, moments)
+            np.multiply(g, rate, work_rows)
+            np.multiply(denom, g, denom)
+            np.add(moments, work_rows, moments)
             # theta -= lr * m_hat / (sqrt(v_hat) + eps)
-            bias[:, 0] = 1 - b1 ** (it + 1), 1 - b2 ** (it + 1)
-            np.divide(moments, bias, out=work_rows)
-            np.multiply(step, lr, out=step)
-            np.add(np.sqrt(denom, out=denom), eps, out=denom)
-            theta -= np.divide(step, denom, out=step)
+            np.divide(moments, bias[it], work_rows)
+            np.multiply(step, lr, step)
+            np.add(np.sqrt(denom, denom), eps, denom)
+            np.subtract(theta, np.divide(step, denom, step), theta)
             np.maximum(scales, SCALE_MIN, out=scales)
 
     for i, person in enumerate(work.persons):

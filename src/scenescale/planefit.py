@@ -451,7 +451,7 @@ def select_reference_person(scene: Scene) -> int:
     """
     packed = PackedScene(scene, ObjectiveConfig(mode="reprojection_only"))
     with np.errstate(over="ignore", invalid="ignore"):  # such errors are skipped below
-        rep, _, _ = _evaluate_theta(packed, packed.theta)
+        rep, _, _ = _evaluate_theta(packed)
     usable = np.isfinite(rep) & packed.confidences.any(axis=1)
     if not usable.any():
         raise SchemaError("no person has a confident joint and a finite reprojection error "

@@ -24,7 +24,7 @@ CAM = CameraModel(1000.0, (1920, 1080))
 def per_person_terms(scene, cfg):
     """Each person's reprojection and plane term, (N,) each, as copies."""
     packed = PackedScene(scene, cfg)
-    rep, plane, _ = _evaluate_theta(packed, packed.theta)
+    rep, plane, _ = _evaluate_theta(packed)
     return rep.copy(), plane.copy()
 
 
@@ -391,18 +391,34 @@ def test_ragged_gradient_matches_finite_differences_behind_camera():
             assert abs(grad_s[i] - fd_s[i]) / scale < 1e-4
 
 
+BLOCK_VIEWS = ("rotated", "keypoints", "posed_xy", "posed_z", "proj_xy", "q_xy", "q_z",
+               "sq_x", "sq_y", "dx_cm", "dx_xy", "dx_z", "dx_plane", "dx_summed", "sign",
+               "sign_ankle_normal", "lam_sign_sum", "lam_ankle_sum")
+
+
 def test_packing_is_one_coordinate_major_form_with_its_lam():
     """The person-major joints and keypoints are views of the coordinate-major
-    ones, and an evaluation takes lam from the packing: at lam = 2 the plane
-    rows of grad_t are exactly twice those at lam = 1."""
+    ones, every view an evaluation reads is made at packing, in the packing's
+    block or in theta, and an evaluation takes lam from the packing: at
+    lam = 2 the plane rows of grad_t are exactly twice those at lam = 1."""
     scene = ragged_scene(11)
+    n, k = 3, 24
     plane_rows = {}
     for lam in (1.0, 2.0):
         for mode in ("full", "plane_only"):
             packed = PackedScene(scene, ObjectiveConfig(lam=lam, mode=mode))
             assert np.shares_memory(packed.rotated, packed.rotated_cm)
             assert np.shares_memory(packed.keypoints, packed.keypoints_cm)
-            _evaluate_theta(packed, packed.theta)
+            block = packed.grad.base
+            for name in BLOCK_VIEWS:
+                assert getattr(packed, name).base is block, name
+            assert packed.theta_s.shape == (n, 1) and packed.theta_t.shape == (3, n, 1)
+            for view in (packed.theta_s, packed.theta_t):
+                assert view.base is packed.theta
+            assert np.array_equal(packed.theta_t[:, :, 0].T.ravel(), packed.theta[: 3 * n])
+            assert np.array_equal(packed.theta_s[:, 0], packed.theta[3 * n :])
+            assert packed.dx_summed.shape == ((k + 1, n, 3) if mode == "full" else (1, n, 3))
+            _evaluate_theta(packed)
             assert packed.kinks.min() >= KINK_EPS  # no residual at a kink
             plane_rows[lam, mode] = packed.dx[-1].copy()
             if mode == "plane_only":
@@ -410,3 +426,27 @@ def test_packing_is_one_coordinate_major_form_with_its_lam():
     for mode in ("full", "plane_only"):
         assert np.any(plane_rows[1.0, mode] != 0.0)
         assert np.array_equal(plane_rows[2.0, mode], 2.0 * plane_rows[1.0, mode])
+
+
+@pytest.mark.parametrize("mode", ["full", "reprojection_only", "plane_only"])
+def test_evaluation_reads_theta_written_into_the_packing(mode):
+    """A theta written into packed.theta in place is the one evaluated: the
+    result equals, bit for bit, a fresh packing of the scene at that theta."""
+    scene = ragged_scene(13)
+    cfg = ObjectiveConfig(lam=3.0, mode=mode)
+    packed = PackedScene(scene, cfg)
+    before = [a.copy() for a in _evaluate_theta(packed)]
+    rng = np.random.default_rng(13)
+    theta = packed.theta + rng.normal(0.0, 0.05, packed.theta.size)
+    packed.theta[:] = theta
+    got = [a.copy() for a in _evaluate_theta(packed)]
+    moved = scene.copy()
+    n = len(moved.persons)
+    for i, person in enumerate(moved.persons):
+        person.translation = theta[3 * i : 3 * i + 3].copy()
+        person.scale = float(theta[3 * n + i])
+    fresh = PackedScene(moved, cfg)
+    assert np.array_equal(fresh.theta, theta)
+    for a, b in zip(got, _evaluate_theta(fresh)):
+        assert np.array_equal(a, b)
+    assert not all(np.array_equal(a, b) for a, b in zip(got, before))

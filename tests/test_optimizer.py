@@ -523,7 +523,7 @@ def test_evaluate_matches_oracle_with_nan_theta():
             # person 2's left ankle 1e-12 m off the plane, inside KINK_EPS
             ankle = theta[3 * 3 + 2] * packed.ankles[2, 0] + theta[6:9]
             packed.offset = float(ankle @ packed.normal) - 1e-12
-        got = [a.copy() for a in _evaluate_theta(packed, theta)]
+        got = [a.copy() for a in _evaluate_theta(packed)]
         expected = oracle_evaluate_theta(packed, theta, cfg)
         for a, b in zip(got, expected):
             assert np.array_equal(a, b, equal_nan=True)
@@ -576,7 +576,7 @@ def test_evaluate_matches_oracle_for_each_kink_source(mode, case):
     assert (ankle < KINK_EPS) == (uses_plane and case == "ankle")
     assert np.isnan(ankle) == (uses_plane and case.startswith("nan_ankles"))
     assert np.isfinite(theta).all()
-    got = [a.copy() for a in _evaluate_theta(packed, theta)]
+    got = [a.copy() for a in _evaluate_theta(packed)]
     expected = oracle_evaluate_theta(packed, theta, cfg)
     for a, b in zip(got, expected):
         assert np.array_equal(a, b, equal_nan=True)
