@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from scenescale import (
     ObjectiveConfig,
     OptimConfig,
     SceneScaleError,
+    SchemaError,
     SynthConfig,
     evaluate_scenes,
     generate_scene,
@@ -56,9 +58,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         run(args)
-    except SceneScaleError as exc:
+    except (SceneScaleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return getattr(exc, "exit_code", 2)
     return 0
 
 
@@ -68,6 +70,8 @@ def run(args):
     check_int(args.n_scenes, "n-scenes", 1)
     check_int(args.seed, "seed", 0)
     number_in(args.depth_noise, "depth-noise", 0, math.inf, hi_open=True)
+    if args.json and not Path(args.json).absolute().parent.is_dir():
+        raise SchemaError(f"json: {args.json} is not in a directory that exists")
     configs = {mode: OptimConfig(objective=ObjectiveConfig(lam=args.lam, mode=mode))
                for mode in ("reprojection_only", "plane_only", "full")}
 

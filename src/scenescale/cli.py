@@ -32,15 +32,8 @@ from .metrics import evaluate_scenes
 from .objective import MODES, ObjectiveConfig
 from .optimizer import OptimConfig, lift_translations, optimize, optimize_baseline
 from .planefit import RansacConfig, anchor_plane, fit_rms, ransac_plane, unproject_ground
-from .sceneio import (
-    check_storable,
-    dumps_canonical,
-    load_depth_observation,
-    load_scene,
-    read_json,
-    save_depth_observation,
-    save_scene,
-)
+from .sceneio import (dumps_canonical, load_depth_observation, load_scene, read_json,
+                      save_depth_observation, save_scene)
 from .synth import SynthConfig, generate_scene
 
 def _float_list(text: str, where: str) -> list[float]:
@@ -160,7 +153,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"h_ord: {report.h_ord:.4f}")
     if args.json:
         Path(args.json).write_text(dumps_canonical(_nan_to_none(asdict(report))))
-    return 6 if skipped or report.frames_evaluated == 0 else 0
+    return 6 if skipped or report.frames_evaluated < len(est) else 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -188,7 +181,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for i in range(n_scenes):
         cfg = SynthConfig(**{**doc, "rng_seed": base.rng_seed + i})
         gt, observed, obs = generate_scene(cfg)
-        check_storable(obs, out_dir / f"depth_{i:03d}.f32")  # before any file of the scene
         out_dir.mkdir(parents=True, exist_ok=True)  # not before a scene is ready
         save_scene(observed, out_dir / f"scene_{i:03d}.json")
         save_scene(gt, out_dir / f"gt_{i:03d}.json")

@@ -13,18 +13,18 @@ The cloud is coordinate-major, (3, M), from unprojection to the last refit,
 so every per-point pass runs along M-long contiguous rows.
 
 Memory: a DepthObservation keeps only its M ground samples (an int32 flat
-index and a depth value each, 8 bytes with float32 depth), never the (H, W)
-grids.  The unprojection writes the (3, M) cloud in place and makes no other
-M-sized array of points.  RANSAC holds one (4, M) workspace: the cloud in scan order over a row of
-ones while hypotheses are scored, then the refits' scratch over the
-recounts' distance buffer; it is filled in place, with no stacked copy.
-Scoring reads it block by block into a distance block of at most 65536
-values.  A refit gathers its inliers into the workspace and reduces them to
-a 3x3 scatter matrix, so its only other M-sized array is the inliers' index.
-Nothing writes to the caller's cloud.  A cloud that is not the transpose of
-a C-contiguous float64 (3, M) array is copied once.  fit_rms computes the
-inliers' distances chunk by chunk into one array, so it never gathers the
-whole inlier set.
+index and a float32 depth value each, 8 bytes), never the (H, W) grids.  The
+unprojection writes the (3, M) cloud in place and makes no other M-sized
+array of points.  RANSAC holds one (4, M) workspace: the cloud in scan order
+over a row of ones while hypotheses are scored, then the refits' scratch
+over the recounts' distance buffer; it is filled in place, with no stacked
+copy.  Scoring reads it block by block into a distance block of at most
+65536 values.  A refit gathers its inliers into the workspace and reduces
+them to a 3x3 scatter matrix, so its only other M-sized array is the
+inliers' index.  Nothing writes to the caller's cloud.  A cloud that is not
+the transpose of a C-contiguous float64 (3, M) array is copied once.
+fit_rms computes the inliers' distances chunk by chunk into one array, so it
+never gathers the whole inlier set.
 """
 
 from __future__ import annotations
@@ -59,15 +59,17 @@ class DepthObservation:
     Built from an (H, W) depth grid and a ground mask of the same shape
     (nonzero = ground), it keeps only what unprojection reads: the image size
     (W, H), the ground pixels' row-major flat indices, increasing, as int32,
-    and their depth values (float32 kept, any other dtype as float64): 8
-    bytes a ground pixel with float32 depth.  The grids are not kept, so
-    pixels off the mask are never read and may hold anything.  max_depth is
-    the largest ground depth value, 0.0 with no ground pixel.
+    and their depth values rounded once to float32, the depth file's type,
+    so an observation in memory is the one its files load as: 8 bytes a
+    ground pixel.  The grids are not kept, so pixels off the mask are never
+    read and may hold anything.  max_depth is the largest ground depth
+    value, 0.0 with no ground pixel.
 
     SchemaError for an image of W * H >= 2**31 pixels, whose indices int32
     cannot hold, and for an index outside [0, W * H); both are checked
     before the indices are cast, since a cast would wrap them silently.
-    SchemaError too for indices that do not increase.
+    SchemaError too for indices that do not increase, and for a ground
+    depth that is not finite and > 0 once rounded (0 or inf in float32).
     """
 
     def __init__(self, depth, ground_mask, metric_scale: float = 6.0):
@@ -94,9 +96,9 @@ class DepthObservation:
         metric_scale = positive_number(metric_scale, "metric_scale")
         w, h = (int(v) for v in image_size)
         check_image_size(w, h)
-        index, values = np.asarray(index), np.asarray(values)
-        if values.dtype != np.float32:
-            values = values.astype(np.float64, copy=False)
+        index = np.asarray(index)
+        with np.errstate(over="ignore"):  # beyond float32 becomes inf: refused below
+            values = np.asarray(values).astype(np.float32, copy=False)
         if values.shape != index.shape:
             raise SchemaError(f"{values.size} depth values for {index.size} ground pixels")
         if index.size and (index.dtype.kind not in "iu" or index.min() < 0
@@ -165,11 +167,10 @@ def unproject_ground(obs: DepthObservation, cam: CameraModel) -> np.ndarray:
     _COORD_MAX: the bound is the largest metric depth times
     max(1, max over the image corners of |pixel - principal point| / focal).
 
-    The points are float64 whatever the depth's dtype; a float32 depth is
-    widened exactly before the metric scale multiplies it.  z, then x and y
-    are written straight into the rows of the (3, M) array: the row and
-    column of each flat index land there as exact floats, then
-    (i - c) * z / f runs in place.
+    The points are float64: the float32 depths are widened exactly before
+    the metric scale multiplies them.  z, then x and y are written straight
+    into the rows of the (3, M) array: the row and column of each flat index
+    land there as exact floats, then (i - c) * z / f runs in place.
     """
     if obs.image_size != cam.image_size:
         raise SchemaError(f"depth map is {obs.image_size[0]}x{obs.image_size[1]} pixels but "

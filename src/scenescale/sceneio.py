@@ -9,7 +9,8 @@ block by block for the ground pixels' int32 indices, then the depth payload
 block by block for their values, through one 1 MB buffer, so neither grid is
 ever in memory whole.  A sidecar declaring 2**31 pixels or more is refused
 before either payload is opened.  Writing goes block by block through one
-1 MB buffer too, and puts 0 at every pixel off the mask.
+1 MB buffer too, and puts 0 at every pixel off the mask; the ground depths
+are written as the observation holds them, float32, so they load unchanged.
 
 Every JSON file (scene, sidecar, synth config) is read by read_json: UTF-8,
 and any file that cannot be read or parsed, nested too deep included, is a
@@ -22,7 +23,6 @@ so identical inputs always produce byte-identical files.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict
 from pathlib import Path
@@ -163,24 +163,12 @@ def load_scene(path: str | Path) -> Scene:
     return scene_from_dict(read_json(path), where=str(path))
 
 
-def check_storable(obs: DepthObservation, depth_path: str | Path) -> None:
-    """SchemaError unless every ground depth of obs stays > 0 and finite in
-    float32, the type of the depth file: what the loader refuses is not written."""
-    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf: refused
-        stored = obs.ground_depth.astype("<f4")
-    if stored.size and not (stored.min() > 0 and math.isfinite(stored.max())):
-        raise SchemaError(f"{depth_path}: depth values at metric_scale {obs.metric_scale} "
-                          "leave float32's range")
-
-
 def save_depth_observation(
     obs: DepthObservation, depth_path: str | Path, mask_path: str | Path
 ) -> None:
-    depth_path = Path(depth_path)
-    check_storable(obs, depth_path)
     w, h = obs.image_size
     buffer = np.empty(4 * _BLOCK_PIXELS, dtype=np.uint8)
-    _write_blocks(depth_path, obs, "<f4", obs.ground_depth, buffer)
+    _write_blocks(Path(depth_path), obs, "<f4", obs.ground_depth, buffer)
     sidecar = {
         "width": w,
         "height": h,

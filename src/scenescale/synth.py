@@ -247,7 +247,9 @@ def _ground_samples(
     around each person, where the plane lies between _NEAR and _FAR.
 
     Only those pixels are computed, each in the arithmetic a full (H, W)
-    map would use, so no frame-sized float array is made.
+    map would use, so no frame-sized float array is made.  The observation
+    rounds them to float32; SchemaError naming metric_scale if one rounds
+    to 0 or infinity.
     """
     width, height_px = camera.image_size
     cx, cy = camera.principal_point
@@ -280,9 +282,9 @@ def _ground_samples(
             offset = rng.uniform(0.3, 3.0, n_out) * rng.choice([-1.0, 1.0], n_out)
             z[chosen] = np.maximum(z[chosen] + offset, 0.3)
 
-    with np.errstate(over="ignore"):  # refused below
+    with np.errstate(over="ignore"):  # inf is refused by the observation
         z /= cfg.metric_scale
-    if z.size and not math.isfinite(z.max()):
-        raise SchemaError(f"metric_scale {cfg.metric_scale} takes the ground's depths "
-                          "beyond a float")
-    return DepthObservation.from_ground((width, height_px), flat, z, cfg.metric_scale)
+    try:
+        return DepthObservation.from_ground((width, height_px), flat, z, cfg.metric_scale)
+    except SchemaError as exc:
+        raise SchemaError(f"metric_scale {cfg.metric_scale}: {exc}") from None

@@ -324,6 +324,20 @@ def test_evaluate_single_person_frames_warn(tmp_path):
     assert res.returncode == 6
 
 
+def test_evaluate_single_person_frame_beside_a_scored_one_exits_six(synth_dir, tmp_path):
+    """A frame of fewer than two persons is degenerate even when another
+    frame is scored: exit 6, and the report is as it was."""
+    res = run_cli("synth", "--out", tmp_path, "--n-persons", "1", "--seed", "2")
+    assert res.returncode == 0, res.stderr
+    trio, solo, report = synth_dir / "gt_000.json", tmp_path / "gt_000.json", tmp_path / "r.json"
+    res = run_cli("evaluate", "--est", trio, solo, "--gt", trio, solo, "--json", report)
+    assert res.returncode == 6
+    assert "fewer than 2 persons" in res.stderr
+    assert res.stdout.startswith("frames: 1 evaluated, 0 skipped\n")
+    doc = json.loads(report.read_text())
+    assert (doc["frames_evaluated"], doc["frames_skipped"], doc["pairs_evaluated"]) == (1, 0, 3)
+
+
 def test_evaluate_report_round_trips(synth_dir, tmp_path):
     report = tmp_path / "report.json"
     res = run_cli(
@@ -386,6 +400,25 @@ def test_full_pipeline_round_trip(tmp_path):
     assert res.returncode == 0, res.stderr
     doc = json.loads(report.read_text())
     assert doc["d_ord"] == 100.0  # relative arrangement restored
+
+
+@pytest.mark.parametrize("outliers", [0.0, 0.15, 0.3])
+def test_fit_plane_writes_the_in_process_plane(tmp_path, outliers):
+    """fit-plane on a synth frame's files writes, to the bit, the plane that
+    the library calls fit to the same frame in memory: an observation holds
+    what its depth file holds."""
+    res = run_cli("synth", "--out", tmp_path, "--seed", "5", "--outlier-fraction", outliers)
+    assert res.returncode == 0, res.stderr
+    fitted = tmp_path / "fitted.json"
+    res = run_cli("fit-plane", tmp_path / "depth_000.f32", tmp_path / "mask_000.u8",
+                  tmp_path / "scene_000.json", "--out", fitted)
+    assert res.returncode == 0, res.stderr
+    _, observed, obs = generate_scene(SynthConfig(rng_seed=5, outlier_fraction=outliers))
+    points = planefit.unproject_ground(obs, observed.camera)
+    plane, _ = planefit.ransac_plane(points, planefit.RansacConfig())
+    anchored = planefit.anchor_plane(plane, observed)
+    written = json.loads(fitted.read_text())["plane"]
+    assert written == {"normal": anchored.normal.tolist(), "point": anchored.point.tolist()}
 
 
 def test_usage_error_exits_two():

@@ -116,18 +116,23 @@ def test_depth_observation_validation():
 
 
 def test_depth_observation_dtypes():
+    """Ground depths are float32 whatever the map's dtype: a float64 or int32
+    map gives its own float32 rounding, the values its depth file holds."""
     mask = np.ones((3, 4), dtype=bool)
     f32 = np.arange(1, 13, dtype=np.float32).reshape(3, 4)
-    f64 = np.arange(1, 13, dtype=np.float64).reshape(3, 4)
     one = DepthObservation(f32, mask)
     assert one.image_size == (4, 3)
     assert one.ground_depth.dtype == np.float32 and np.array_equal(one.ground_depth, f32.ravel())
-    assert DepthObservation(f64, mask).ground_depth.dtype == np.float64
     as_bool = DepthObservation(f32, np.eye(3, 4, dtype=np.uint8) * 7)
     assert np.array_equal(as_bool.ground_index, np.flatnonzero(np.eye(3, 4)))
     assert np.array_equal(as_bool.ground_depth, f32[np.eye(3, 4, dtype=bool)])
-    widened = DepthObservation(f64.astype(np.int32), mask).ground_depth
-    assert widened.dtype == np.float64 and np.array_equal(widened, f64.ravel())
+    f64 = 1.0 + np.arange(12).reshape(3, 4) / 10  # tenths, most of which float32 rounds
+    i32 = (2**24 + np.arange(12, dtype=np.int32)).reshape(3, 4)  # odd ones round in float32
+    for grid in (f64, i32):
+        rounded = grid.astype(np.float32)
+        assert not np.array_equal(rounded, grid)
+        got = DepthObservation(grid, mask).ground_depth
+        assert got.dtype == np.float32 and got.tobytes() == rounded.tobytes()
 
 
 def test_depth_observation_from_ground_is_the_same_observation():
@@ -216,6 +221,16 @@ def test_depth_observation_float32_masked_values_checked(value):
         DepthObservation(depth, mask)
 
 
+@pytest.mark.parametrize("value", [1e39, 1e-46])
+def test_depth_observation_refuses_what_float32_rounds_away(value):
+    """A ground depth that float32, the depth file's type, rounds to inf
+    (1e39) or to 0 (1e-46) is refused when the observation is built."""
+    with pytest.raises(SchemaError, match="finite and > 0"):
+        DepthObservation.from_ground((2, 1), [0, 1], [1.0, value])
+    with pytest.raises(SchemaError, match="finite and > 0"):
+        DepthObservation(np.array([[1.0, value]]), np.ones((1, 2), dtype=bool))
+
+
 def raster_unproject(depth, mask, metric_scale, cam):
     """Literal copy of unproject_ground from when DepthObservation kept the
     (H, W) grids; the sample form must give the same points bit for bit."""
@@ -249,7 +264,8 @@ def test_unproject_matches_the_raster_oracle(dtype, seed):
     cam = CameraModel(61.5, (w, h), principal_point=(26.25, 18.75))
     obs = DepthObservation(depth=depth, ground_mask=mask, metric_scale=5.7)
     pts = unproject_ground(obs, cam)
-    oracle = raster_unproject(depth, mask, 5.7, cam)
+    # the observation rounds a float64 map to float32, as its depth file does
+    oracle = raster_unproject(depth.astype(np.float32), mask, 5.7, cam)
     assert pts.shape == oracle.shape and pts.tobytes() == oracle.tobytes()
 
 

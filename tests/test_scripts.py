@@ -41,6 +41,21 @@ def test_run_suite_refuses_a_flag_it_cannot_honour(tmp_path, flag, value, name):
     assert not out.exists()
 
 
+def test_run_suite_json_path_it_cannot_write(tmp_path):
+    """A --json whose directory does not exist is refused before any scene is
+    built; one that cannot be opened (a directory) fails after the run.  Each
+    is one error line and exit 2."""
+    missing = tmp_path / "missing" / "suite.json"
+    res = run_script("run_suite.py", "--n-scenes", "1", "--json", missing)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == f"error: json: {missing} is not in a directory that exists\n"
+    assert "built" not in res.stdout and not missing.parent.exists()
+    res = run_script("run_suite.py", "--n-scenes", "1", "--json", tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+    assert "built 1 scenes" in res.stdout
+
+
 def test_demo_pipeline_smoke(tmp_path):
     res = run_script("demo_pipeline.py", "--workdir", tmp_path)
     assert res.returncode == 0, res.stderr

@@ -139,7 +139,8 @@ def raster_ground(cfg, camera, normal, p0, persons, rng):
                 image_size=(320, 240), camera_focal=300.0, plane_tilt_deg=0.0),
 ], ids=["stride3", "stride12", "stride1"])
 def test_ground_samples_match_the_raster_oracle(monkeypatch, cfg):
-    """The samples are the full-frame map's values at its mask, bit for bit."""
+    """The samples are the full-frame map's values at its mask, rounded to
+    float32 as the depth file stores them, bit for bit."""
     seen = {}
 
     def spy(*args):
@@ -152,7 +153,7 @@ def test_ground_samples_match_the_raster_oracle(monkeypatch, cfg):
     depth, mask = raster_ground(*seen["args"], np.random.default_rng((cfg.rng_seed, 31)))
     assert obs.image_size == mask.shape[::-1]
     assert np.array_equal(obs.ground_index, np.flatnonzero(mask))
-    assert obs.ground_depth.tobytes() == depth[mask].tobytes()
+    assert obs.ground_depth.tobytes() == depth[mask].astype(np.float32).tobytes()
 
 
 def test_keypoint_noise_perturbs_only_keypoints():
