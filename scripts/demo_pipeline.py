@@ -33,7 +33,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     work = args.workdir
-    work.mkdir(parents=True, exist_ok=True)
+    try:
+        work.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in its place, say
+        print(f"error: workdir: {exc}", file=sys.stderr)
+        return 2
 
     cli("synth", "--out", work, "--n-persons", "3", "--seed", args.seed,
         "--factors", "1.0,1.5,0.7", "--noise-px", "1.0", "--tilt", "7.0")
@@ -43,8 +47,7 @@ def main(argv=None):
         work / "scene_000.json", "--out", fitted)
 
     optimized = work / "optimized.json"
-    cli("optimize", fitted, "--out", optimized,
-        "--trace", work / "trace.csv", "--lambda", "500")
+    cli("optimize", fitted, "--out", optimized, "--trace", work / "trace.csv")
 
     report = work / "report.json"
     cli("evaluate", "--est", optimized, "--gt", work / "gt_000.json",

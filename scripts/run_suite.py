@@ -1,57 +1,53 @@
-"""Ablation and baseline comparison on a seeded synthetic suite.
+"""Ablation and baseline comparison on the seeded ambiguity suite.
 
-Generates N scenes with randomized person counts, size factors, and plane
-tilt, then optimizes each under the three objective modes and a depth-pinned
-baseline fed noisy ground-truth depths. Prints one metrics row per method.
+Builds the suite of scenescale.synth.ambiguity_suite, the one home of the
+evaluation protocol, optimizes each scene under the three objective modes,
+and runs the depth-pinned baseline on the noisy true depths of
+synth.pinned_depths. Prints one metrics row per method.
 
 Usage:
-    python scripts/run_suite.py [--n-scenes 50] [--seed 1000] [--lam 500]
+    python scripts/run_suite.py [--n-scenes N] [--seed S] [--lam L]
+                                [--depth-noise F] [--json PATH]
+
+Each default is the protocol's own (the suite's size, seed and depth noise)
+or ObjectiveConfig's plane weight; --help prints them.
 """
 import argparse
+import inspect
 import json
 import math
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from scenescale import (
     ObjectiveConfig,
     OptimConfig,
     SceneScaleError,
     SchemaError,
-    SynthConfig,
     evaluate_scenes,
     generate_scene,
     optimize,
     optimize_baseline,
+    synth,
 )
 from scenescale.errors import check_int, number_in
 
 
-def build_suite(n_scenes, base_seed, rng):
-    scenes = []
-    for i in range(n_scenes):
-        n = int(rng.integers(2, 6))
-        cfg = SynthConfig(
-            n_persons=n,
-            rng_seed=base_seed + i,
-            ambiguity_factors=tuple(rng.uniform(0.6, 1.6, n)),
-            keypoint_noise_px=1.0,
-            plane_tilt_deg=float(rng.uniform(3.0, 10.0)),
-        )
-        scenes.append(generate_scene(cfg))
-    return scenes
+def default_of(fn, name):
+    return inspect.signature(fn).parameters[name].default
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n-scenes", type=int, default=50)
-    ap.add_argument("--seed", type=int, default=1000)
-    ap.add_argument("--lam", type=float, default=500.0,
-                    help="plane weight; pixel-unit reprojection wants hundreds")
-    ap.add_argument("--depth-noise", type=float, default=0.2,
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                 formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    ap.add_argument("--n-scenes", type=int, default=default_of(synth.ambiguity_suite, "n_scenes"),
+                    help="scenes in the suite")
+    ap.add_argument("--seed", type=int, default=default_of(synth.ambiguity_suite, "seed"),
+                    help="the suite's seed")
+    ap.add_argument("--lam", type=float, default=ObjectiveConfig().lam,
+                    help="plane weight; the default is ObjectiveConfig's")
+    ap.add_argument("--depth-noise", type=float, default=default_of(synth.pinned_depths, "noise"),
                     help="multiplicative noise on the baseline's input depths")
     ap.add_argument("--json", type=str, default=None,
                     help="also write the numbers to this path")
@@ -75,8 +71,7 @@ def run(args):
     configs = {mode: OptimConfig(objective=ObjectiveConfig(lam=args.lam, mode=mode))
                for mode in ("reprojection_only", "plane_only", "full")}
 
-    rng = np.random.default_rng(args.seed)
-    suite = build_suite(args.n_scenes, args.seed, rng)
+    suite = [generate_scene(cfg) for cfg in synth.ambiguity_suite(args.n_scenes, args.seed)]
     gt_scenes = [gt for gt, _, _ in suite]
     print(f"built {len(suite)} scenes "
           f"({sum(len(g.persons) for g in gt_scenes)} persons)")
@@ -90,12 +85,8 @@ def run(args):
         print(f"{mode:>18}: d_ord {report.d_ord:6.2f}  d_norm {report.d_norm:.4f}  "
               f"h_ord {report.h_ord:6.2f}  ({time.monotonic() - t0:.1f}s)")
 
-    noise_rng = np.random.default_rng(777)
-    base_finals = []
-    for gt, obs, _ in suite:
-        depths = np.array([p.translation[2] for p in gt.persons])
-        noisy = depths * (1.0 + args.depth_noise * noise_rng.standard_normal(depths.size))
-        base_finals.append(optimize_baseline(obs, list(np.clip(noisy, 0.5, None))).final_scene)
+    depths = synth.pinned_depths(gt_scenes, args.depth_noise)
+    base_finals = [optimize_baseline(obs, z).final_scene for (_, obs, _), z in zip(suite, depths)]
     base = evaluate_scenes(base_finals, gt_scenes)
     rows["baseline"] = base
     print(f"{'depth baseline':>18}: d_ord {base.d_ord:6.2f}  d_norm {base.d_norm:.4f}  "

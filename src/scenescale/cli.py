@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write per-iteration loss CSV here")
     p.add_argument("--lr", type=float, default=optim.learning_rate)
     p.add_argument("--iterations", type=int, default=optim.iterations)
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lambda", dest="lam", type=float,
+                   help=f"plane-term weight (default {optim.objective.lam:g})")
     p.add_argument("--mode", choices=MODES)
     p.add_argument(
         "--depths", help="comma-separated per-person depths: run the depth-pinned "

@@ -71,7 +71,7 @@ MODES = ("full", "reprojection_only", "plane_only")
 
 @dataclass
 class ObjectiveConfig:
-    lam: float = 1.0              # plane-term weight
+    lam: float = 500.0  # plane weight: pixel residuals at f = 1000 against ankle meters
     mode: str = "full"
 
     def __post_init__(self):

@@ -12,6 +12,8 @@ the acceptance tests compare against.
 Also renders a plane-only depth map (with optional outlier corruption) at
 the pixels of a strided ground mask, so the plane-fitting path can run end
 to end on the same scenes.
+
+ambiguity_suite and pinned_depths are the evaluation protocol's one home.
 """
 
 from __future__ import annotations
@@ -288,3 +290,31 @@ def _ground_samples(
         return DepthObservation.from_ground((width, height_px), flat, z, cfg.metric_scale)
     except SchemaError as exc:
         raise SchemaError(f"metric_scale {cfg.metric_scale}: {exc}") from None
+
+
+def ambiguity_suite(n_scenes: int = 50, seed: int = 1000) -> list[SynthConfig]:
+    """The seeded suite the acceptance criteria and scripts/run_suite.py score.
+
+    Scene i: 2-5 persons, each one's depth and size times a factor uniform in
+    [0.6, 1.6], 1 px keypoint noise, a ground tilt uniform in [3, 10] degrees
+    and rng_seed seed + i.  Counts, factors and tilts come from one stream.
+    """
+    rng = np.random.default_rng(seed)
+    configs = []
+    for i in range(n_scenes):
+        n = int(rng.integers(2, 6))
+        factors = tuple(rng.uniform(0.6, 1.6, n))
+        configs.append(SynthConfig(n, rng_seed=seed + i, ambiguity_factors=factors,
+                                   keypoint_noise_px=1.0, plane_tilt_deg=rng.uniform(3, 10)))
+    return configs
+
+
+def pinned_depths(gt_scenes: list[Scene], noise: float = 0.2, seed: int = 777) -> list[list[float]]:
+    """The measured depths the suite's depth-pinned baseline gets: each
+    person's true z times 1 + noise * N(0, 1) from one stream, clipped at 0.5 m."""
+    rng = np.random.default_rng(seed)
+    depths = []
+    for gt in gt_scenes:
+        z = np.array([p.translation[2] for p in gt.persons])
+        depths.append(np.clip(z * (1.0 + noise * rng.standard_normal(z.size)), 0.5, None).tolist())
+    return depths

@@ -1,11 +1,6 @@
-"""Shared fixtures: the seeded ambiguity suite used by several tests.
-
-Suite protocol: 50 scenes, 2-5 persons each, per-person depth/size factors
-uniform in [0.6, 1.6], 1 px keypoint noise, ground tilt uniform in
-[3, 10] degrees, true plane attached to the observed scene.  The plane
-weight used for full-mode runs on this suite is 500: keypoint residuals
-are in pixels (f = 1000) while ankle-plane distances are in meters, so a
-weight of a few hundred puts the two terms on comparable scales.
+"""Shared fixtures: seeded random scenes and the ambiguity suite, whose
+protocol lives in scenescale.synth.ambiguity_suite, shared with
+scripts/run_suite.py; full-mode runs on it take ObjectiveConfig's defaults.
 """
 
 from __future__ import annotations
@@ -19,20 +14,15 @@ from scenescale import (
     CameraModel,
     GroundPlane,
     ObjectiveConfig,
-    OptimConfig,
     Person,
     Scene,
-    SynthConfig,
     generate_scene,
     loss_and_gradients,
     optimize,
+    synth,
 )
 from scenescale.geometry import project
 from scenescale.scene import posed_joints
-
-SUITE_SEED = 1000
-SUITE_SIZE = 50
-SUITE_LAM = 500.0
 
 
 def reprojection(scene: Scene) -> float:
@@ -93,25 +83,6 @@ def ragged_scene(seed, behind=False):
     return Scene(persons, base.camera, plane=base.plane)
 
 
-def make_suite(n_scenes: int = SUITE_SIZE, base: int = SUITE_SEED):
-    """List of (gt_scene, observed_scene, depth_observation) triples."""
-    rng = np.random.default_rng(base)
-    scenes = []
-    for i in range(n_scenes):
-        n = int(rng.integers(2, 6))
-        factors = tuple(rng.uniform(0.6, 1.6, n))
-        tilt = float(rng.uniform(3.0, 10.0))
-        cfg = SynthConfig(
-            n_persons=n,
-            rng_seed=base + i,
-            ambiguity_factors=factors,
-            keypoint_noise_px=1.0,
-            plane_tilt_deg=tilt,
-        )
-        scenes.append(generate_scene(cfg))
-    return scenes
-
-
 def exact_optimum_scene(seed: int = 2) -> Scene:
     """Random scene adjusted so both loss terms are exactly zero.
 
@@ -133,15 +104,11 @@ def exact_optimum_scene(seed: int = 2) -> Scene:
     return scene
 
 
-def suite_optim_config(mode: str = "full") -> OptimConfig:
-    return OptimConfig(objective=ObjectiveConfig(lam=SUITE_LAM, mode=mode))
-
-
 @pytest.fixture(scope="session")
 def ambiguity_suite():
     """Suite scenes plus full-mode optimization results and wall time."""
     t0 = time.monotonic()
-    scenes = make_suite()
-    full = [optimize(obs, suite_optim_config()) for _, obs, _ in scenes]
+    scenes = [generate_scene(cfg) for cfg in synth.ambiguity_suite()]
+    full = [optimize(obs) for _, obs, _ in scenes]
     elapsed = time.monotonic() - t0
     return {"scenes": scenes, "full": full, "elapsed": elapsed}

@@ -1,23 +1,17 @@
 """Acceptance gate: one test per shipping criterion, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines inline.
-The heavy shared work (the 50-scene suite and its full-mode optimization) lives
-in the session-scoped `ambiguity_suite` fixture in conftest.
+The heavy shared work (the 50-scene suite of `synth.ambiguity_suite` and its
+full-mode optimization) lives in the session-scoped `ambiguity_suite` fixture in
+conftest.
 """
-import csv
-import json
 import subprocess
 import sys
 import time
 
 import numpy as np
 
-from conftest import (
-    SUITE_SEED,
-    exact_optimum_scene,
-    random_scene,
-    suite_optim_config,
-)
+from conftest import exact_optimum_scene, random_scene
 from test_objective import fd_gradient, residual_floor
 
 from scenescale import (
@@ -29,6 +23,7 @@ from scenescale import (
     optimize,
     optimize_baseline,
     ransac_plane,
+    synth,
 )
 
 
@@ -84,16 +79,12 @@ def test_criterion_3_ablation_ordering(ambiguity_suite):
     r_full = evaluate_scenes(
         [r.final_scene for r in ambiguity_suite["full"]], gt_scenes
     )
-    r_plane = evaluate_scenes(
-        [optimize(obs, suite_optim_config("plane_only")).final_scene
-         for _, obs, _ in scenes],
-        gt_scenes,
-    )
-    r_rep = evaluate_scenes(
-        [optimize(obs, suite_optim_config("reprojection_only")).final_scene
-         for _, obs, _ in scenes],
-        gt_scenes,
-    )
+
+    def ablation(mode):
+        cfg = OptimConfig(objective=ObjectiveConfig(mode=mode))
+        return evaluate_scenes([optimize(obs, cfg).final_scene for _, obs, _ in scenes], gt_scenes)
+
+    r_plane, r_rep = ablation("plane_only"), ablation("reprojection_only")
     ok = (
         r_full.d_ord >= r_plane.d_ord >= r_rep.d_ord
         and r_full.h_ord >= r_plane.h_ord
@@ -110,13 +101,8 @@ def test_criterion_3_ablation_ordering(ambiguity_suite):
 def test_criterion_4_baseline_inferiority(ambiguity_suite):
     scenes = ambiguity_suite["scenes"]
     gt_scenes = [gt for gt, _, _ in scenes]
-    noise_rng = np.random.default_rng(777)
-    base_final = []
-    for gt, obs, _ in scenes:
-        depths = np.array([p.translation[2] for p in gt.persons])
-        noisy = depths * (1.0 + 0.2 * noise_rng.standard_normal(depths.size))
-        noisy = np.clip(noisy, 0.5, None)
-        base_final.append(optimize_baseline(obs, list(noisy)).final_scene)
+    base_final = [optimize_baseline(obs, depths).final_scene
+                  for (_, obs, _), depths in zip(scenes, synth.pinned_depths(gt_scenes))]
     r_base = evaluate_scenes(base_final, gt_scenes)
     r_full = evaluate_scenes(
         [r.final_scene for r in ambiguity_suite["full"]], gt_scenes
@@ -206,7 +192,7 @@ def test_criterion_7_cli_determinism(tmp_path):
             root / "scene_000.json", "--out", fitted, "--seed", "3")
         optimized = root / "optimized.json"
         run("optimize", fitted, "--out", optimized, "--trace", root / "trace.csv",
-            "--lambda", "500", "--iterations", "150")
+            "--iterations", "150")
         run("evaluate", "--est", optimized, "--gt", root / "gt_000.json",
             "--json", root / "report.json")
         return sorted(p for p in root.iterdir() if p.is_file())

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SUITE_LAM, exact_optimum_scene, ragged_scene, random_scene, reprojection
+from conftest import exact_optimum_scene, ragged_scene, random_scene, reprojection
 from scenescale import (
     CameraModel,
-    GroundPlane,
     NonFiniteLossError,
     ObjectiveConfig,
     OptimConfig,
@@ -132,7 +131,7 @@ def test_optimize_corrects_consistent_perturbation():
     cfg = SynthConfig(n_persons=2, ambiguity_factors=(1.0, 1.5), rng_seed=11,
                       keypoint_noise_px=0.5)
     gt, observed, _ = generate_scene(cfg)
-    report = optimize(observed, OptimConfig(objective=ObjectiveConfig(lam=SUITE_LAM)))
+    report = optimize(observed)
     for rec, true in zip(report.final_scene.persons, gt.persons):
         assert abs(rec.scale / true.scale - 1.0) < 0.02
         assert abs(rec.translation[2] / true.translation[2] - 1.0) < 0.02
@@ -143,7 +142,7 @@ def test_optimize_reprojection_preserved_under_plane_correction():
                       keypoint_noise_px=1.0)
     _, observed, _ = generate_scene(cfg)
     initial_rep = reprojection(observed)
-    report = optimize(observed, OptimConfig(objective=ObjectiveConfig(lam=SUITE_LAM)))
+    report = optimize(observed)
     assert reprojection(report.final_scene) <= initial_rep + 1.0
 
 
@@ -166,7 +165,7 @@ def test_optimize_deterministic():
     cfg = SynthConfig(n_persons=2, ambiguity_factors=(1.2, 0.9), rng_seed=8,
                       keypoint_noise_px=1.0)
     _, observed, _ = generate_scene(cfg)
-    ocfg = OptimConfig(iterations=80, objective=ObjectiveConfig(lam=SUITE_LAM))
+    ocfg = OptimConfig(iterations=80)
     r1 = optimize(observed, ocfg)
     r2 = optimize(observed, ocfg)
     assert np.array_equal(r1.loss_trace, r2.loss_trace)  # bitwise, not approx
@@ -196,7 +195,7 @@ def test_person_result_does_not_depend_on_the_others(mode, seed, n_persons):
     mode runs.
     """
     scene = random_scene(np.random.default_rng(seed), n_persons=n_persons, noise_px=1.0)
-    ocfg = OptimConfig(iterations=200, objective=ObjectiveConfig(lam=SUITE_LAM, mode=mode))
+    ocfg = OptimConfig(iterations=200, objective=ObjectiveConfig(mode=mode))
     for (t_in, s_in), (t_alone, s_alone) in person_alone_and_together(scene, ocfg):
         assert np.array_equal(t_in, t_alone)
         assert s_in == s_alone
@@ -215,7 +214,7 @@ def test_optimize_does_not_mutate_input():
 def test_optimize_trace_and_scale_bookkeeping():
     cfg = SynthConfig(n_persons=2, ambiguity_factors=(1.2, 0.8), rng_seed=13)
     _, observed, _ = generate_scene(cfg)
-    ocfg = OptimConfig(iterations=50, objective=ObjectiveConfig(lam=SUITE_LAM))
+    ocfg = OptimConfig(iterations=50)
     report = optimize(observed, ocfg)
     assert report.loss_trace.shape == (51, 3)
     assert report.converged_iteration == 50
@@ -223,9 +222,8 @@ def test_optimize_trace_and_scale_bookkeeping():
     assert report.loss_trace[-1].tolist() == [fl.reprojection, fl.plane, fl.total]
     initial = loss_and_gradients(observed, ocfg.objective)[0]
     assert report.loss_trace[0].tolist() == [initial.reprojection, initial.plane, initial.total]
-    assert np.array_equal(
-        report.loss_trace[:, 2], report.loss_trace[:, 0] + SUITE_LAM * report.loss_trace[:, 1]
-    )
+    rep, plane, total = report.loss_trace.T
+    assert np.array_equal(total, rep + ocfg.objective.lam * plane)
     assert all(p.scale >= SCALE_MIN for p in report.final_scene.persons)
     final = loss_and_gradients(report.final_scene, ocfg.objective)[0]
     assert report.final_loss.total == final.total
@@ -236,7 +234,7 @@ def test_optimize_scale_clamp_engages():
     # takes the first step far below the floor
     cfg = SynthConfig(n_persons=1, ambiguity_factors=(1.6,), rng_seed=4)
     _, observed, _ = generate_scene(cfg)
-    ocfg = OptimConfig(learning_rate=5.0, iterations=1, objective=ObjectiveConfig(lam=SUITE_LAM))
+    ocfg = OptimConfig(learning_rate=5.0, iterations=1)
     report = optimize(observed, ocfg)
     assert SCALE_MIN == 0.1
     assert report.final_scene.persons[0].scale == SCALE_MIN
@@ -462,7 +460,7 @@ def crowd_scene(n_persons=20, seed=41):
 
 def test_adam_matches_oracle_crowd(monkeypatch):
     _, observed, _ = crowd_scene()
-    ocfg = OptimConfig(objective=ObjectiveConfig(lam=SUITE_LAM))
+    ocfg = OptimConfig()
     report = assert_matches_oracle(monkeypatch, lambda: optimize(observed, ocfg))
     assert report.converged_iteration == 600
 
@@ -470,7 +468,7 @@ def test_adam_matches_oracle_crowd(monkeypatch):
 @pytest.mark.parametrize("mode", ["full", "reprojection_only", "plane_only"])
 def test_adam_matches_oracle_each_mode(monkeypatch, mode):
     _, observed, _ = crowd_scene(n_persons=4, seed=43)
-    ocfg = OptimConfig(iterations=300, objective=ObjectiveConfig(lam=SUITE_LAM, mode=mode))
+    ocfg = OptimConfig(iterations=300, objective=ObjectiveConfig(mode=mode))
     assert_matches_oracle(monkeypatch, lambda: optimize(observed, ocfg))
 
 
@@ -486,7 +484,7 @@ def test_adam_matches_oracle_ragged_zero_confidence(monkeypatch):
     scene = ragged_scene(seed=5)
     persons = scene.persons
     persons[2].confidences = np.zeros(persons[2].n_joints)
-    ocfg = OptimConfig(iterations=200, objective=ObjectiveConfig(lam=SUITE_LAM))
+    ocfg = OptimConfig(iterations=200)
     assert_matches_oracle(monkeypatch, lambda: optimize(scene, ocfg))
     reproj = OptimConfig(iterations=200, objective=ObjectiveConfig(mode="reprojection_only"))
     report = assert_matches_oracle(monkeypatch, lambda: optimize(scene, reproj))
@@ -594,6 +592,6 @@ def test_adam_matches_oracle_random_synth(seed, n_persons, mode, noise_px):
     cfg = SynthConfig(n_persons=n_persons, rng_seed=seed, keypoint_noise_px=noise_px,
                       ambiguity_factors=tuple(rng.uniform(0.6, 1.6, n_persons)))
     _, observed, _ = generate_scene(cfg)
-    ocfg = OptimConfig(iterations=150, objective=ObjectiveConfig(lam=SUITE_LAM, mode=mode))
+    ocfg = OptimConfig(iterations=150, objective=ObjectiveConfig(mode=mode))
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_matches_oracle(monkeypatch, lambda: optimize(observed, ocfg))

@@ -1,5 +1,6 @@
 """Smoke tests: the two scripts run end to end and exit 0, and refuse flags
 they cannot honour."""
+import json
 import os
 import subprocess
 import sys
@@ -57,6 +58,19 @@ def test_run_suite_json_path_it_cannot_write(tmp_path):
 
 
 def test_demo_pipeline_smoke(tmp_path):
+    """The demo's synth -> fit-plane -> optimize -> evaluate chain, at the
+    default lambda, restores every pair's depth and height order."""
     res = run_script("demo_pipeline.py", "--workdir", tmp_path)
     assert res.returncode == 0, res.stderr
-    assert (tmp_path / "report.json").is_file()
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["d_ord"] == doc["h_ord"] == 100.0
+
+
+def test_demo_pipeline_refuses_a_workdir_that_is_a_file(tmp_path):
+    """One error line and exit 2 before any CLI step runs."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    res = run_script("demo_pipeline.py", "--workdir", afile)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: workdir: ") and len(res.stderr.splitlines()) == 1
+    assert res.stdout == "" and afile.read_text() == ""

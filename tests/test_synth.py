@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,31 @@ def test_synth_config_validation():
         with pytest.raises(SchemaError, match=field):
             SynthConfig(**{field: bad})
     assert SynthConfig(n_persons=np.int64(2), rng_seed=np.int64(5)).rng_seed == 5
+
+
+def test_ambiguity_suite_is_pinned():
+    """The suite criteria 2-4 and scripts/run_suite.py score: its first three
+    configs as recorded, and a digest of all 50, so it cannot drift silently."""
+    suite = synth.ambiguity_suite()
+    assert [(c.n_persons, c.rng_seed, c.ambiguity_factors, c.plane_tilt_deg)
+            for c in suite[:3]] == [
+        (2, 1000, (1.2038418470063297, 1.070941797322254), 4.422735597812752),
+        (4, 1001, (1.1287590256200526, 0.7910362800807887, 0.8815455986418517,
+                   1.3536815521915941), 6.861702437118499),
+        (2, 1002, (1.4053722209059218, 0.8483726632061388), 4.329001884570782),
+    ]
+    digest = hashlib.sha256("\n".join(map(repr, suite)).encode()).hexdigest()
+    assert digest == "7bdb6ef3fb947e897bd129dc82462d44f77c1e11cb86b6f26aaf1d233f1eff6e"
+    assert synth.ambiguity_suite(50, 1000) == suite
+
+
+def test_pinned_depths_draw_one_stream_across_scenes():
+    """True depths times 1 + noise * N(0, 1) from one stream, clipped at 0.5 m."""
+    scenes = [generate_scene(cfg)[0] for cfg in synth.ambiguity_suite(3)]
+    true = [[p.translation[2] for p in s.persons] for s in scenes]
+    assert synth.pinned_depths(scenes, noise=0.0) == true
+    z = np.concatenate(true)
+    drawn = z * (1.0 + 0.2 * np.random.default_rng(777).standard_normal(z.size))
+    assert sum(synth.pinned_depths(scenes), []) == np.clip(drawn, 0.5, None).tolist()
+    wild = sum(synth.pinned_depths(scenes, noise=5.0), [])
+    assert min(wild) == 0.5 and max(wild) > max(z)
