@@ -373,6 +373,32 @@ def test_evaluate_json_is_the_report(tmp_path):
     assert doc["d_ord"] is None and doc["d_norm"] is None and doc["h_ord"] is None
 
 
+def test_full_pipeline_round_trip(tmp_path):
+    """synth -> fit-plane -> optimize -> evaluate, end to end."""
+    res = run_cli(
+        "synth", "--out", tmp_path, "--n-persons", "2", "--seed", "42",
+        "--factors", "1.0,1.5", "--noise-px", "1.0",
+    )
+    assert res.returncode == 0, res.stderr
+    fitted = tmp_path / "fitted.json"
+    res = run_cli(
+        "fit-plane", tmp_path / "depth_000.f32", tmp_path / "mask_000.u8",
+        tmp_path / "scene_000.json", "--out", fitted,
+    )
+    assert res.returncode == 0, res.stderr
+    optimized = tmp_path / "optimized.json"
+    res = run_cli("optimize", fitted, "--out", optimized)
+    assert res.returncode == 0, res.stderr
+    report = tmp_path / "report.json"
+    res = run_cli(
+        "evaluate", "--est", optimized, "--gt", tmp_path / "gt_000.json",
+        "--json", report,
+    )
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(report.read_text())
+    assert doc["d_ord"] == 100.0  # relative arrangement restored
+
+
 @pytest.mark.parametrize("outliers", [0.0, 0.15, 0.3])
 def test_fit_plane_writes_the_in_process_plane(tmp_path, outliers):
     """fit-plane on a synth frame's files writes, to the bit, the plane that

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from scenescale import ObjectiveConfig
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -55,6 +57,18 @@ def test_run_suite_json_path_it_cannot_write(tmp_path):
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
     assert "built 1 scenes" in res.stdout
+
+
+def test_run_suite_help_prints_the_protocol_defaults():
+    """--help shows each default as read from synth's signatures and from
+    ObjectiveConfig, so renaming a parameter there fails here."""
+    res = run_script("run_suite.py", "--help")
+    assert res.returncode == 0, res.stderr
+    text = " ".join(res.stdout.split())
+    assert "scenes in the suite (default: 50)" in text
+    assert "the suite's seed (default: 1000)" in text
+    assert f"ObjectiveConfig's (default: {ObjectiveConfig().lam})" in text
+    assert "input depths (default: 0.2)" in text
 
 
 def test_demo_pipeline_smoke(tmp_path):
